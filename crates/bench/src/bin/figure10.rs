@@ -36,7 +36,7 @@ fn main() {
         let out = run_benchmark(&spec, &cfg);
 
         let call_stack = Cdf::new(out.dacce_report.sample_depths.clone());
-        let cc_stack = Cdf::new(out.dacce_stats.cc_depths.clone());
+        let cc_stack = Cdf::from_counts(&out.dacce_stats.cc_depths);
 
         println!("\nFigure 10 — {name}: cumulative stack-depth distributions");
         println!(

@@ -90,6 +90,31 @@ pub(crate) struct DispatchTable {
     slot_failures: u64,
 }
 
+/// Compiles one site's logical patch state; `poly_index` places an
+/// indirect site's patch in the poly table and returns its index.
+fn compile(state: &SiteState, poly_index: impl FnOnce(&IndirectPatch) -> u32) -> CompiledSite {
+    let dispatch = match &state.patch {
+        SitePatch::Trap => CompiledDispatch::Trap,
+        SitePatch::Direct(target, action) => CompiledDispatch::Mono {
+            target: *target,
+            action: *action,
+        },
+        SitePatch::Indirect(p) => CompiledDispatch::Poly {
+            index: poly_index(p),
+        },
+    };
+    CompiledSite {
+        dispatch,
+        tc_wrap: state.tc_wrap,
+    }
+}
+
+/// Appends `p` to the poly table and returns its index.
+fn push_poly(poly: &mut Vec<IndirectPatch>, p: &IndirectPatch) -> u32 {
+    poly.push(p.clone());
+    u32::try_from(poly.len() - 1).expect("poly count fits in u32")
+}
+
 impl DispatchTable {
     /// Creates an empty table.
     pub(crate) fn new() -> Self {
@@ -142,35 +167,21 @@ impl DispatchTable {
             return false;
         };
         let slot = slot as usize;
-        let dispatch = match &state.patch {
-            SitePatch::Trap => CompiledDispatch::Trap,
-            SitePatch::Direct(target, action) => CompiledDispatch::Mono {
-                target: *target,
-                action: *action,
-            },
-            SitePatch::Indirect(p) => {
-                // Reuse the slot's existing poly entry when it has one; a
-                // site flipping from Mono to Poly allocates a fresh one
-                // (any orphan is reclaimed by the next full rebuild).
-                let index = match self.sites[slot].dispatch {
-                    CompiledDispatch::Poly { index } => {
-                        Arc::make_mut(&mut self.poly)[index as usize] = p.clone();
-                        index
-                    }
-                    _ => {
-                        let poly = Arc::make_mut(&mut self.poly);
-                        let index = u32::try_from(poly.len()).expect("poly count fits in u32");
-                        poly.push(p.clone());
-                        index
-                    }
-                };
-                CompiledDispatch::Poly { index }
+        let old = self.sites[slot].dispatch;
+        let compiled = compile(state, |p| {
+            // Reuse the slot's existing poly entry when it has one; a site
+            // flipping from Mono to Poly allocates a fresh one (any orphan
+            // is reclaimed by the next full rebuild).
+            let poly = Arc::make_mut(&mut self.poly);
+            match old {
+                CompiledDispatch::Poly { index } => {
+                    poly[index as usize] = p.clone();
+                    index
+                }
+                _ => push_poly(poly, p),
             }
-        };
-        Arc::make_mut(&mut self.sites)[slot] = CompiledSite {
-            dispatch,
-            tc_wrap: state.tc_wrap,
-        };
+        });
+        Arc::make_mut(&mut self.sites)[slot] = compiled;
         true
     }
 
@@ -197,23 +208,7 @@ impl DispatchTable {
                 slots[idx] = u32::try_from(sites.len()).expect("slot count fits in u32");
                 sites.push(CompiledSite::TRAP);
             }
-            let slot = slots[idx] as usize;
-            let dispatch = match &state.patch {
-                SitePatch::Trap => CompiledDispatch::Trap,
-                SitePatch::Direct(target, action) => CompiledDispatch::Mono {
-                    target: *target,
-                    action: *action,
-                },
-                SitePatch::Indirect(p) => {
-                    let index = u32::try_from(poly.len()).expect("poly count fits in u32");
-                    poly.push(p.clone());
-                    CompiledDispatch::Poly { index }
-                }
-            };
-            sites[slot] = CompiledSite {
-                dispatch,
-                tc_wrap: state.tc_wrap,
-            };
+            sites[slots[idx] as usize] = compile(state, |p| push_poly(&mut poly, p));
         }
         self.slots = Arc::new(slots);
         self.sites = Arc::new(sites);

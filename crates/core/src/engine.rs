@@ -8,14 +8,17 @@
 //! * [`crate::shared::SharedState`] — everything global: the dynamically
 //!   growing call graph, the per-site patch states (the "generated code"),
 //!   the versioned decode dictionaries, trigger state and statistics.
-//! * [`crate::fastpath`] — pure per-thread instrumentation execution over a
-//!   read-only encoding view.
+//! * [`crate::thread::ThreadState`] — the step core: one thread's encoding
+//!   context plus the bookkeeping around every call, return, sample and
+//!   migration, executed over a read-only encoding view.
 //!
 //! `DacceEngine` composes the two behind the original single-threaded API:
-//! it owns the shared state plus every [`ThreadCtx`] and is driven with
-//! call/return events by the interpreter. The concurrent
-//! [`crate::Tracker`] composes the *same* two layers differently — shared
-//! state behind a lock, thread contexts owned by their threads.
+//! it owns the shared state plus every thread's [`ThreadState`] and drives
+//! the step core with `&SharedState` as the view. What stays here is the
+//! driver: per-event trigger counting and re-encode timing, the runtime
+//! handler's trap, tail calls and the retrofit of active frames. The
+//! concurrent [`crate::Tracker`] drives the *same* step core with
+//! published snapshots, shared state behind a lock.
 //!
 //! The adaptive re-encoding machinery lives in [`crate::reencode`]
 //! (implemented as further methods on [`DacceEngine`]).
@@ -29,12 +32,12 @@ use dacce_program::{ContextPath, CostModel, ThreadId};
 use crate::config::DacceConfig;
 use crate::context::{EncodedContext, SpawnLink};
 use crate::decode::DecodeError;
-use crate::fastpath;
-use crate::observe::Sampler;
+use crate::fastpath::EncodingView;
+use crate::patch::EdgeAction;
 use crate::profile::HotContextProfile;
 use crate::shared::SharedState;
 use crate::stats::DacceStats;
-use crate::thread::ThreadCtx;
+use crate::thread::ThreadState;
 
 /// The DACCE engine. See the crate docs for the big picture.
 ///
@@ -63,23 +66,15 @@ use crate::thread::ThreadCtx;
 #[derive(Debug)]
 pub struct DacceEngine {
     pub(crate) shared: SharedState,
-    pub(crate) threads: HashMap<ThreadId, ThreadCtx>,
-    /// Continuous-profiler sampler over the engine's single call stream.
-    sampler: Sampler,
+    pub(crate) threads: HashMap<ThreadId, ThreadState>,
 }
 
 impl DacceEngine {
     /// Creates an engine with the given configuration and cost model.
     pub fn new(config: DacceConfig, cost: CostModel) -> Self {
-        let sampler = Sampler::new(
-            config.profiler_stride,
-            config.profiler_seed,
-            config.profiler_budget,
-        );
         DacceEngine {
             shared: SharedState::new(config, cost),
             threads: HashMap::new(),
-            sampler,
         }
     }
 
@@ -128,11 +123,7 @@ impl DacceEngine {
             self.shared.lineage.is_none(),
             "engine already attached to a lineage"
         );
-        let state = lineage.current();
-        let generation = state.generation;
-        self.shared.lineage = Some(lineage.clone());
-        self.shared.adopt_lineage_state(&state);
-        generation
+        self.shared.attach_lineage(lineage)
     }
 
     /// Founds a shared lineage (generation 0) from this engine's current
@@ -145,15 +136,7 @@ impl DacceEngine {
     ///
     /// Panics if the engine is already attached to a lineage.
     pub fn found_lineage(&mut self, hash: u64) -> crate::lineage::EncodingLineage {
-        assert!(
-            self.shared.lineage.is_none(),
-            "engine already attached to a lineage"
-        );
-        let lineage =
-            crate::lineage::EncodingLineage::found(hash, self.shared.export_lineage_state());
-        self.shared.lineage = Some(lineage.clone());
-        self.shared.lineage_gen = 0;
-        lineage
+        self.shared.found_lineage(hash)
     }
 
     /// Registers an additional root function — lineage-attached runtimes
@@ -186,25 +169,16 @@ impl DacceEngine {
             site,
             parent: Box::new(self.snapshot(ptid)),
         });
-        let mut ctx = ThreadCtx::new(root, spawn);
-        ctx.cc
-            .set_spill_limit(self.shared.config.fault.cc_spill_limit);
-        self.threads.insert(tid, ctx);
+        let st = ThreadState::new(tid, root, spawn, &self.shared);
+        self.threads.insert(tid, st);
     }
 
-    /// Removes a finished thread's context.
+    /// Removes a finished thread, folding its statistics into the shared
+    /// counters.
     pub fn thread_exit(&mut self, tid: ThreadId) {
-        if let Some(ctx) = self.threads.remove(&tid) {
-            self.shared.stats.ccstack_ops += ctx.cc.ops();
-            self.shared.stats.tcstack_ops += ctx.tc_ops;
-            self.shared.stats.degraded.cc_spill_events += ctx.cc.spill_events();
-            self.shared.stats.degraded.cc_spilled_peak = self
-                .shared
-                .stats
-                .degraded
-                .cc_spilled_peak
-                .max(ctx.cc.spilled_peak() as u64);
-            self.shared.obs.on_cc_spills(ctx.cc.spill_events());
+        if let Some(mut st) = self.threads.remove(&tid) {
+            st.flush_spills(&mut self.shared);
+            st.fold_into(&mut self.shared.stats);
         }
     }
 
@@ -214,18 +188,18 @@ impl DacceEngine {
     /// adopts the task's origin context so its samples decode to
     /// `origin -> own frames`.
     pub fn adopt_spawn(&mut self, tid: ThreadId, link: Option<SpawnLink>) -> Option<SpawnLink> {
-        let ctx = self.threads.get_mut(&tid).expect("thread registered");
-        std::mem::replace(&mut ctx.spawn, link)
+        let st = self.threads.get_mut(&tid).expect("thread registered");
+        std::mem::replace(&mut st.ctx.spawn, link)
     }
 
     /// Resets a thread for a main-loop restart; counts (and repairs) dirty
     /// state, which only occurs under the broken-tail-call ablation.
     pub fn thread_reset(&mut self, tid: ThreadId) {
-        if let Some(ctx) = self.threads.get_mut(&tid) {
-            if !ctx.is_clean() {
+        if let Some(st) = self.threads.get_mut(&tid) {
+            if !st.ctx.is_clean() {
                 self.shared.stats.unbalanced_resets += 1;
             }
-            ctx.reset();
+            st.ctx.reset();
         }
     }
 
@@ -240,51 +214,32 @@ impl DacceEngine {
         dispatch: CallDispatch,
         tail: bool,
     ) -> u64 {
-        self.shared.stats.calls += 1;
-        self.shared.note_event();
-        let mut cost = 0u64;
-
+        self.shared.note_events(1);
         // Resolve the action the generated code takes for this target,
         // trapping into the runtime handler on first invocations.
-        let (action, site_wraps) = match self.shared.lookup_action(site, callee) {
-            Some(r) => {
-                cost += r.dispatch_cost;
-                (r.action, r.tc_wrap)
-            }
-            None => {
-                cost += self.shared.cost.handler_trap;
-                let (a, newly_tail) =
-                    self.shared
-                        .handle_trap(tid.raw(), site, caller, callee, dispatch, tail);
-                if let Some(tail_fn) = newly_tail {
-                    self.retrofit_tail_frames(tail_fn);
-                }
-                let wraps = self.shared.patches.get(site).is_some_and(|s| s.tc_wrap);
-                (a, wraps)
-            }
-        };
-
-        let ctx = self.threads.get_mut(&tid).expect("thread registered");
-        let prev_max = ctx.cc.max_depth();
-        let effect = fastpath::exec_call(&self.shared, ctx, site, callee, action, site_wraps, tail);
-        cost += effect.cost;
-        if effect.compress_hit {
-            self.shared.stats.compress_hits += 1;
-        }
-        if action.uses_ccstack() {
-            let depth = ctx.cc.depth();
-            if self.shared.obs_writer.enabled() {
-                self.shared.obs_writer.cc_push(tid.raw(), depth as u32);
-            }
-            if depth > prev_max && depth as u32 >= self.shared.obs_writer.watermark() {
-                self.shared.obs.on_cc_overflow();
-                self.shared.obs_writer.cc_overflow(tid.raw(), depth as u32);
-            }
+        let (r, newly_tail) =
+            self.shared
+                .resolve_or_trap(tid.raw(), site, caller, callee, dispatch, tail);
+        if let Some(tail_fn) = newly_tail {
+            self.retrofit_tail_frames(tail_fn);
         }
 
-        if let Some(weight) = self.sampler.tick() {
-            self.take_profiler_sample(tid, site, weight);
-        }
+        let st = self.threads.get_mut(&tid).expect("thread registered");
+        let writer = &self.shared.obs_writer;
+        let obs_on = writer.enabled();
+        let cost = r.dispatch_cost
+            + st.call(
+                &self.shared,
+                writer,
+                obs_on,
+                site,
+                callee,
+                r.action,
+                r.tc_wrap,
+                tail,
+            );
+        st.profiler_tick(writer, obs_on, site);
+        st.drain(&mut self.shared);
 
         cost + self.maybe_reencode()
     }
@@ -298,18 +253,14 @@ impl DacceEngine {
         caller: FunctionId,
         callee: FunctionId,
     ) -> u64 {
-        self.shared.note_event();
+        self.shared.note_events(1);
         let action = self
             .shared
-            .lookup_action(site, callee)
-            .map_or(crate::patch::EdgeAction::Unencoded, |r| r.action);
-        let ctx = self.threads.get_mut(&tid).expect("thread registered");
-        let cost = fastpath::exec_ret(&self.shared, ctx, site, caller, action);
-        if action.uses_ccstack() && self.shared.obs_writer.enabled() {
-            self.shared
-                .obs_writer
-                .cc_pop(tid.raw(), ctx.cc.depth() as u32);
-        }
+            .resolve(site, callee)
+            .map_or(EdgeAction::Unencoded, |r| r.action);
+        let st = self.threads.get_mut(&tid).expect("thread registered");
+        let writer = &self.shared.obs_writer;
+        let cost = st.ret(&self.shared, writer, writer.enabled(), site, caller, action);
         cost + self.maybe_reencode()
     }
 
@@ -319,35 +270,13 @@ impl DacceEngine {
     /// it can do this eagerly — the concurrent tracker never needs to (its
     /// API admits no tail-call events).
     fn retrofit_tail_frames(&mut self, tail_fn: FunctionId) {
-        for ctx in self.threads.values_mut() {
-            for frame in &mut ctx.shadow {
+        for st in self.threads.values_mut() {
+            for frame in &mut st.ctx.shadow {
                 if frame.callee == tail_fn && !frame.wrapped {
                     frame.wrapped = true;
-                    ctx.tc_ops += 1;
+                    st.ctx.tc_ops += 1;
                 }
             }
-        }
-    }
-
-    /// Captures one continuous-profiler sample of `tid`'s current context:
-    /// counts it (weighted by the call events since the previous sample),
-    /// feeds the profiler ring and journals a `Sample` event.
-    fn take_profiler_sample(&mut self, tid: ThreadId, site: CallSiteId, weight: u64) {
-        let snap = self.snapshot(tid);
-        self.shared.record_profiler_sample(&snap, weight);
-        if self.shared.obs_writer.enabled() {
-            let fp = crate::shared::context_fingerprint(&snap);
-            self.shared.obs_writer.sample(
-                tid.raw(),
-                snap.ts.raw(),
-                snap.id,
-                site.raw(),
-                snap.leaf.raw(),
-                snap.root.raw(),
-                fp,
-                u32::try_from(weight).unwrap_or(u32::MAX),
-                snap.cc_depth() as u32,
-            );
         }
     }
 
@@ -383,22 +312,15 @@ impl DacceEngine {
     /// Records a sample of thread `tid`'s current context. Returns the
     /// snapshot and the cost charged (the paper's libpfm4 sample handler).
     pub fn sample(&mut self, tid: ThreadId) -> (EncodedContext, u64) {
-        let snap = self.snapshot(tid);
-        self.shared.record_sample(&snap);
+        let st = self.threads.get_mut(&tid).expect("thread registered");
+        let snap = st.sample();
+        st.drain(&mut self.shared);
         (snap, self.shared.cost.sample_record)
     }
 
     /// Captures the current encoded context of `tid` without recording it.
     pub fn snapshot(&self, tid: ThreadId) -> EncodedContext {
-        let ctx = self.threads.get(&tid).expect("thread registered");
-        EncodedContext {
-            ts: self.shared.ts,
-            id: ctx.id,
-            leaf: ctx.current,
-            root: ctx.root,
-            cc: ctx.cc.entries().to_vec(),
-            spawn: ctx.spawn.clone(),
-        }
+        self.threads.get(&tid).expect("thread registered").context()
     }
 
     /// Decodes an encoded context to its full calling context (spawn chain
@@ -424,19 +346,10 @@ impl DacceEngine {
     /// The engine statistics (live ccStack/TcStack counters folded in).
     pub fn stats(&self) -> DacceStats {
         let mut s = self.shared.stats.clone();
-        for ctx in self.threads.values() {
-            s.ccstack_ops += ctx.cc.ops();
-            s.tcstack_ops += ctx.tc_ops;
-            s.degraded.cc_spill_events += ctx.cc.spill_events();
-            s.degraded.cc_spilled_peak =
-                s.degraded.cc_spilled_peak.max(ctx.cc.spilled_peak() as u64);
+        for st in self.threads.values() {
+            st.fold_into(&mut s);
         }
         s
-    }
-
-    /// Sum of live threads' ccStack operations (trigger-3 bookkeeping).
-    pub(crate) fn live_thread_ccops(&self) -> u64 {
-        self.threads.values().map(|c| c.cc.ops()).sum()
     }
 
     /// The dynamic call graph (grown so far).
@@ -551,13 +464,13 @@ mod tests {
             false,
         );
         {
-            let ctx = &e.threads[&ThreadId::MAIN];
+            let ctx = &e.threads[&ThreadId::MAIN].ctx;
             assert_eq!(ctx.id, e.max_id() + 1);
             assert_eq!(ctx.cc.depth(), 1);
             assert_eq!(ctx.current, f(1));
         }
         let _ = e.ret(ThreadId::MAIN, s(0), f(0), f(1));
-        let ctx = &e.threads[&ThreadId::MAIN];
+        let ctx = &e.threads[&ThreadId::MAIN].ctx;
         assert!(ctx.is_clean());
         assert_eq!(ctx.current, f(0));
     }
@@ -693,7 +606,7 @@ mod tests {
         );
         e.thread_reset(ThreadId::MAIN); // mid-call: dirty
         assert_eq!(e.stats().unbalanced_resets, 1);
-        assert!(e.threads[&ThreadId::MAIN].is_clean());
+        assert!(e.threads[&ThreadId::MAIN].ctx.is_clean());
         e.thread_reset(ThreadId::MAIN); // clean now
         assert_eq!(e.stats().unbalanced_resets, 1);
     }

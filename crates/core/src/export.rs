@@ -737,6 +737,7 @@ pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
 mod tests {
     use super::*;
     use crate::config::DacceConfig;
+    use crate::fastpath::EncodingView;
     use dacce_program::runtime::CallDispatch;
     use dacce_program::{CostModel, ThreadId};
 
@@ -861,7 +862,7 @@ mod tests {
         for r in records.iter().filter(|r| r.kind != DispatchKind::Trap) {
             let resolved = e
                 .shared
-                .lookup_action(r.site, r.target.unwrap())
+                .resolve(r.site, r.target.unwrap())
                 .expect("record target resolves live");
             assert_eq!(resolved.action, r.action.unwrap());
             assert_eq!(resolved.tc_wrap, r.tc_wrap);

@@ -1,25 +1,32 @@
 //! Per-thread instrumentation execution — the lock-free fast path.
 //!
 //! Everything here operates on one thread's [`ThreadCtx`] plus a read-only
-//! [`EncodingView`]: no shared mutable state, no locks. The
-//! [`crate::engine::DacceEngine`] calls these functions with `&SharedState`
-//! as the view (it owns everything under one `&mut self`); the concurrent
-//! [`crate::tracker::Tracker`] calls them with a published
+//! [`EncodingView`]: no shared mutable state, no locks. The only caller is
+//! the step core, [`crate::thread::ThreadState`], which wraps these
+//! primitives with the per-event bookkeeping. The
+//! [`crate::engine::DacceEngine`] drives it with `&SharedState` as the view
+//! (it owns everything under one `&mut self`); the concurrent
+//! [`crate::tracker::Tracker`] drives it with a published
 //! [`EncodingSnapshot`], which is what makes call/return over
 //! already-encoded edges execute entirely on thread-local state.
 
-use dacce_callgraph::{CallSiteId, DecodeDict, FunctionId};
+use std::collections::HashMap;
+
+use dacce_callgraph::{CallSiteId, DictStore, FunctionId, TimeStamp};
 use dacce_program::{ContextPath, CostModel};
 
-use crate::decode::{decode_thread, DecodeError};
+use crate::context::EncodedContext;
+use crate::decode::{decode_full, DecodeError};
 use crate::patch::EdgeAction;
 use crate::shared::{EncodingSnapshot, ResolvedSite, SharedState};
 use crate::thread::{ShadowFrame, ThreadCtx};
 
 /// Read-only encoding state a thread needs to execute instrumentation.
 pub(crate) trait EncodingView {
-    /// Resolves `(site, callee)` in one patch-table probe: action,
-    /// dispatch cost and TcStack wrapping. `None` traps.
+    /// Resolves `(site, callee)` in one compiled-table probe (a
+    /// bounds-checked array index for monomorphic sites): action, dispatch
+    /// cost and TcStack wrapping. `None` means the site (or this target)
+    /// traps.
     fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite>;
     /// `maxID` of the current encoding.
     fn max_id(&self) -> u64;
@@ -27,11 +34,24 @@ pub(crate) trait EncodingView {
     fn cost(&self) -> &CostModel;
     /// Whether tail-call handling is enabled.
     fn handle_tail_calls(&self) -> bool;
+    /// `gTimeStamp` of the current encoding.
+    fn ts(&self) -> TimeStamp;
+    /// Every dictionary recorded so far (migration decodes a context under
+    /// the dictionary of the generation it was built in).
+    fn dicts(&self) -> &DictStore;
+    /// The call-site owner table (for decoding).
+    fn site_owner(&self) -> &HashMap<CallSiteId, FunctionId>;
+
+    /// Decodes an encoded context (spawn chain included) against the
+    /// recorded dictionaries.
+    fn decode(&self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
+        decode_full(ctx, self.dicts(), self.site_owner())
+    }
 }
 
 impl EncodingView for SharedState {
     fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite> {
-        self.lookup_action(site, callee)
+        self.dispatch.resolve(site, callee, &self.cost)
     }
     fn max_id(&self) -> u64 {
         self.max_id
@@ -42,11 +62,20 @@ impl EncodingView for SharedState {
     fn handle_tail_calls(&self) -> bool {
         self.config.handle_tail_calls
     }
+    fn ts(&self) -> TimeStamp {
+        self.ts
+    }
+    fn dicts(&self) -> &DictStore {
+        &self.dicts
+    }
+    fn site_owner(&self) -> &HashMap<CallSiteId, FunctionId> {
+        &self.site_owner
+    }
 }
 
 impl EncodingView for EncodingSnapshot {
     fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite> {
-        EncodingSnapshot::resolve(self, site, callee)
+        self.dispatch.resolve(site, callee, &self.cost)
     }
     fn max_id(&self) -> u64 {
         self.max_id
@@ -56,6 +85,15 @@ impl EncodingView for EncodingSnapshot {
     }
     fn handle_tail_calls(&self) -> bool {
         self.handle_tail_calls
+    }
+    fn ts(&self) -> TimeStamp {
+        self.ts
+    }
+    fn dicts(&self) -> &DictStore {
+        &self.dicts
+    }
+    fn site_owner(&self) -> &HashMap<CallSiteId, FunctionId> {
+        &self.site_owner
     }
 }
 
@@ -176,11 +214,15 @@ pub(crate) fn exec_ret(
 }
 
 /// Rebuilds one thread's encoding state by replaying its decoded path
-/// under `view`'s patch states. Physical frames are recognised by matching
+/// under `view`'s patch states — each step is the before-call
+/// instrumentation of its edge. Physical frames are recognised by matching
 /// the old shadow stack (tail steps are never physical; a call site is
 /// statically either a tail call or not, so the match is unambiguous).
+/// Replay charges nothing: the TcStack saves of the rebuilt frames were
+/// counted when the frames were first entered.
 pub(crate) fn replay(view: &impl EncodingView, ctx: &mut ThreadCtx, path: &ContextPath) {
     let old_shadow: Vec<ShadowFrame> = std::mem::take(&mut ctx.shadow);
+    let tc_ops = ctx.tc_ops;
     ctx.id = 0;
     ctx.cc.clear();
 
@@ -190,38 +232,15 @@ pub(crate) fn replay(view: &impl EncodingView, ctx: &mut ThreadCtx, path: &Conte
         let func = step.func;
         let physical =
             k < old_shadow.len() && old_shadow[k].site == site && old_shadow[k].callee == func;
-        let saved_id = ctx.id;
-        let saved_cc_len = ctx.cc.depth();
-        let saved_top_count = ctx.cc.top().map_or(0, |e| e.count);
-        let resolved = view.resolve(site, func);
-        let action = resolved.map_or(EdgeAction::Unencoded, |r| r.action);
-        match action {
-            EdgeAction::Encoded { delta } => {
-                ctx.id = ctx.id.wrapping_add(delta);
-            }
-            EdgeAction::Unencoded => {
-                ctx.cc.push(ctx.id, site, func);
-                ctx.id = view.max_id() + 1;
-            }
-            EdgeAction::UnencodedCompressed => {
-                ctx.cc.push_compressed(ctx.id, site, func);
-                ctx.id = view.max_id() + 1;
-            }
-        }
+        let (action, tc_wrap) = view
+            .resolve(site, func)
+            .map_or((EdgeAction::Unencoded, false), |r| (r.action, r.tc_wrap));
+        let _ = exec_call(view, ctx, site, func, action, tc_wrap, !physical);
         if physical {
-            let wrapped = view.handle_tail_calls() && resolved.is_some_and(|r| r.tc_wrap);
-            ctx.shadow.push(ShadowFrame {
-                site,
-                callee: func,
-                saved_id,
-                saved_cc_len,
-                saved_top_count,
-                wrapped,
-            });
             k += 1;
         }
-        ctx.current = func;
     }
+    ctx.tc_ops = tc_ops;
     debug_assert!(
         k == old_shadow.len() || !view.handle_tail_calls(),
         "replay must reconstruct every physical frame"
@@ -233,31 +252,4 @@ pub(crate) fn replay(view: &impl EncodingView, ctx: &mut ThreadCtx, path: &Conte
     for frame in old_shadow.into_iter().skip(k) {
         ctx.shadow.push(frame);
     }
-}
-
-/// Lazily migrates one thread's context from the encoding it was built
-/// under (`old_dict`) to the encoding `view` describes: decode under the
-/// old dictionary, replay under the new patches. Fully thread-local — this
-/// is the rendezvous that replaces in-place cross-thread regeneration.
-///
-/// # Errors
-///
-/// Propagates the decode error (an engine bug); the context is left
-/// untouched in that case.
-pub(crate) fn migrate(
-    view: &impl EncodingView,
-    ctx: &mut ThreadCtx,
-    old_dict: &DecodeDict,
-    owner: &std::collections::HashMap<CallSiteId, FunctionId>,
-) -> Result<(), DecodeError> {
-    let path = decode_thread(
-        old_dict,
-        ctx.id,
-        ctx.current,
-        ctx.root,
-        ctx.cc.entries(),
-        owner,
-    )?;
-    replay(view, ctx, &path);
-    Ok(())
 }

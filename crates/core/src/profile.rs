@@ -147,6 +147,12 @@ impl HotContextProfile {
                 "  ".repeat(depth),
                 label
             );
+            sorted_kids(nodes, idx)
+        }
+        fn sorted_kids(
+            nodes: &[Node],
+            idx: usize,
+        ) -> Vec<((Option<CallSiteId>, FunctionId), usize)> {
             let mut kids: Vec<_> = nodes[idx].children.iter().map(|(&k, &v)| (k, v)).collect();
             kids.sort_by(|a, b| {
                 nodes[b.1]
@@ -157,17 +163,7 @@ impl HotContextProfile {
             kids
         }
         let mut stack: Vec<((Option<CallSiteId>, FunctionId), usize, usize)> = Vec::new();
-        let root_kids = {
-            let mut kids: Vec<_> = nodes[0].children.iter().map(|(&k, &v)| (k, v)).collect();
-            kids.sort_by(|a, b| {
-                nodes[b.1]
-                    .inclusive
-                    .cmp(&nodes[a.1].inclusive)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            kids
-        };
-        for (k, v) in root_kids.into_iter().rev() {
+        for (k, v) in sorted_kids(&nodes, 0).into_iter().rev() {
             stack.push((k, v, 0));
         }
         while let Some(((_, func), idx, depth)) = stack.pop() {

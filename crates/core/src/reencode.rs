@@ -6,31 +6,25 @@
 //! (heat derivation, back-edge re-classification, encoding, dictionary
 //! freeze under an incremented `gTimeStamp`, site re-patching) live in
 //! [`crate::shared::SharedState`]; this module adds the *thread-state*
-//! half on top for the engine, which owns every context: decode each live
-//! thread under the old dictionary, run the shared core, then replay each
-//! decoded path under the new patches so the state looks as if the new
-//! instrumentation had been in place from the start (the paper rewrites
-//! return addresses on the machine stacks — see `DESIGN.md`). The
-//! concurrent [`crate::Tracker`] runs the same shared core but regenerates
-//! thread states lazily, each thread migrating itself at its next epoch
-//! check.
+//! half on top for the engine, which owns every context: once the encoding
+//! moved, every live thread migrates through the step core's one
+//! migration path ([`crate::thread::ThreadState::migrate`]) — decode under
+//! the old generation's dictionary, replay under the new patches — so the
+//! state looks as if the new instrumentation had been in place from the
+//! start (the paper rewrites return addresses on the machine stacks — see
+//! `DESIGN.md`). The concurrent [`crate::Tracker`] runs the same shared
+//! core and the same migration, lazily: each thread migrates itself at its
+//! next epoch check.
 
-use dacce_program::{ContextPath, ThreadId};
-
-use crate::decode::decode_thread;
 use crate::engine::DacceEngine;
-use crate::fastpath;
-use crate::shared::{LineageReencode, ReencodeOutcome};
+use crate::thread::ThreadState;
 
 impl DacceEngine {
     /// Checks the three §4 triggers and re-encodes when one fires. Returns
     /// the cost charged (0 when nothing happened).
     pub(crate) fn maybe_reencode(&mut self) -> u64 {
-        if !self.shared.reencode_check_due() {
-            return 0;
-        }
         let (shared, threads) = (&mut self.shared, &self.threads);
-        let live = || threads.values().map(|c| c.cc.ops()).sum::<u64>();
+        let live = || threads.values().map(|st| st.ctx.cc.ops()).sum::<u64>();
         if shared.should_reencode(&live) {
             self.reencode()
         } else {
@@ -45,21 +39,10 @@ impl DacceEngine {
     /// adopted instead of re-encoding locally, and a locally applied
     /// re-encode is published for every other attached tenant.
     pub(crate) fn reencode(&mut self) -> u64 {
-        // Decode every live thread's state under the *old* dictionary
-        // before anything changes.
-        let decoded = self.decode_live_threads();
-        let old_ts = self.shared.ts.raw();
-        let (applied, cost) = match self.shared.reencode_via_lineage() {
-            LineageReencode::Adopted => (true, 0),
-            LineageReencode::Local(ReencodeOutcome::Applied, cost) => (true, cost),
-            LineageReencode::Local(ReencodeOutcome::Overflowed, cost) => (false, cost),
-        };
-
-        if applied {
-            self.replay_live_threads(decoded, old_ts);
-        }
-
-        let live = self.live_thread_ccops();
+        self.drain_shards();
+        let (_, cost) = self.shared.reencode_via_lineage();
+        self.migrate_threads();
+        let live = self.threads.values().map(|st| st.ctx.cc.ops()).sum();
         self.shared.reset_triggers(live);
         cost
     }
@@ -68,68 +51,33 @@ impl DacceEngine {
     /// lineage, if one exists, migrating every live thread eagerly (the
     /// engine has no lazy snapshot path). Returns `true` on adoption.
     pub fn poll_lineage(&mut self) -> bool {
-        let stale =
-            self.shared.lineage.as_ref().is_some_and(|l| {
-                !self.shared.diverged && l.generation() != self.shared.lineage_gen
-            });
-        if !stale {
-            return false;
-        }
-        let decoded = self.decode_live_threads();
-        let old_ts = self.shared.ts.raw();
+        self.drain_shards();
         if !self.shared.adopt_pending_lineage() {
             return false;
         }
-        self.replay_live_threads(decoded, old_ts);
+        self.migrate_threads();
         true
     }
 
-    /// Decodes every live thread's state under the current (pre-change)
-    /// dictionary, in deterministic thread order.
-    fn decode_live_threads(&mut self) -> Vec<(ThreadId, ContextPath)> {
-        let old_dict = self
-            .shared
-            .dicts
-            .get_arc(self.shared.ts)
-            .expect("current dictionary recorded");
-        let mut decoded: Vec<(ThreadId, ContextPath)> = Vec::new();
-        let tids: Vec<ThreadId> = {
-            let mut v: Vec<ThreadId> = self.threads.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        for tid in tids {
-            let ctx = &self.threads[&tid];
-            match decode_thread(
-                &old_dict,
-                ctx.id,
-                ctx.current,
-                ctx.root,
-                ctx.cc.entries(),
-                &self.shared.site_owner,
-            ) {
-                Ok(path) => decoded.push((tid, path)),
-                Err(_) => {
-                    // Engine bug; keep the stale state and surface it.
-                    self.shared.stats.decode_errors += 1;
-                }
-            }
+    /// Moves every thread's shard counters into the shared statistics, so
+    /// the progress point a new generation records counts every call so
+    /// far.
+    fn drain_shards(&mut self) {
+        for st in self.threads.values_mut() {
+            self.shared
+                .stats
+                .absorb_shard(&std::mem::take(&mut st.shard));
         }
-        decoded
     }
 
-    /// Regenerates every thread's id/ccStack/shadow under the new
-    /// encodings after an applied re-encode or a lineage adoption.
-    fn replay_live_threads(&mut self, decoded: Vec<(ThreadId, ContextPath)>, old_ts: u32) {
-        let new_ts = self.shared.ts.raw();
-        for (tid, path) in decoded {
-            if let Some(ctx) = self.threads.get_mut(&tid) {
-                fastpath::replay(&self.shared, ctx, &path);
-                self.shared.obs.on_migration();
-                if self.shared.obs_writer.enabled() {
-                    self.shared.obs_writer.migration(tid.raw(), old_ts, new_ts);
-                }
-            }
+    /// Migrates every live thread to the current encoding, in thread-id
+    /// order so the journal's migration events are deterministic.
+    fn migrate_threads(&mut self) {
+        let mut live: Vec<&mut ThreadState> = self.threads.values_mut().collect();
+        live.sort_unstable_by_key(|st| st.tid);
+        let writer = &self.shared.obs_writer;
+        for st in live {
+            st.migrate(&self.shared, writer, writer.enabled());
         }
     }
 }

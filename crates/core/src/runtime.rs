@@ -43,10 +43,8 @@ impl DacceRuntime {
     /// is attached (see [`crate::warm`]).
     pub fn with_warm_start(config: DacceConfig, cost: CostModel, seed: WarmStartSeed) -> Self {
         DacceRuntime {
-            engine: DacceEngine::new(config, cost),
             warm: Some(seed),
-            warm_report: None,
-            lineage: None,
+            ..Self::new(config, cost)
         }
     }
 
@@ -56,10 +54,8 @@ impl DacceRuntime {
     /// already encodes).
     pub fn with_lineage(config: DacceConfig, cost: CostModel, lineage: EncodingLineage) -> Self {
         DacceRuntime {
-            engine: DacceEngine::new(config, cost),
-            warm: None,
-            warm_report: None,
             lineage: Some(lineage),
+            ..Self::new(config, cost)
         }
     }
 

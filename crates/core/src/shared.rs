@@ -25,12 +25,13 @@ use dacce_callgraph::{
     CallGraph, CallSiteId, DecodeDict, DictStore, Dispatch, EdgeId, FunctionId, TimeStamp,
 };
 use dacce_program::runtime::CallDispatch;
-use dacce_program::{ContextPath, CostModel};
+use dacce_program::CostModel;
 
 use crate::config::{CompressionMode, DacceConfig};
 use crate::context::EncodedContext;
-use crate::decode::{decode_full, DecodeError};
+use crate::decode::decode_full;
 use crate::dispatch::DispatchTable;
+use crate::fastpath::EncodingView;
 use crate::lineage::{EncodingLineage, LineageState};
 use crate::observe::{self, ObsWriter, Observability};
 use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch};
@@ -58,18 +59,6 @@ pub(crate) enum ReencodeOutcome {
     /// disabled, degraded trap-everything mode from here on) or an
     /// injected abort rolled the generation back for a later retry.
     Overflowed,
-}
-
-/// How a re-encode request was serviced when the instance is attached to a
-/// shared [`EncodingLineage`].
-pub(crate) enum LineageReencode {
-    /// A newer generation published by another tenant was adopted instead
-    /// of re-encoding locally; thread states must be regenerated exactly
-    /// as after an applied re-encode.
-    Adopted,
-    /// The local re-encoding core ran (and, when applied and attached
-    /// non-diverged, its result was published into the lineage).
-    Local(ReencodeOutcome, u64),
 }
 
 /// The shared (cross-thread) half of a DACCE instance.
@@ -224,19 +213,35 @@ impl SharedState {
         self.dicts.push(dict);
         self.max_id = enc.max_id;
         self.next_hot_check = self.config.hot_check_every;
+        self.note_generation(0);
+    }
+
+    /// Records the generation just installed: its Figure 9 progress point
+    /// and its row in the obs generation table, charged `cost` units.
+    pub(crate) fn note_generation(&mut self, cost: u64) {
+        let nodes = self.graph.node_count();
+        let edges = self.graph.edge_count();
         self.stats.progress.push(ProgressPoint {
-            calls: 0,
-            nodes: self.graph.node_count(),
-            edges: self.graph.edge_count(),
+            calls: self.stats.calls,
+            nodes,
+            edges,
             max_id: self.max_id,
         });
-        self.obs.record_generation(
-            self.ts.raw(),
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
-            0,
-        );
+        self.obs
+            .record_generation(self.ts.raw(), nodes as u32, edges as u32, self.max_id, cost);
+    }
+
+    /// Freezes `enc`'s dictionary under the next `gTimeStamp` and
+    /// re-patches every site from it.
+    pub(crate) fn install_encoding(&mut self, enc: &Encoding) {
+        let new_ts = self.ts.next();
+        let dict =
+            DecodeDict::from_encoding(&self.graph, enc, new_ts).expect("overflow checked above");
+        self.dicts.push(dict);
+        self.ts = new_ts;
+        self.max_id = enc.max_id;
+        self.stats.max_max_id = self.stats.max_max_id.max(self.max_id);
+        self.rebuild_sites(enc);
     }
 
     /// Adds a (thread) root function to the graph and root set.
@@ -249,36 +254,22 @@ impl SharedState {
         }
     }
 
-    /// One call/return event's trigger bookkeeping.
-    pub(crate) fn note_event(&mut self) {
-        self.events += 1;
-        self.events_since_reencode += 1;
-    }
-
-    /// Batched variant for concurrent runtimes flushing local counters.
+    /// Trigger bookkeeping for `n` call/return events.
     pub(crate) fn note_events(&mut self, n: u64) {
         self.events += n;
         self.events_since_reencode += n;
     }
 
-    /// Looks up everything the generated code at `(site, callee)` does in
-    /// one compiled-table probe (a bounds-checked array index for
-    /// monomorphic sites). `None` means the site (or this target) traps.
-    pub(crate) fn lookup_action(
-        &self,
-        site: CallSiteId,
-        callee: FunctionId,
-    ) -> Option<ResolvedSite> {
-        self.dispatch.resolve(site, callee, &self.cost)
-    }
-
-    /// The runtime handler (§3): invoked on the first execution of a call
-    /// edge. Adds the edge to the call graph, patches the site, performs
-    /// tail-call discovery, and returns the action the freshly generated
-    /// code executes for this very invocation — plus, when this trap
-    /// revealed a *new* tail-calling function, that function, so the caller
-    /// can retrofit active frames (shared state has no thread access).
-    pub(crate) fn handle_trap(
+    /// Resolves `(site, callee)` like [`EncodingView::resolve`], running
+    /// the runtime handler (§3) when the site traps — the first execution
+    /// of a call edge. The handler adds the edge to the call graph,
+    /// patches the site and performs tail-call discovery; the resolution
+    /// it returns is what the freshly generated code executes for this
+    /// very invocation, charged the handler's cost. Also returns, when
+    /// this trap revealed a *new* tail-calling function, that function, so
+    /// the caller can retrofit active frames (shared state has no thread
+    /// access).
+    pub(crate) fn resolve_or_trap(
         &mut self,
         tid: u32,
         site: CallSiteId,
@@ -286,7 +277,10 @@ impl SharedState {
         callee: FunctionId,
         dispatch: CallDispatch,
         tail: bool,
-    ) -> (EdgeAction, Option<FunctionId>) {
+    ) -> (ResolvedSite, Option<FunctionId>) {
+        if let Some(r) = self.resolve(site, callee) {
+            return (r, None);
+        }
         let timer = observe::start_timer();
         self.stats.traps += 1;
         let prev_owner = Arc::make_mut(&mut self.site_owner).insert(site, caller);
@@ -387,7 +381,16 @@ impl SharedState {
             };
             self.obs_writer.site_patched(tid, s, targets);
         }
-        (action, newly_tail)
+        let tc_wrap = self.patches.get(site).is_some_and(|s| s.tc_wrap);
+        let dispatch_cost = self.cost.handler_trap;
+        (
+            ResolvedSite {
+                action,
+                dispatch_cost,
+                tc_wrap,
+            },
+            newly_tail,
+        )
     }
 
     /// Marks every known site targeting `tail_fn` for TcStack wrapping (the
@@ -408,51 +411,31 @@ impl SharedState {
         }
     }
 
-    /// Records one sample: counters, heat ring, optional full log.
-    pub(crate) fn record_sample(&mut self, snap: &EncodedContext) {
-        self.stats.samples += 1;
-        self.stats.cc_depths.push(snap.cc_depth() as u32);
-        self.obs.on_sample(snap.cc_depth() as u32, snap.id);
-        self.push_ring(snap);
-    }
-
-    /// Feeds a sample into the heat ring (and the optional log) without
-    /// counting it — concurrent trackers count samples in per-thread shards
-    /// and flush their sample backlog here from the slow path.
-    pub(crate) fn push_ring(&mut self, snap: &EncodedContext) {
-        if self.config.sample_ring > 0 {
-            if self.ring.len() < self.config.sample_ring {
-                self.ring.push(snap.clone());
-            } else {
-                self.ring[self.ring_pos % self.config.sample_ring] = snap.clone();
-            }
-            self.ring_pos += 1;
-        }
+    /// Feeds a sample into the heat ring (and the optional log). Samples
+    /// are counted in per-thread shards, whose backlogs drain here.
+    pub(crate) fn push_ring(&mut self, snap: EncodedContext) {
         if self.config.keep_sample_log {
             self.sample_log.push(snap.clone());
         }
-    }
-
-    /// Records one continuous-profiler sample: counters, metrics and the
-    /// profiler ring. Journal emission is the caller's job (the engine
-    /// emits under the shared writer; trackers emit on their own ring).
-    pub(crate) fn record_profiler_sample(&mut self, snap: &EncodedContext, weight: u64) {
-        self.stats.profiler_samples += 1;
-        self.stats.profiler_sample_weight += weight;
-        self.obs
-            .on_profiler_sample(snap.cc_depth() as u32, snap.id, weight);
-        self.push_profiler_ring(snap, weight);
-    }
-
-    /// Feeds a weighted sample into the profiler ring without counting it
-    /// (trackers count in per-thread shards and flush backlogs here).
-    pub(crate) fn push_profiler_ring(&mut self, snap: &EncodedContext, weight: u64) {
-        if self.profiler_ring.len() < PROFILER_RING_CAP {
-            self.profiler_ring.push((snap.clone(), weight));
-        } else {
-            self.profiler_ring[self.profiler_ring_pos % PROFILER_RING_CAP] = (snap.clone(), weight);
+        if self.config.sample_ring > 0 {
+            push_circular(
+                &mut self.ring,
+                &mut self.ring_pos,
+                self.config.sample_ring,
+                snap,
+            );
         }
-        self.profiler_ring_pos += 1;
+    }
+
+    /// Feeds a weighted sample into the profiler ring (counted in
+    /// per-thread shards, whose backlogs drain here).
+    pub(crate) fn push_profiler_ring(&mut self, sample: (EncodedContext, u64)) {
+        push_circular(
+            &mut self.profiler_ring,
+            &mut self.profiler_ring_pos,
+            PROFILER_RING_CAP,
+            sample,
+        );
     }
 
     /// Decodes the profiler ring into an aggregated hot-context profile.
@@ -482,11 +465,6 @@ impl SharedState {
         self.postmortem =
             self.obs
                 .render_postmortem(reason, self.ts.raw(), self.max_id, &self.stats.degraded);
-    }
-
-    /// Decodes an encoded context against the recorded dictionaries.
-    pub(crate) fn decode(&self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
-        decode_full(ctx, &self.dicts, &self.site_owner)
     }
 
     /// Mirrors the dispatch table's slot-refusal counter into
@@ -676,10 +654,10 @@ impl SharedState {
     /// re-classifies back edges, re-encodes the grown graph, freezes a new
     /// dictionary under `gTimeStamp + 1` and regenerates every site patch.
     ///
-    /// Thread-state regeneration is the caller's job: decode live contexts
-    /// under the *old* dictionary before calling this, replay them under
-    /// the new patches afterwards (see [`crate::fastpath::replay`]), then
-    /// call [`SharedState::reset_triggers`].
+    /// Thread-state regeneration is the caller's job: afterwards, migrate
+    /// live contexts from the old generation's dictionary, which stays in
+    /// the store (see [`crate::thread::ThreadState::migrate`]), then call
+    /// [`SharedState::reset_triggers`].
     pub(crate) fn reencode_core(&mut self) -> (ReencodeOutcome, u64) {
         let cost = self.graph.edge_count() as u64 * self.cost.reencode_per_edge;
         self.stats.reencodes += 1;
@@ -744,15 +722,7 @@ impl SharedState {
             return (ReencodeOutcome::Overflowed, cost);
         }
 
-        let new_ts = self.ts.next();
-        let dict =
-            DecodeDict::from_encoding(&self.graph, &enc, new_ts).expect("overflow checked above");
-        self.dicts.push(dict);
-        self.ts = new_ts;
-        self.max_id = enc.max_id;
-        self.stats.max_max_id = self.stats.max_max_id.max(self.max_id);
-
-        self.rebuild_sites(&enc);
+        self.install_encoding(&enc);
 
         // Remember the per-node hot choice this encoding was built with.
         self.last_hot_choice.clear();
@@ -762,12 +732,7 @@ impl SharedState {
             }
         }
 
-        self.stats.progress.push(ProgressPoint {
-            calls: self.stats.calls,
-            nodes: self.graph.node_count(),
-            edges: self.graph.edge_count(),
-            max_id: self.max_id,
-        });
+        self.note_generation(cost);
 
         // Decay heat *after* it drove this encoding, so the next
         // re-encoding weighs recent behaviour over old phases.
@@ -776,13 +741,6 @@ impl SharedState {
         }
 
         self.obs.on_reencode(true, cost);
-        self.obs.record_generation(
-            self.ts.raw(),
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
-            cost,
-        );
         self.obs_writer.reencode_end(
             self.ts.raw(),
             true,
@@ -841,6 +799,29 @@ impl SharedState {
         }
     }
 
+    /// Founds a shared lineage (generation 0) from the current encodable
+    /// state, addressed by `hash`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance is already attached to a lineage.
+    pub(crate) fn found_lineage(&mut self, hash: u64) -> EncodingLineage {
+        assert!(self.lineage.is_none(), "already attached to a lineage");
+        let lineage = EncodingLineage::found(hash, self.export_lineage_state());
+        self.lineage = Some(lineage.clone());
+        self.lineage_gen = 0;
+        lineage
+    }
+
+    /// Attaches to `lineage`, adopting its latest generation wholesale.
+    /// Returns the adopted generation.
+    pub(crate) fn attach_lineage(&mut self, lineage: &EncodingLineage) -> u64 {
+        let state = lineage.current();
+        self.lineage = Some(lineage.clone());
+        self.adopt_lineage_state(&state);
+        state.generation
+    }
+
     /// Replaces this instance's encodable state with a lineage generation.
     /// Per-instance trigger bookkeeping, statistics and observability are
     /// kept; thread states migrate lazily through the published snapshot
@@ -884,19 +865,7 @@ impl SharedState {
         self.stats.max_max_id = self.stats.max_max_id.max(self.max_id);
         self.last_hot_choice.clear();
         self.next_hot_check = self.events + self.config.hot_check_every;
-        self.stats.progress.push(ProgressPoint {
-            calls: self.stats.calls,
-            nodes: self.graph.node_count(),
-            edges: self.graph.edge_count(),
-            max_id: self.max_id,
-        });
-        self.obs.record_generation(
-            self.ts.raw(),
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
-            0,
-        );
+        self.note_generation(0);
     }
 
     /// Adopts the latest lineage generation if one was published past the
@@ -924,13 +893,15 @@ impl SharedState {
     /// background re-encode serves every attached tenant); otherwise run
     /// the local core and — when applied and still on the shared lineage —
     /// publish the result as the next generation. Detached or diverged
-    /// instances fall through to the plain local core.
-    pub(crate) fn reencode_via_lineage(&mut self) -> LineageReencode {
+    /// instances fall through to the plain local core. Returns whether the
+    /// encoding moved (a generation was applied or adopted; thread states
+    /// must then migrate) and the cost units charged (adoption is free).
+    pub(crate) fn reencode_via_lineage(&mut self) -> (bool, u64) {
         let lineage = match (&self.lineage, self.diverged) {
             (Some(l), false) => l.clone(),
             _ => {
                 let (outcome, cost) = self.reencode_core();
-                return LineageReencode::Local(outcome, cost);
+                return (matches!(outcome, ReencodeOutcome::Applied), cost);
             }
         };
         let mut guard = lineage.lock_state();
@@ -940,15 +911,16 @@ impl SharedState {
             self.adopt_lineage_state(&state);
             self.stats.lineage_adoptions += 1;
             self.obs.on_lineage_adopt();
-            return LineageReencode::Adopted;
+            return (true, 0);
         }
         let (outcome, cost) = self.reencode_core();
-        if matches!(outcome, ReencodeOutcome::Applied) && !self.diverged {
+        let applied = matches!(outcome, ReencodeOutcome::Applied);
+        if applied && !self.diverged {
             self.lineage_gen = lineage.publish_into(&mut guard, self.export_lineage_state());
             self.stats.lineage_publishes += 1;
             self.obs.on_lineage_publish();
         }
-        LineageReencode::Local(outcome, cost)
+        (applied, cost)
     }
 
     /// The action the new encoding assigns to one graph edge.
@@ -1111,26 +1083,6 @@ pub(crate) struct EncodingSnapshot {
     pub(crate) superops: Arc<SuperOpTable>,
 }
 
-impl EncodingSnapshot {
-    /// Resolves `(site, callee)` against the snapshot's compiled dispatch
-    /// table; `None` means the site traps into the slow path.
-    pub(crate) fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite> {
-        self.dispatch.resolve(site, callee, &self.cost)
-    }
-
-    /// Decodes an encoded context against the snapshot's dictionaries.
-    pub(crate) fn decode(&self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
-        decode_full(ctx, &self.dicts, &self.site_owner)
-    }
-
-    /// The dictionary for this snapshot's own timestamp.
-    pub(crate) fn dict(&self) -> &DecodeDict {
-        self.dicts
-            .get(self.ts)
-            .expect("snapshot timestamp has a recorded dictionary")
-    }
-}
-
 /// Everything one patch-table probe tells the fast path about a call
 /// through `(site, callee)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1143,6 +1095,17 @@ pub(crate) struct ResolvedSite {
     /// Whether the site wraps its frames with a TcStack save/restore
     /// (§5.2).
     pub(crate) tc_wrap: bool,
+}
+
+/// Appends `item` to the overwrite-oldest ring `buf` of capacity `cap`;
+/// `pos` counts every push.
+pub(crate) fn push_circular<T>(buf: &mut Vec<T>, pos: &mut usize, cap: usize, item: T) {
+    if buf.len() < cap {
+        buf.push(item);
+    } else {
+        buf[*pos % cap] = item;
+    }
+    *pos += 1;
 }
 
 /// A compact fingerprint of an encoded context's ccStack shape, journaled

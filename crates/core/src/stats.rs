@@ -95,8 +95,10 @@ pub struct DacceStats {
     pub profiler_samples: u64,
     /// Total weight of profiler samples — the call events they stand for.
     pub profiler_sample_weight: u64,
-    /// ccStack depth observed at each sample (Figure 10 raw data).
-    pub cc_depths: Vec<u32>,
+    /// Samples per observed ccStack depth: `cc_depths[d]` samples saw
+    /// depth `d` (Figure 10 raw data). Bounded by the deepest sample, not
+    /// by the sample count.
+    pub cc_depths: Vec<u64>,
     /// Figure 9 time series (one point per re-encode, plus the initial one).
     pub progress: Vec<ProgressPoint>,
     /// Largest `maxID` over all encodings of the run (Table 1's MaxID).
@@ -148,10 +150,17 @@ pub struct DacceStats {
 impl DacceStats {
     /// Mean ccStack depth over all samples (Table 1's `depth` column).
     pub fn mean_cc_depth(&self) -> f64 {
-        if self.cc_depths.is_empty() {
+        let (n, sum) = self
+            .cc_depths
+            .iter()
+            .enumerate()
+            .fold((0u64, 0u64), |(n, sum), (d, &c)| {
+                (n + c, sum + d as u64 * c)
+            });
+        if n == 0 {
             return 0.0;
         }
-        self.cc_depths.iter().map(|&d| f64::from(d)).sum::<f64>() / self.cc_depths.len() as f64
+        sum as f64 / n as f64
     }
 
     /// Folds one thread's shard into the aggregate (stats drain).
@@ -168,7 +177,12 @@ impl DacceStats {
         self.superop_misses += shard.superop_misses;
         self.superop_events += shard.superop_events;
         self.degraded.batch_errors += shard.batch_errors;
-        self.cc_depths.extend_from_slice(&shard.cc_depths);
+        if self.cc_depths.len() < shard.cc_depths.len() {
+            self.cc_depths.resize(shard.cc_depths.len(), 0);
+        }
+        for (total, &c) in self.cc_depths.iter_mut().zip(&shard.cc_depths) {
+            *total += c;
+        }
     }
 }
 
@@ -204,8 +218,18 @@ pub struct StatsShard {
     pub superop_events: u64,
     /// Unbalanced `run_batch` windows this thread degraded gracefully.
     pub batch_errors: u64,
-    /// ccStack depth at each of this thread's samples.
-    pub cc_depths: Vec<u32>,
+    /// This thread's samples per observed ccStack depth.
+    pub cc_depths: Vec<u64>,
+}
+
+impl StatsShard {
+    /// Counts one sample taken at ccStack depth `depth`.
+    pub(crate) fn note_cc_depth(&mut self, depth: usize) {
+        if self.cc_depths.len() <= depth {
+            self.cc_depths.resize(depth + 1, 0);
+        }
+        self.cc_depths[depth] += 1;
+    }
 }
 
 #[cfg(test)]
@@ -219,10 +243,31 @@ mod tests {
 
     #[test]
     fn mean_cc_depth_averages() {
+        // One sample each at depths 0, 2 and 4.
         let s = DacceStats {
-            cc_depths: vec![0, 2, 4],
+            cc_depths: vec![1, 0, 1, 0, 1],
             ..DacceStats::default()
         };
         assert!((s.mean_cc_depth() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cc_depth_histogram_is_bounded_by_depth_not_samples() {
+        let depths: Vec<usize> = (0..10_000).map(|i| (i * 7) % 9).collect();
+        let mut shard = StatsShard::default();
+        for &d in &depths {
+            shard.note_cc_depth(d);
+        }
+        let mut stats = DacceStats::default();
+        stats.absorb_shard(&shard);
+        stats.absorb_shard(&StatsShard::default());
+        assert!(
+            stats.cc_depths.len() <= 9,
+            "{} entries",
+            stats.cc_depths.len()
+        );
+        assert_eq!(stats.cc_depths.iter().sum::<u64>(), 10_000);
+        let mean = depths.iter().map(|&d| d as f64).sum::<f64>() / depths.len() as f64;
+        assert_eq!(stats.mean_cc_depth(), mean);
     }
 }

@@ -9,12 +9,24 @@
 //! `wrapped` flag is set are charged as `TcStack` cost; the rest of the
 //! shadow is free bookkeeping that real instrumentation keeps on the machine
 //! stack itself.
+//!
+//! [`ThreadState`] wraps a [`ThreadCtx`] with everything else one thread
+//! keeps — statistics shard, profiler sampler, sample backlogs — and is the
+//! step core both the engine and the concurrent tracker drive.
 
-use dacce_callgraph::{CallSiteId, FunctionId};
+use dacce_callgraph::{CallSiteId, FunctionId, TimeStamp};
+use dacce_program::ThreadId;
 
 use crate::ccstack::CcStack;
-use crate::context::SpawnLink;
+use crate::context::{EncodedContext, SpawnLink};
+use crate::decode::decode_thread;
+use crate::fastpath::{self, EncodingView};
+use crate::observe::{ObsWriter, Observability, Sampler};
 use crate::patch::EdgeAction;
+use crate::shared::{context_fingerprint, push_circular, SharedState};
+use crate::stats::{DacceStats, StatsShard};
+use crate::sync::{AtomicU64, Ordering};
+use crate::verify::check_thread;
 
 /// Number of [`InlineCache`] entries. A power of two; the dispatch slot
 /// masked by `IC_SIZE - 1` picks the entry (direct-mapped).
@@ -174,6 +186,324 @@ impl ThreadCtx {
         self.shadow.clear();
         self.current = self.root;
         self.icache.clear();
+    }
+}
+
+/// The step core: one thread's [`ThreadCtx`] plus the bookkeeping around
+/// every event it executes. The [`crate::Tracker`] drives it with its
+/// cached snapshot as the view, the [`crate::DacceEngine`] with
+/// `&SharedState`. The journal writer and its gate are arguments, not
+/// state: the engine keeps its one shared writer, and batched callers load
+/// the gate once per batch.
+#[derive(Debug)]
+pub(crate) struct ThreadState {
+    pub(crate) tid: ThreadId,
+    pub(crate) ctx: ThreadCtx,
+    /// The generation `ctx` is encoded under.
+    pub(crate) ts: TimeStamp,
+    /// Locally accumulated statistics, folded on stats drains.
+    pub(crate) shard: StatsShard,
+    /// Events not yet flushed to the shared trigger counters (tracker).
+    pub(crate) batch_events: u64,
+    /// Continuous-profiler sampler (deterministic stride with per-thread
+    /// jitter phase: seeded `profiler_seed ^ tid`).
+    pub(crate) sampler: Sampler,
+    // Totals already published to shared state: ccStack ops, inline-cache
+    // and superop (hits, misses), spill events.
+    flushed_cc_ops: u64,
+    flushed_icache: (u64, u64),
+    flushed_superops: (u64, u64),
+    flushed_spill_events: u64,
+    /// Recent samples and weighted profiler samples awaiting a drain into
+    /// the shared rings (circular).
+    pending_samples: Vec<EncodedContext>,
+    pending_pos: usize,
+    pending_profiler: Vec<(EncodedContext, u64)>,
+    pending_profiler_pos: usize,
+    obs: Observability,
+}
+
+/// Capacity of each per-thread sample backlog.
+const SAMPLE_BACKLOG: usize = 64;
+
+impl ThreadState {
+    /// Fresh state for thread `tid` rooted at `root`, encoded under the
+    /// current generation of `sh`.
+    pub(crate) fn new(
+        tid: ThreadId,
+        root: FunctionId,
+        spawn: Option<SpawnLink>,
+        sh: &SharedState,
+    ) -> Self {
+        let config = &sh.config;
+        let mut ctx = ThreadCtx::new(root, spawn);
+        ctx.cc.set_spill_limit(config.fault.cc_spill_limit);
+        let seed = config.profiler_seed ^ u64::from(tid.raw());
+        ThreadState {
+            tid,
+            ctx,
+            ts: sh.ts,
+            shard: StatsShard::default(),
+            batch_events: 0,
+            sampler: Sampler::new(config.profiler_stride, seed, config.profiler_budget),
+            flushed_cc_ops: 0,
+            flushed_icache: (0, 0),
+            flushed_superops: (0, 0),
+            flushed_spill_events: 0,
+            pending_samples: Vec::new(),
+            pending_pos: 0,
+            pending_profiler: Vec::new(),
+            pending_profiler_pos: 0,
+            obs: sh.obs.clone(),
+        }
+    }
+
+    /// Before-call step for an already-resolved `action`: the
+    /// instrumentation, its counters, the journaled ccStack push and the
+    /// overflow high-water check. Returns the cost units (dispatch and
+    /// trap excluded).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn call(
+        &mut self,
+        view: &impl EncodingView,
+        writer: &ObsWriter,
+        obs_on: bool,
+        site: CallSiteId,
+        callee: FunctionId,
+        action: EdgeAction,
+        site_wraps: bool,
+        tail: bool,
+    ) -> u64 {
+        let prev_max = self.ctx.cc.max_depth();
+        let eff = fastpath::exec_call(view, &mut self.ctx, site, callee, action, site_wraps, tail);
+        self.shard.calls += 1;
+        if eff.compress_hit {
+            self.shard.compress_hits += 1;
+        }
+        if action.uses_ccstack() {
+            let depth = self.ctx.cc.depth();
+            if obs_on {
+                writer.cc_push(self.tid.raw(), depth as u32);
+            }
+            if depth > prev_max && depth as u32 >= writer.watermark() {
+                self.obs.on_cc_overflow();
+                writer.cc_overflow(self.tid.raw(), depth as u32);
+            }
+        }
+        eff.cost
+    }
+
+    /// After-call step for an already-resolved `action`, with the
+    /// journaled ccStack pop. Returns the cost units.
+    #[inline]
+    pub(crate) fn ret(
+        &mut self,
+        view: &impl EncodingView,
+        writer: &ObsWriter,
+        obs_on: bool,
+        site: CallSiteId,
+        caller: FunctionId,
+        action: EdgeAction,
+    ) -> u64 {
+        let cost = fastpath::exec_ret(view, &mut self.ctx, site, caller, action);
+        if obs_on && action.uses_ccstack() {
+            writer.cc_pop(self.tid.raw(), self.ctx.cc.depth() as u32);
+        }
+        cost
+    }
+
+    /// Continuous-profiler tick for one call through `site`. When the
+    /// sampler fires, the context is counted, journaled as a `Sample`
+    /// event and buffered for the next [`Self::drain`].
+    #[inline]
+    pub(crate) fn profiler_tick(&mut self, writer: &ObsWriter, obs_on: bool, site: CallSiteId) {
+        let Some(weight) = self.sampler.tick() else {
+            return;
+        };
+        let snap = self.context();
+        let depth = snap.cc_depth() as u32;
+        self.shard.profiler_samples += 1;
+        self.shard.profiler_sample_weight += weight;
+        self.obs.on_profiler_sample(depth, snap.id, weight);
+        if obs_on {
+            let fp = context_fingerprint(&snap);
+            writer.sample(
+                self.tid.raw(),
+                snap.ts.raw(),
+                snap.id,
+                site.raw(),
+                snap.leaf.raw(),
+                snap.root.raw(),
+                fp,
+                u32::try_from(weight).unwrap_or(u32::MAX),
+                depth,
+            );
+        }
+        push_circular(
+            &mut self.pending_profiler,
+            &mut self.pending_profiler_pos,
+            SAMPLE_BACKLOG,
+            (snap, weight),
+        );
+    }
+
+    /// The current encoded context, stamped with its generation. No
+    /// accounting.
+    pub(crate) fn context(&self) -> EncodedContext {
+        EncodedContext {
+            ts: self.ts,
+            id: self.ctx.id,
+            leaf: self.ctx.current,
+            root: self.ctx.root,
+            cc: self.ctx.cc.entries().to_vec(),
+            spawn: self.ctx.spawn.clone(),
+        }
+    }
+
+    /// Records one sample of the current context (counted, buffered for
+    /// the shared heat ring).
+    pub(crate) fn sample(&mut self) -> EncodedContext {
+        let snap = self.context();
+        self.shard.samples += 1;
+        self.shard.note_cc_depth(snap.cc_depth());
+        self.obs.on_sample(snap.cc_depth() as u32, snap.id);
+        push_circular(
+            &mut self.pending_samples,
+            &mut self.pending_pos,
+            SAMPLE_BACKLOG,
+            snap.clone(),
+        );
+        snap
+    }
+
+    /// The one migration path: when `view`'s generation moved past the
+    /// context's, decode under the old generation's dictionary (still in
+    /// the view's store) and replay under the new patches. Lazy epoch
+    /// checks, traps, lineage adoptions and re-encodes all come here.
+    pub(crate) fn migrate(&mut self, view: &impl EncodingView, writer: &ObsWriter, obs_on: bool) {
+        let to = view.ts();
+        if to == self.ts {
+            return;
+        }
+        let ctx = &self.ctx;
+        let path = view.dicts().get(self.ts).map(|dict| {
+            decode_thread(
+                dict,
+                ctx.id,
+                ctx.current,
+                ctx.root,
+                ctx.cc.entries(),
+                view.site_owner(),
+            )
+        });
+        match path {
+            Some(Ok(path)) => fastpath::replay(view, &mut self.ctx, &path),
+            // An engine bug: keep the stale state and surface it.
+            _ => self.shard.decode_errors += 1,
+        }
+        self.obs.on_migration();
+        if obs_on {
+            writer.migration(self.tid.raw(), self.ts.raw(), to.raw());
+        }
+        self.ts = to;
+    }
+
+    /// Audits the context against its generation in `view` (see
+    /// [`check_thread`]).
+    pub(crate) fn check(&self, view: &impl EncodingView) -> Result<(), String> {
+        let label = self.tid.to_string();
+        let dict = view
+            .dicts()
+            .get(self.ts)
+            .ok_or_else(|| format!("{label}: timestamp {} has no dictionary", self.ts))?;
+        check_thread(dict, view.site_owner(), view.max_id(), &label, &self.ctx)
+    }
+
+    /// Whether either sample backlog holds samples to drain.
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.pending_samples.is_empty() || self.has_pending_profile()
+    }
+
+    /// Whether the profiler backlog holds samples to drain.
+    pub(crate) fn has_pending_profile(&self) -> bool {
+        !self.pending_profiler.is_empty()
+    }
+
+    /// Drains both sample backlogs into the shared rings.
+    pub(crate) fn drain(&mut self, sh: &mut SharedState) {
+        for s in self.pending_samples.drain(..) {
+            sh.push_ring(s);
+        }
+        self.pending_pos = 0;
+        self.drain_profile(sh);
+    }
+
+    /// Drains only the profiler backlog into the shared profiler ring. The
+    /// heat-ring backlog waits for the thread's own drain points, so
+    /// reading the profile never changes which samples feed re-encoding.
+    pub(crate) fn drain_profile(&mut self, sh: &mut SharedState) {
+        for s in self.pending_profiler.drain(..) {
+            sh.push_profiler_ring(s);
+        }
+        self.pending_profiler_pos = 0;
+    }
+
+    /// Publishes ccStack spill activity into the shared degraded-state
+    /// counters and metrics.
+    pub(crate) fn flush_spills(&mut self, sh: &mut SharedState) {
+        let spills = self.ctx.cc.spill_events();
+        let d = spills.saturating_sub(self.flushed_spill_events);
+        if d > 0 {
+            let degraded = &mut sh.stats.degraded;
+            degraded.cc_spill_events += d;
+            let peak = self.ctx.cc.spilled_peak() as u64;
+            degraded.cc_spilled_peak = degraded.cc_spilled_peak.max(peak);
+            sh.obs.on_cc_spills(d);
+            self.flushed_spill_events = spills;
+        }
+    }
+
+    /// Publishes the ccStack operations executed since the previous call
+    /// into the shared total `total` (the "live thread ccops" of the §4
+    /// rate trigger).
+    pub(crate) fn publish_cc_ops(&mut self, total: &AtomicU64) {
+        let now = self.ctx.cc.ops();
+        let delta = now.saturating_sub(self.flushed_cc_ops);
+        if delta > 0 {
+            total.fetch_add(delta, Ordering::Relaxed);
+        }
+        self.flushed_cc_ops = now;
+    }
+
+    /// Publishes the inline-cache and superop hit/miss deltas to the
+    /// metrics.
+    pub(crate) fn flush_obs(&mut self) {
+        let icache = (self.shard.icache_hits, self.shard.icache_misses);
+        if icache != self.flushed_icache {
+            let (hits, misses) = self.flushed_icache;
+            self.obs.on_icache(icache.0 - hits, icache.1 - misses);
+            self.flushed_icache = icache;
+        }
+        let superops = (self.shard.superop_hits, self.shard.superop_misses);
+        if superops != self.flushed_superops {
+            let (hits, misses) = self.flushed_superops;
+            self.obs.on_superops(superops.0 - hits, superops.1 - misses);
+            self.flushed_superops = superops;
+        }
+    }
+
+    /// Folds the shard and the live ccStack/TcStack counters into `out`
+    /// (spills already published by [`Self::flush_spills`] are not
+    /// counted twice).
+    pub(crate) fn fold_into(&self, out: &mut DacceStats) {
+        let cc = &self.ctx.cc;
+        out.absorb_shard(&self.shard);
+        out.ccstack_ops += cc.ops();
+        out.tcstack_ops += self.ctx.tc_ops;
+        let degraded = &mut out.degraded;
+        degraded.cc_spill_events += cc.spill_events().saturating_sub(self.flushed_spill_events);
+        degraded.cc_spilled_peak = degraded.cc_spilled_peak.max(cc.spilled_peak() as u64);
     }
 }
 

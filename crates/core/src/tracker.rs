@@ -7,16 +7,19 @@
 //!
 //! Unlike the single-lock seed implementation, the tracker is built on the
 //! shared-state / per-thread split (see `DESIGN.md`, "Concurrency
-//! architecture"): every thread owns its encoding context in a
+//! architecture"): every thread owns its step-core state
+//! ([`ThreadState`], the same one the single-threaded engine drives) in a
 //! [`ThreadHandle`] slot and executes call/return instrumentation over
 //! already-encoded edges against a cached, immutable [`EncodingSnapshot`] —
-//! no shared lock is touched on that path. The global [`SharedState`] lock
-//! is taken only when a call site traps (new edge), when a re-encoding is
+//! no shared lock is touched on that path. Guards and
+//! [`ThreadHandle::run_batch`] open and close frames through the same
+//! `open_frame` / `close_frame` pair. The global [`SharedState`] lock is
+//! taken only when a call site traps (new edge), when a re-encoding is
 //! evaluated or applied, on thread registration, and when statistics are
 //! drained. Re-encoded state reaches the other threads lazily: each one
-//! notices the bumped publication epoch at its next event, decodes its own
-//! context under its *old* snapshot's dictionary and replays it under the
-//! new one (the rendezvous of §4, done thread-locally).
+//! notices the bumped publication epoch at its next event and migrates its
+//! own context — decode under the old generation's dictionary, replay
+//! under the new patches (the rendezvous of §4, done thread-locally).
 //!
 //! ```
 //! use dacce::tracker::Tracker;
@@ -36,7 +39,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::sync::{protocol, AtomicU32, AtomicU64, Mutex, Ordering};
+use crate::sync::{protocol, AtomicU32, AtomicU64, Mutex, MutexGuard, Ordering};
 
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_program::runtime::CallDispatch;
@@ -44,64 +47,33 @@ use dacce_program::{ContextPath, CostModel, ThreadId};
 
 use crate::config::DacceConfig;
 use crate::context::{EncodedContext, SpawnLink};
-use crate::decode::{decode_thread, DecodeError};
+use crate::decode::DecodeError;
 use crate::dispatch::CompiledDispatch;
-use crate::fastpath;
+use crate::fastpath::EncodingView;
 use crate::lineage::EncodingLineage;
-use crate::observe::{ObsWriter, Observability, Sampler};
+use crate::observe::{ObsWriter, Observability};
 use crate::patch::EdgeAction;
 use crate::profile::HotContextProfile;
-use crate::shared::{
-    EncodingSnapshot, LineageReencode, ReencodeOutcome, ResolvedSite, SharedState,
-};
-use crate::stats::{DacceStats, StatsShard};
+use crate::shared::{EncodingSnapshot, ResolvedSite, SharedState};
+use crate::stats::DacceStats;
 use crate::superop::{SuperOpProbe, WindowOp};
-use crate::thread::ThreadCtx;
-use crate::verify::{check_shared, check_thread};
+use crate::thread::ThreadState;
+use crate::verify::check_shared;
 use crate::warm::{WarmStartReport, WarmStartSeed};
 
 /// Events a thread accumulates locally before flushing them to the shared
 /// trigger counters. Bounds how stale the §4 event counts can be.
 const EVENT_BATCH: u64 = 64;
 
-/// Per-thread sample backlog capacity (circular; feeds the shared heat
-/// ring from the slow path).
-const SAMPLE_BACKLOG: usize = 64;
-
-/// The encoding state one thread owns: its context, the snapshot it is
-/// consistent with, and locally accumulated statistics.
+/// What a thread keeps under its slot lock: the step core's state, the
+/// published snapshot its context is encoded under, and its own journal
+/// writer (an event ring of its own; lock-free).
 #[derive(Debug)]
-struct ThreadState {
-    ctx: ThreadCtx,
-    /// The published snapshot this context's encoding matches. `ctx` always
-    /// decodes against `snap.ts`'s dictionary.
+struct SlotState {
+    st: ThreadState,
+    /// The snapshot the thread executes against. Outside a locked slow
+    /// path, `st.ts == snap.ts`.
     snap: Arc<EncodingSnapshot>,
-    /// Locally accumulated statistics, merged on [`Tracker::stats`].
-    shard: StatsShard,
-    /// Events not yet flushed to the shared trigger counters.
-    batch_events: u64,
-    /// `ctx.cc.ops()` value already published to `ccops_total`.
-    flushed_cc_ops: u64,
-    /// Inline-cache hit/miss totals already published to the obs metrics.
-    flushed_icache_hits: u64,
-    flushed_icache_misses: u64,
-    /// Superop hit/miss totals already published to the obs metrics.
-    flushed_superop_hits: u64,
-    flushed_superop_misses: u64,
-    /// `ctx.cc.spill_events()` value already folded into the shared
-    /// degraded-state counters.
-    flushed_spill_events: u64,
-    /// Recent samples awaiting a slow-path flush into the shared heat ring.
-    pending_samples: Vec<EncodedContext>,
-    pending_pos: usize,
-    /// This thread's continuous-profiler sampler (deterministic stride
-    /// with per-thread jitter phase; see [`crate::observe::Sampler`]).
-    sampler: Sampler,
-    /// Weighted profiler samples awaiting a slow-path flush into the
-    /// shared profiler ring (circular, like `pending_samples`).
-    pending_profiler: Vec<(EncodedContext, u64)>,
-    pending_profiler_pos: usize,
-    /// This thread's journal writer (its own event ring; lock-free).
     writer: ObsWriter,
 }
 
@@ -111,7 +83,20 @@ struct ThreadState {
 #[derive(Debug)]
 struct ThreadSlot {
     tid: ThreadId,
-    state: Mutex<ThreadState>,
+    state: Mutex<SlotState>,
+}
+
+/// One open call, as a [`CallGuard`] or [`ThreadHandle::run_batch`] holds
+/// it: the action resolved at call time and the publication epoch it is
+/// valid under, so the return of an encoded edge needs no patch-table
+/// probe unless a republish intervened.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    site: CallSiteId,
+    caller: FunctionId,
+    callee: FunctionId,
+    action: EdgeAction,
+    epoch: u64,
 }
 
 #[derive(Debug)]
@@ -332,9 +317,7 @@ impl Tracker {
         let tracker = Self::with_config(config);
         {
             let mut sh = tracker.inner.shared.lock();
-            let state = lineage.current();
-            sh.lineage = Some(lineage.clone());
-            sh.adopt_lineage_state(&state);
+            let _ = sh.attach_lineage(lineage);
             // The adopted state carries the founder's `main`; the first
             // register() must not attach a second one.
             tracker.inner.attached.store(1, Ordering::Relaxed);
@@ -353,15 +336,7 @@ impl Tracker {
     ///
     /// Panics if the tracker is already on a lineage.
     pub fn found_lineage(&self, hash: u64) -> EncodingLineage {
-        let mut sh = self.inner.shared.lock();
-        assert!(
-            sh.lineage.is_none(),
-            "tracker is already attached to a lineage"
-        );
-        let lineage = EncodingLineage::found(hash, sh.export_lineage_state());
-        sh.lineage = Some(lineage.clone());
-        sh.lineage_gen = 0;
-        lineage
+        self.inner.shared.lock().found_lineage(hash)
     }
 
     /// Eagerly adopts a newer generation published to this tracker's
@@ -388,12 +363,7 @@ impl Tracker {
     pub fn request_reencode(&self) -> bool {
         let mut sh = self.inner.shared.lock();
         self.inner.absorb_pending(&mut sh);
-        let applied = match sh.reencode_via_lineage() {
-            LineageReencode::Adopted => true,
-            LineageReencode::Local(outcome, _cost) => {
-                matches!(outcome, ReencodeOutcome::Applied)
-            }
-        };
+        let (applied, _) = sh.reencode_via_lineage();
         let live = self.inner.ccops_total.load(Ordering::Relaxed);
         sh.reset_triggers(live);
         self.inner.update_trigger_mark(&sh);
@@ -430,20 +400,8 @@ impl Tracker {
     pub fn check_invariants(&self) -> Result<(), String> {
         let slots: Vec<Arc<ThreadSlot>> = self.inner.registry.lock().clone();
         for slot in slots {
-            let st = slot.state.lock();
-            let dict = st.snap.dicts.get(st.snap.ts).ok_or_else(|| {
-                format!(
-                    "{}: snapshot timestamp {} has no dictionary",
-                    slot.tid, st.snap.ts
-                )
-            })?;
-            check_thread(
-                dict,
-                &st.snap.site_owner,
-                st.snap.max_id,
-                &slot.tid.to_string(),
-                &st.ctx,
-            )?;
+            let l = slot.state.lock();
+            l.st.check(&*l.snap)?;
         }
         let sh = self.inner.shared.lock();
         check_shared(&sh)
@@ -465,7 +423,7 @@ impl Tracker {
     ) -> ThreadHandle {
         let link = SpawnLink {
             site: spawn_site,
-            parent: Box::new(parent.current_context()),
+            parent: Box::new(parent.context()),
         };
         self.register(root, Some(link))
     }
@@ -478,32 +436,11 @@ impl Tracker {
         }
         sh.register_root(root);
         let snap = self.inner.republish(&mut sh);
-        let mut ctx = ThreadCtx::new(root, spawn);
-        ctx.cc.set_spill_limit(sh.config.fault.cc_spill_limit);
         let slot = Arc::new(ThreadSlot {
             tid,
-            state: Mutex::new(ThreadState {
-                ctx,
+            state: Mutex::new(SlotState {
+                st: ThreadState::new(tid, root, spawn, &sh),
                 snap,
-                shard: StatsShard::default(),
-                batch_events: 0,
-                flushed_cc_ops: 0,
-                flushed_icache_hits: 0,
-                flushed_icache_misses: 0,
-                flushed_superop_hits: 0,
-                flushed_superop_misses: 0,
-                flushed_spill_events: 0,
-                pending_samples: Vec::new(),
-                pending_pos: 0,
-                // Per-thread seed: same stride, different jitter phase, so
-                // the fleet of threads never samples in lockstep.
-                sampler: Sampler::new(
-                    sh.config.profiler_stride,
-                    sh.config.profiler_seed ^ u64::from(tid.raw()),
-                    sh.config.profiler_budget,
-                ),
-                pending_profiler: Vec::new(),
-                pending_profiler_pos: 0,
                 writer: self.inner.obs.writer(tid.raw()),
             }),
         });
@@ -584,34 +521,12 @@ impl Tracker {
             sh.stats.clone()
         };
         for slot in slots {
-            let mut guard = slot.state.lock();
-            let st = &mut *guard;
-            if !st.pending_samples.is_empty() || !st.pending_profiler.is_empty() {
-                let mut sh = self.inner.shared.lock();
-                for s in st.pending_samples.drain(..) {
-                    sh.push_ring(&s);
-                }
-                st.pending_pos = 0;
-                for (s, w) in st.pending_profiler.drain(..) {
-                    sh.push_profiler_ring(&s, w);
-                }
-                st.pending_profiler_pos = 0;
+            let mut l = slot.state.lock();
+            if l.st.has_pending() {
+                l.st.drain(&mut self.inner.shared.lock());
             }
-            flush_icache_obs(&self.inner.obs, st);
-            flush_superop_obs(&self.inner.obs, st);
-            out.absorb_shard(&st.shard);
-            out.ccstack_ops += st.ctx.cc.ops();
-            out.tcstack_ops += st.ctx.tc_ops;
-            // Spill activity not yet flushed through a slow path.
-            out.degraded.cc_spill_events += st
-                .ctx
-                .cc
-                .spill_events()
-                .saturating_sub(st.flushed_spill_events);
-            out.degraded.cc_spilled_peak = out
-                .degraded
-                .cc_spilled_peak
-                .max(st.ctx.cc.spilled_peak() as u64);
+            l.st.flush_obs();
+            l.st.fold_into(&mut out);
         }
         out
     }
@@ -623,14 +538,9 @@ impl Tracker {
     pub fn profiler_profile(&self) -> HotContextProfile {
         let slots: Vec<Arc<ThreadSlot>> = self.inner.registry.lock().clone();
         for slot in slots {
-            let mut guard = slot.state.lock();
-            let st = &mut *guard;
-            if !st.pending_profiler.is_empty() {
-                let mut sh = self.inner.shared.lock();
-                for (s, w) in st.pending_profiler.drain(..) {
-                    sh.push_profiler_ring(&s, w);
-                }
-                st.pending_profiler_pos = 0;
+            let mut l = slot.state.lock();
+            if l.st.has_pending_profile() {
+                l.st.drain_profile(&mut self.inner.shared.lock());
             }
         }
         self.inner.shared.lock().profiler_profile()
@@ -782,35 +692,35 @@ impl ThreadHandle {
     /// degrades instead of aborting the thread, and partial progress is
     /// reported in [`BatchError::executed`].
     pub fn run_batch(&self, ops: &[BatchOp]) -> Result<usize, BatchError> {
-        let mut guard = self.slot.state.lock();
-        let st = &mut *guard;
-        self.refresh(st);
-        let mut obs_on = st.writer.enabled();
+        let inner = &*self.inner;
+        let mut guard = self.lock_refreshed();
+        let l = &mut *guard;
+        let mut obs_on = l.writer.enabled();
         // Profiler hoist: `ops.len()` bounds the batch's call count, so a
         // countdown beyond it proves no sample can fire in this batch —
         // count calls in a register and advance the sampler once at the
         // end instead of ticking it per op. A disabled sampler always
         // takes the bulk path (the final skip is then a no-op).
-        let profiler_bulk = !st.sampler.is_enabled() || st.sampler.remaining() > ops.len() as u64;
+        let profiler_bulk =
+            !l.st.sampler.is_enabled() || l.st.sampler.remaining() > ops.len() as u64;
         let mut bulk_calls = 0u64;
-        // (site, caller, callee, action, epoch) of each still-open call.
-        let mut open: Vec<(CallSiteId, FunctionId, FunctionId, EdgeAction, u64)> =
-            Vec::with_capacity(16);
+        let mut open: Vec<Frame> = Vec::with_capacity(16);
         let mut executed = 0usize;
         let mut error: Option<BatchErrorKind> = None;
         // Superops need the bulk profiler path: a memoized window skips
         // per-call sampler ticks, which is only sound when no sample can
         // fire inside this batch anyway.
-        let mut use_superops = profiler_bulk && !st.snap.superops.is_empty();
+        let mut use_superops = profiler_bulk && !l.snap.superops.is_empty();
+        let mut epoch = l.snap.epoch;
         let mut i = 0usize;
         while i < ops.len() {
             let op = ops[i];
             match op {
                 BatchOp::Call { site, target } | BatchOp::CallIndirect { site, target } => {
                     if use_superops {
-                        match st.snap.superops.probe(&ops[i..]) {
+                        match l.snap.superops.probe(&ops[i..]) {
                             SuperOpProbe::Hit(so) => {
-                                let entry_depth = st.ctx.cc.depth();
+                                let entry_depth = l.st.ctx.cc.depth();
                                 let peak = entry_depth + so.cc_peak;
                                 // Bail to the per-event loop BEFORE applying
                                 // anything when the fold would skip observable
@@ -820,11 +730,12 @@ impl ThreadHandle {
                                 // fire the real overflow hook).
                                 let admit = so.cc_ops == 0
                                     || !(obs_on
-                                        || st.ctx.cc.spill_armed()
-                                        || (peak > st.ctx.cc.max_depth()
-                                            && peak as u32 >= st.writer.watermark()));
+                                        || l.st.ctx.cc.spill_armed()
+                                        || (peak > l.st.ctx.cc.max_depth()
+                                            && peak as u32 >= l.writer.watermark()));
                                 if admit {
                                     let len = so.window.len();
+                                    let st = &mut l.st;
                                     st.ctx.cc.apply_bulk(so.cc_ops, peak);
                                     st.shard.calls += so.calls;
                                     st.shard.compress_hits += so.compress_hits;
@@ -836,86 +747,41 @@ impl ThreadHandle {
                                     i += len;
                                     continue;
                                 }
-                                st.shard.superop_misses += 1;
+                                l.st.shard.superop_misses += 1;
                             }
-                            SuperOpProbe::Miss => st.shard.superop_misses += 1,
+                            SuperOpProbe::Miss => l.st.shard.superop_misses += 1,
                             SuperOpProbe::Cold => {}
                         }
                     }
-                    let caller = st.ctx.current;
-                    let (action, epoch) = match resolve_cached(st, site, target) {
-                        Some(r) => {
-                            let epoch = st.snap.epoch;
-                            let prev_max = st.ctx.cc.max_depth();
-                            let eff = fastpath::exec_call(
-                                &*st.snap,
-                                &mut st.ctx,
-                                site,
-                                target,
-                                r.action,
-                                r.tc_wrap,
-                                false,
-                            );
-                            if eff.compress_hit {
-                                st.shard.compress_hits += 1;
-                            }
-                            st.shard.calls += 1;
-                            if r.action.uses_ccstack() {
-                                self.note_cc_push(st, prev_max, obs_on);
-                            }
-                            st.batch_events += 1;
-                            (r.action, epoch)
-                        }
-                        None => {
-                            let dispatch = match op {
-                                BatchOp::CallIndirect { .. } => CallDispatch::Indirect,
-                                _ => CallDispatch::Direct,
-                            };
-                            let prev_max = st.ctx.cc.max_depth();
-                            let action = self.trap_call(st, site, caller, target, dispatch);
-                            if action.uses_ccstack() {
-                                self.note_cc_push(st, prev_max, obs_on);
-                            }
-                            // The trap republished the snapshot; re-hoist
-                            // the gates — journaling may have been toggled
-                            // and the superop table swapped (epoch
-                            // invalidation).
-                            obs_on = st.writer.enabled();
-                            use_superops = profiler_bulk && !st.snap.superops.is_empty();
-                            (action, st.snap.epoch)
-                        }
+                    let dispatch = match op {
+                        BatchOp::CallIndirect { .. } => CallDispatch::Indirect,
+                        _ => CallDispatch::Direct,
                     };
+                    let frame = l.open_frame(inner, site, target, dispatch, obs_on);
+                    if frame.epoch != epoch {
+                        // A trap republished the snapshot; re-hoist the
+                        // gates — journaling may have been toggled and the
+                        // superop table swapped (epoch invalidation).
+                        epoch = frame.epoch;
+                        obs_on = l.writer.enabled();
+                        use_superops = profiler_bulk && !l.snap.superops.is_empty();
+                    }
                     if profiler_bulk {
                         bulk_calls += 1;
                     } else {
-                        self.profiler_tick(st, site);
+                        l.st.profiler_tick(&l.writer, obs_on, site);
                     }
-                    open.push((site, caller, target, action, epoch));
+                    open.push(frame);
                     executed += 1;
                 }
                 BatchOp::Ret => {
-                    let Some((site, caller, callee, action, epoch)) = open.pop() else {
+                    let Some(frame) = open.pop() else {
                         // Malformed trace: stop before the bad op; any
                         // frames opened earlier unwind below.
                         error = Some(BatchErrorKind::UnmatchedRet { index: i });
                         break;
                     };
-                    let action = if st.snap.epoch == epoch {
-                        action
-                    } else {
-                        // A trap mid-batch republished (possibly after a
-                        // re-encoding that replayed our context); reverse
-                        // under the current generation's action.
-                        st.snap
-                            .resolve(site, callee)
-                            .map_or(EdgeAction::Unencoded, |r| r.action)
-                    };
-                    let _ = fastpath::exec_ret(&*st.snap, &mut st.ctx, site, caller, action);
-                    if obs_on && action.uses_ccstack() {
-                        st.writer
-                            .cc_pop(self.slot.tid.raw(), st.ctx.cc.depth() as u32);
-                    }
-                    st.batch_events += 1;
+                    l.close_frame(frame, obs_on);
                     executed += 1;
                 }
             }
@@ -925,368 +791,355 @@ impl ThreadHandle {
         // (malformed trace or early stop) so the thread's encoding lands
         // back at a consistent boundary instead of aborting the thread.
         let unclosed = open.len();
-        while let Some((site, caller, callee, action, epoch)) = open.pop() {
-            let action = if st.snap.epoch == epoch {
-                action
-            } else {
-                st.snap
-                    .resolve(site, callee)
-                    .map_or(EdgeAction::Unencoded, |r| r.action)
-            };
-            let _ = fastpath::exec_ret(&*st.snap, &mut st.ctx, site, caller, action);
-            if obs_on && action.uses_ccstack() {
-                st.writer
-                    .cc_pop(self.slot.tid.raw(), st.ctx.cc.depth() as u32);
-            }
-            st.batch_events += 1;
+        while let Some(frame) = open.pop() {
+            l.close_frame(frame, obs_on);
         }
         if error.is_none() && unclosed > 0 {
             error = Some(BatchErrorKind::UnclosedCalls { open: unclosed });
         }
-        st.sampler.skip(bulk_calls);
-        if st.batch_events >= EVENT_BATCH {
-            self.flush_batch_counters(st);
-        }
-        flush_icache_obs(&self.inner.obs, st);
-        flush_superop_obs(&self.inner.obs, st);
+        l.st.sampler.skip(bulk_calls);
+        l.flush_if_due(inner);
+        l.st.flush_obs();
         match error {
             None => Ok(executed),
             Some(kind) => {
-                st.shard.batch_errors += 1;
+                l.st.shard.batch_errors += 1;
                 Err(BatchError { kind, executed })
             }
         }
     }
 
-    fn enter(&self, site: CallSiteId, target: FunctionId, dispatch: CallDispatch) -> CallGuard<'_> {
+    /// Locks this thread's slot and revalidates its cached snapshot — the
+    /// entry of every event.
+    #[inline]
+    fn lock_refreshed(&self) -> MutexGuard<'_, SlotState> {
         let mut guard = self.slot.state.lock();
-        let st = &mut *guard;
-        self.refresh(st);
-        let caller = st.ctx.current;
-        // The guard remembers the resolved action and the generation it is
-        // valid under, so the matching return needs no patch-table probe
-        // unless a re-encoding intervened. The epoch is captured *before*
-        // any trigger work — a re-encoding on this very event leaves the
-        // guard with a stale epoch, forcing the return to re-resolve.
-        let (action, epoch) = match resolve_cached(st, site, target) {
+        guard.refresh(&self.inner);
+        guard
+    }
+
+    fn enter(&self, site: CallSiteId, target: FunctionId, dispatch: CallDispatch) -> CallGuard<'_> {
+        let inner = &*self.inner;
+        let mut guard = self.lock_refreshed();
+        let l = &mut *guard;
+        let obs_on = l.writer.enabled();
+        let frame = l.open_frame(inner, site, target, dispatch, obs_on);
+        l.flush_if_due(inner);
+        l.st.profiler_tick(&l.writer, obs_on, site);
+        CallGuard {
+            handle: self,
+            frame,
+        }
+    }
+
+    /// Captures the thread's current encoded context (cheap; decode later).
+    pub fn sample(&self) -> EncodedContext {
+        // Buffered for the shared heat ring (drained on the next slow path).
+        self.lock_refreshed().st.sample()
+    }
+
+    /// The thread's current encoded context, without sample accounting
+    /// (the journal recorder's full-state capture: entry states, seam
+    /// seeds and resync records).
+    pub fn context(&self) -> EncodedContext {
+        self.lock_refreshed().st.context()
+    }
+
+    /// An O(1) probe of the state components one call/return event can
+    /// change (see [`crate::fragment::StateSig`]). Reads the state
+    /// exactly as the last event left it — no refresh, no accounting —
+    /// so the journal recorder can verify a derived effect per op
+    /// without cloning the ccStack.
+    pub fn state_sig(&self) -> crate::fragment::StateSig {
+        let l = self.slot.state.lock();
+        crate::fragment::StateSig {
+            ts: l.st.ts,
+            id: l.st.ctx.id,
+            depth: l.st.ctx.cc.depth(),
+            top: l.st.ctx.cc.top().copied(),
+            leaf: l.st.ctx.current,
+        }
+    }
+
+    /// Captures the current context as a migratable *task origin* (§5.3,
+    /// "work migration"): hand the returned [`TaskContext`] to whatever
+    /// executor thread will run the work and have it call
+    /// [`ThreadHandle::adopt`].
+    pub fn capture_task(&self, handoff_site: CallSiteId) -> TaskContext {
+        TaskContext {
+            site: handoff_site,
+            origin: self.context(),
+        }
+    }
+
+    /// Adopts a migrated task's origin context for the duration of the
+    /// returned guard: samples taken while it is alive decode to
+    /// `origin -> (handoff site) -> this thread's frames`. Nest adoptions
+    /// like calls; the guard restores the previous creation link on drop.
+    pub fn adopt(&self, task: &TaskContext) -> AdoptGuard<'_> {
+        let link = SpawnLink {
+            site: task.site,
+            parent: Box::new(task.origin.clone()),
+        };
+        let previous = self.slot.state.lock().st.ctx.spawn.replace(link);
+        AdoptGuard {
+            handle: self,
+            previous: Some(previous),
+        }
+    }
+}
+
+impl SlotState {
+    /// Revalidates the cached snapshot with one atomic epoch load; on a
+    /// mismatch, catches up with the published snapshot.
+    #[inline]
+    fn refresh(&mut self, inner: &TrackerInner) {
+        let cur = inner.epoch.load(protocol::EPOCH_CHECK);
+        if self.snap.epoch != cur {
+            self.catch_up(inner);
+        }
+    }
+
+    /// Fetches the published snapshot and migrates the context to it if
+    /// the encoding generation moved. Out of line, so the epoch check
+    /// above inlines into every event.
+    #[cold]
+    #[inline(never)]
+    fn catch_up(&mut self, inner: &TrackerInner) {
+        let snap = Arc::clone(&inner.published.lock());
+        self.st.migrate(&*snap, &self.writer, self.writer.enabled());
+        self.snap = snap;
+    }
+
+    /// The call half of one frame, shared by guards and `run_batch`:
+    /// resolves `(site, target)` through the inline cache and executes the
+    /// call step against the cached snapshot, or takes the trap slow path
+    /// when the snapshot has no action. The frame's epoch is captured
+    /// *before* any trigger work, so a re-encoding on this very event
+    /// leaves it stale and forces the return to re-resolve. Always
+    /// inlined: an out-of-line frame step costs the guard path and
+    /// `run_batch`'s per-op loop about 1-2 ns per event.
+    #[inline(always)]
+    #[allow(clippy::inline_always)]
+    fn open_frame(
+        &mut self,
+        inner: &TrackerInner,
+        site: CallSiteId,
+        target: FunctionId,
+        dispatch: CallDispatch,
+        obs_on: bool,
+    ) -> Frame {
+        let caller = self.st.ctx.current;
+        let action = match self.resolve_cached(site, target) {
             Some(r) => {
-                let epoch = st.snap.epoch;
-                let prev_max = st.ctx.cc.max_depth();
-                let eff = fastpath::exec_call(
-                    &*st.snap,
-                    &mut st.ctx,
+                let _ = self.st.call(
+                    &*self.snap,
+                    &self.writer,
+                    obs_on,
                     site,
                     target,
                     r.action,
                     r.tc_wrap,
                     false,
                 );
-                if eff.compress_hit {
-                    st.shard.compress_hits += 1;
-                }
-                st.shard.calls += 1;
-                if r.action.uses_ccstack() {
-                    self.note_cc_push(st, prev_max, st.writer.enabled());
-                }
-                self.note_local_event(st);
-                (r.action, epoch)
+                self.st.batch_events += 1;
+                r.action
             }
-            None => {
-                // trap_call re-resolves under the state it republishes.
-                let prev_max = st.ctx.cc.max_depth();
-                let action = self.trap_call(st, site, caller, target, dispatch);
-                if action.uses_ccstack() {
-                    self.note_cc_push(st, prev_max, st.writer.enabled());
-                }
-                (action, st.snap.epoch)
-            }
+            None => self.trap_call(inner, site, caller, target, dispatch, obs_on),
         };
-        self.profiler_tick(st, site);
-        CallGuard {
-            handle: self,
+        Frame {
             site,
             caller,
             callee: target,
             action,
-            epoch,
+            epoch: self.snap.epoch,
         }
     }
 
-    /// Revalidates the cached snapshot with one atomic epoch load; on a
-    /// mismatch, fetches the published snapshot and — if the encoding
-    /// generation moved — migrates this thread's context to it (decode
-    /// under the old snapshot's dictionary, replay under the new patches).
-    fn refresh(&self, st: &mut ThreadState) {
-        let cur = self.inner.epoch.load(protocol::EPOCH_CHECK);
-        if st.snap.epoch == cur {
-            return;
-        }
-        let new_snap = Arc::clone(&self.inner.published.lock());
-        if new_snap.ts != st.snap.ts {
-            let migrated = fastpath::migrate(
-                &*new_snap,
-                &mut st.ctx,
-                st.snap.dict(),
-                &new_snap.site_owner,
-            );
-            if migrated.is_err() {
-                st.shard.decode_errors += 1;
-            }
-            self.inner.obs.on_migration();
-            if st.writer.enabled() {
-                st.writer
-                    .migration(self.slot.tid.raw(), st.snap.ts.raw(), new_snap.ts.raw());
-            }
-        }
-        st.snap = new_snap;
-    }
-
-    /// Continuous-profiler tick for one call event. When the sampler
-    /// fires, captures the thread's context, counts it in the local shard,
-    /// journals a `Sample` event on this thread's own lock-free ring and
-    /// buffers the weighted sample for the next slow-path flush into the
-    /// shared profiler ring — the fast path never touches the shared lock.
-    fn profiler_tick(&self, st: &mut ThreadState, site: CallSiteId) {
-        let Some(weight) = st.sampler.tick() else {
-            return;
-        };
-        let snap = snapshot_of(st);
-        st.shard.profiler_samples += 1;
-        st.shard.profiler_sample_weight += weight;
-        self.inner
-            .obs
-            .on_profiler_sample(snap.cc_depth() as u32, snap.id, weight);
-        if st.writer.enabled() {
-            let fp = crate::shared::context_fingerprint(&snap);
-            st.writer.sample(
-                self.slot.tid.raw(),
-                snap.ts.raw(),
-                snap.id,
-                site.raw(),
-                snap.leaf.raw(),
-                snap.root.raw(),
-                fp,
-                u32::try_from(weight).unwrap_or(u32::MAX),
-                snap.cc_depth() as u32,
-            );
-        }
-        if st.pending_profiler.len() < SAMPLE_BACKLOG {
-            st.pending_profiler.push((snap, weight));
+    /// The return half of one frame, shared by guard drops, `run_batch`
+    /// returns and its auto-unwind. When a publication intervened since
+    /// the call, the context was migrated, so the return reverses under
+    /// the current generation's action.
+    #[inline(always)]
+    #[allow(clippy::inline_always)]
+    fn close_frame(&mut self, frame: Frame, obs_on: bool) {
+        let action = if self.snap.epoch == frame.epoch {
+            frame.action
         } else {
-            let pos = st.pending_profiler_pos % SAMPLE_BACKLOG;
-            st.pending_profiler[pos] = (snap, weight);
-        }
-        st.pending_profiler_pos += 1;
+            self.snap
+                .resolve(frame.site, frame.callee)
+                .map_or(EdgeAction::Unencoded, |r| r.action)
+        };
+        let _ = self.st.ret(
+            &*self.snap,
+            &self.writer,
+            obs_on,
+            frame.site,
+            frame.caller,
+            action,
+        );
+        self.st.batch_events += 1;
     }
 
-    /// Journal-side bookkeeping for a ccStack push that just happened:
-    /// records the push event and — when the stack reached a new high-water
-    /// mark past the configured watermark — an overflow event and metric.
-    /// `obs_on` is the journal gate, hoisted by batched callers so the
-    /// per-op loop does not re-load it.
-    fn note_cc_push(&self, st: &mut ThreadState, prev_max: usize, obs_on: bool) {
-        let depth = st.ctx.cc.depth();
-        if obs_on {
-            st.writer.cc_push(self.slot.tid.raw(), depth as u32);
-        }
-        if depth > prev_max && depth as u32 >= st.writer.watermark() {
-            self.inner.obs.on_cc_overflow();
-            st.writer.cc_overflow(self.slot.tid.raw(), depth as u32);
+    /// Resolves `(site, target)` against the cached snapshot, routing
+    /// polymorphic (indirect) sites through the per-thread inline cache. A
+    /// hit costs one epoch-stamped entry compare instead of the compare
+    /// chain / hash probe; a miss falls back to the snapshot's poly table
+    /// and installs the result. Entries are keyed to the snapshot epoch,
+    /// so a republish invalidates the whole cache without any cross-thread
+    /// signal.
+    #[inline]
+    fn resolve_cached(&mut self, site: CallSiteId, target: FunctionId) -> Option<ResolvedSite> {
+        let snap = &*self.snap;
+        let (slot, cs) = snap.dispatch.entry(site)?;
+        match cs.dispatch {
+            CompiledDispatch::Trap => None,
+            CompiledDispatch::Mono {
+                target: known,
+                action,
+            } => (known == target).then_some(ResolvedSite {
+                action,
+                dispatch_cost: 0,
+                tc_wrap: cs.tc_wrap,
+            }),
+            CompiledDispatch::Poly { index } => {
+                if let Some((action, tc_wrap)) =
+                    self.st.ctx.icache.probe(slot, snap.epoch, site, target)
+                {
+                    self.st.shard.icache_hits += 1;
+                    Some(ResolvedSite {
+                        action,
+                        // One compare against the cached entry replaces the
+                        // chain walk / hash probe.
+                        dispatch_cost: snap.cost.compare,
+                        tc_wrap,
+                    })
+                } else {
+                    self.st.shard.icache_misses += 1;
+                    let r = snap
+                        .dispatch
+                        .poly_resolve(index, target, &snap.cost, cs.tc_wrap)?;
+                    self.st
+                        .ctx
+                        .icache
+                        .fill(slot, snap.epoch, site, target, r.action, r.tc_wrap);
+                    Some(r)
+                }
+            }
         }
     }
 
     /// The slow path: the cached snapshot has no action for `(site,
-    /// target)`. Takes the shared lock, re-checks (a racing thread may have
-    /// patched the site first), runs the runtime handler if not, executes
-    /// the call against the live shared state, evaluates the §4 triggers
-    /// and republishes.
+    /// target)`. Takes the shared lock, catches the context up with the
+    /// current generation, re-checks (a racing thread may have patched the
+    /// site first), runs the runtime handler if not, executes the call step
+    /// against the live shared state, evaluates the §4 triggers and
+    /// republishes. Returns the action valid under the new snapshot.
+    #[cold]
     fn trap_call(
-        &self,
-        st: &mut ThreadState,
+        &mut self,
+        inner: &TrackerInner,
         site: CallSiteId,
         caller: FunctionId,
         target: FunctionId,
         dispatch: CallDispatch,
+        obs_on: bool,
     ) -> EdgeAction {
-        let inner = &*self.inner;
         let mut sh_guard = inner.shared.lock();
         let sh = &mut *sh_guard;
         // A simulated poisoning needs no extra recovery here: this slow
         // path unconditionally republishes before returning.
         let _ = inner.note_slow_lock(sh);
         inner.absorb_pending(sh);
-        self.flush_local(st, sh);
+        self.flush_local(inner, sh);
 
         // Adopt any generation a sibling tenant published to our shared
-        // lineage; the migration below then carries this thread across the
-        // local *and* lineage generation change in one decode/replay hop.
+        // lineage, then catch up with it and with any re-encoding published
+        // since our epoch check in one migration: the call below must
+        // execute against the current generation.
         let _ = sh.adopt_pending_lineage();
+        self.st.migrate(&*sh, &self.writer, self.writer.enabled());
 
-        // Catch up with any re-encoding published since our epoch check:
-        // the call below must execute against the current generation.
-        if sh.ts != st.snap.ts {
-            if fastpath::migrate(&*sh, &mut st.ctx, st.snap.dict(), &sh.site_owner).is_err() {
-                st.shard.decode_errors += 1;
-            }
-            sh.obs.on_migration();
-            if st.writer.enabled() {
-                st.writer
-                    .migration(self.slot.tid.raw(), st.snap.ts.raw(), sh.ts.raw());
-            }
-        }
+        // The tracker API has no tail-call entry point, so a trap never
+        // reveals a newly tail-calling function (no frame retrofit: that
+        // path is engine-only).
+        let (r, _) = sh.resolve_or_trap(self.st.tid.raw(), site, caller, target, dispatch, false);
+        let _ = self.st.call(
+            &*sh,
+            &self.writer,
+            obs_on,
+            site,
+            target,
+            r.action,
+            r.tc_wrap,
+            false,
+        );
+        sh.note_events(1);
 
-        let (action, site_wraps) = match sh.lookup_action(site, target) {
-            Some(r) => (r.action, r.tc_wrap),
-            None => {
-                // Note: the tracker API has no tail-call entry point, so a
-                // trap can never reveal a newly tail-calling function here
-                // (no frame retrofit needed — that path is engine-only).
-                let (a, newly_tail) =
-                    sh.handle_trap(self.slot.tid.raw(), site, caller, target, dispatch, false);
-                debug_assert!(newly_tail.is_none());
-                let wraps = sh.patches.get(site).is_some_and(|s| s.tc_wrap);
-                (a, wraps)
-            }
-        };
-        let eff = fastpath::exec_call(&*sh, &mut st.ctx, site, target, action, site_wraps, false);
-        if eff.compress_hit {
-            st.shard.compress_hits += 1;
-        }
-        st.shard.calls += 1;
-        sh.note_event();
-
-        if sh.reencode_check_due() {
-            let live = inner.ccops_total.load(Ordering::Relaxed);
-            if sh.should_reencode(&|| live) {
-                self.reencode_locked(sh, st);
-            }
-        }
+        self.maybe_reencode(inner, sh);
         inner.update_trigger_mark(sh);
-        st.snap = inner.republish(sh);
+        self.snap = inner.republish(sh);
         // A re-encoding above may have re-patched this very site; report
-        // the action valid under the snapshot the guard will be keyed to.
-        st.snap.resolve(site, target).map_or(action, |r| r.action)
+        // the action valid under the snapshot the frame will be keyed to.
+        self.snap
+            .resolve(site, target)
+            .map_or(r.action, |r| r.action)
     }
 
-    /// Applies a re-encoding while holding the shared lock. Only this
-    /// thread's context is regenerated eagerly (decode under the old
-    /// dictionary, shared core, replay under the new patches); every other
-    /// thread migrates itself at its next epoch check.
-    fn reencode_locked(&self, sh: &mut SharedState, st: &mut ThreadState) {
-        let own = {
-            let dict = sh.dicts.get(sh.ts).expect("current dictionary recorded");
-            decode_thread(
-                dict,
-                st.ctx.id,
-                st.ctx.current,
-                st.ctx.root,
-                st.ctx.cc.entries(),
-                &sh.site_owner,
-            )
-        };
-        let old_ts = sh.ts.raw();
+    /// Evaluates the §4 triggers and applies a due re-encoding while
+    /// holding the shared lock. Only this thread's context migrates
+    /// eagerly; every other thread migrates itself at its next epoch
+    /// check. Returns whether a re-encoding ran.
+    fn maybe_reencode(&mut self, inner: &TrackerInner, sh: &mut SharedState) -> bool {
+        let live = inner.ccops_total.load(Ordering::Relaxed);
+        if !sh.should_reencode(&|| live) {
+            return false;
+        }
         // On a shared lineage this either adopts a generation a sibling
         // already published (skipping the redundant local re-encode) or
         // re-encodes locally and publishes the result for the siblings.
-        let applied = match sh.reencode_via_lineage() {
-            LineageReencode::Adopted => true,
-            LineageReencode::Local(outcome, _cost) => {
-                matches!(outcome, ReencodeOutcome::Applied)
-            }
-        };
-        if applied {
-            match own {
-                Ok(path) => {
-                    fastpath::replay(&*sh, &mut st.ctx, &path);
-                    sh.obs.on_migration();
-                    if st.writer.enabled() {
-                        st.writer
-                            .migration(self.slot.tid.raw(), old_ts, sh.ts.raw());
-                    }
-                }
-                Err(_) => sh.stats.decode_errors += 1,
-            }
-        }
-        // Replay rebuilt our ccStack; sync the flushed-op counter so the
-        // rate window the triggers re-arm with starts clean.
-        let cc_now = st.ctx.cc.ops();
-        let delta = cc_now.saturating_sub(st.flushed_cc_ops);
-        if delta > 0 {
-            self.inner.ccops_total.fetch_add(delta, Ordering::Relaxed);
-        }
-        st.flushed_cc_ops = cc_now;
-        let live = self.inner.ccops_total.load(Ordering::Relaxed);
-        sh.reset_triggers(live);
+        let _ = sh.reencode_via_lineage();
+        self.st.migrate(&*sh, &self.writer, self.writer.enabled());
+        // Replay rebuilt our ccStack; publish its ops so the rate window
+        // the triggers re-arm with starts clean.
+        self.st.publish_cc_ops(&inner.ccops_total);
+        sh.reset_triggers(inner.ccops_total.load(Ordering::Relaxed));
+        true
     }
 
-    /// Flushes this thread's local event batch, ccStack-op delta and sample
-    /// backlog into the shared state. Caller holds the shared lock.
-    fn flush_local(&self, st: &mut ThreadState, sh: &mut SharedState) {
-        if st.batch_events > 0 {
-            sh.note_events(st.batch_events);
-            st.batch_events = 0;
+    /// Flushes this thread's local event batch, ccStack-op delta, spill
+    /// activity and sample backlogs into the shared state. Caller holds
+    /// the shared lock.
+    fn flush_local(&mut self, inner: &TrackerInner, sh: &mut SharedState) {
+        if self.st.batch_events > 0 {
+            sh.note_events(self.st.batch_events);
+            self.st.batch_events = 0;
         }
-        let cc_now = st.ctx.cc.ops();
-        let delta = cc_now.saturating_sub(st.flushed_cc_ops);
-        if delta > 0 {
-            self.inner.ccops_total.fetch_add(delta, Ordering::Relaxed);
-        }
-        st.flushed_cc_ops = cc_now;
-        let spills = st.ctx.cc.spill_events();
-        let d_spills = spills.saturating_sub(st.flushed_spill_events);
-        if d_spills > 0 {
-            sh.stats.degraded.cc_spill_events += d_spills;
-            sh.stats.degraded.cc_spilled_peak = sh
-                .stats
-                .degraded
-                .cc_spilled_peak
-                .max(st.ctx.cc.spilled_peak() as u64);
-            sh.obs.on_cc_spills(d_spills);
-            st.flushed_spill_events = spills;
-        }
-        flush_icache_obs(&self.inner.obs, st);
-        flush_superop_obs(&self.inner.obs, st);
-        for s in st.pending_samples.drain(..) {
-            sh.push_ring(&s);
-        }
-        st.pending_pos = 0;
-        for (s, w) in st.pending_profiler.drain(..) {
-            sh.push_profiler_ring(&s, w);
-        }
-        st.pending_profiler_pos = 0;
+        self.st.publish_cc_ops(&inner.ccops_total);
+        self.st.flush_spills(sh);
+        self.st.flush_obs();
+        self.st.drain(sh);
     }
 
-    /// Fast-path trigger bookkeeping: counts the event locally and, every
-    /// [`EVENT_BATCH`] events, flushes the batch to the shared atomics.
-    /// The shared lock is only *tried* — and only once enough events have
-    /// accumulated for the re-encoding gate to possibly open — so the hot
-    /// path never blocks on it.
-    fn note_local_event(&self, st: &mut ThreadState) {
-        st.batch_events += 1;
-        if st.batch_events < EVENT_BATCH {
-            return;
+    /// Fast-path trigger bookkeeping: every [`EVENT_BATCH`] local events,
+    /// flushes the batch to the shared counters.
+    #[inline]
+    fn flush_if_due(&mut self, inner: &TrackerInner) {
+        if self.st.batch_events >= EVENT_BATCH {
+            self.flush_batch_counters(inner);
         }
-        self.flush_batch_counters(st);
     }
 
     /// Flushes the accumulated local event batch to the shared atomics and
     /// — once enough events have flowed for the re-encoding gate to
     /// possibly open — *tries* the shared lock to evaluate the §4
-    /// triggers. Shared by the per-event fast path (at [`EVENT_BATCH`]
-    /// granularity) and [`Self::run_batch`] (once per batch).
-    fn flush_batch_counters(&self, st: &mut ThreadState) {
-        let inner = &*self.inner;
-        let batch = st.batch_events;
-        st.batch_events = 0;
+    /// triggers, so the hot path never blocks on it.
+    fn flush_batch_counters(&mut self, inner: &TrackerInner) {
+        let batch = self.st.batch_events;
+        self.st.batch_events = 0;
         let pending = inner.pending_events.fetch_add(batch, Ordering::Relaxed) + batch;
-        let cc_now = st.ctx.cc.ops();
-        let delta = cc_now.saturating_sub(st.flushed_cc_ops);
-        if delta > 0 {
-            inner.ccops_total.fetch_add(delta, Ordering::Relaxed);
-        }
-        st.flushed_cc_ops = cc_now;
-        flush_icache_obs(&inner.obs, st);
-        flush_superop_obs(&inner.obs, st);
+        self.st.publish_cc_ops(&inner.ccops_total);
+        self.st.flush_obs();
 
         if pending < inner.trigger_check_at.load(Ordering::Relaxed) {
             return;
@@ -1298,206 +1151,23 @@ impl ThreadHandle {
         let sh = &mut *sh_guard;
         let poisoned = inner.note_slow_lock(sh);
         inner.absorb_pending(sh);
-        for s in st.pending_samples.drain(..) {
-            sh.push_ring(&s);
-        }
-        st.pending_pos = 0;
-        for (s, w) in st.pending_profiler.drain(..) {
-            sh.push_profiler_ring(&s, w);
-        }
-        st.pending_profiler_pos = 0;
+        self.st.drain(sh);
         if sh.adopt_pending_lineage() {
             // A sibling tenant published a newer lineage generation; move
-            // this thread across it (decode under the old snapshot's
-            // dictionary, replay under the adopted patches) and republish
-            // so the other threads migrate at their next epoch check.
-            if fastpath::migrate(&*sh, &mut st.ctx, st.snap.dict(), &sh.site_owner).is_err() {
-                st.shard.decode_errors += 1;
-            }
-            sh.obs.on_migration();
-            if st.writer.enabled() {
-                st.writer
-                    .migration(self.slot.tid.raw(), st.snap.ts.raw(), sh.ts.raw());
-            }
-            st.snap = inner.republish(sh);
+            // this thread across it and republish so the other threads
+            // migrate at their next epoch check.
+            self.st.migrate(&*sh, &self.writer, self.writer.enabled());
+            self.snap = inner.republish(sh);
         }
-        if sh.reencode_check_due() {
-            let live = inner.ccops_total.load(Ordering::Relaxed);
-            if sh.should_reencode(&|| live) {
-                self.reencode_locked(sh, st);
-                st.snap = inner.republish(sh);
-            }
+        if self.maybe_reencode(inner, sh) {
+            self.snap = inner.republish(sh);
         }
         if poisoned {
             // Recovery from the simulated poisoning: republish so every
             // thread revalidates its cached snapshot at its next event.
-            st.snap = inner.republish(sh);
+            self.snap = inner.republish(sh);
         }
         inner.update_trigger_mark(sh);
-    }
-
-    /// Captures the thread's current encoded context (cheap; decode later).
-    pub fn sample(&self) -> EncodedContext {
-        let mut guard = self.slot.state.lock();
-        let st = &mut *guard;
-        self.refresh(st);
-        let snap = snapshot_of(st);
-        st.shard.samples += 1;
-        st.shard.cc_depths.push(snap.cc_depth() as u32);
-        self.inner.obs.on_sample(snap.cc_depth() as u32, snap.id);
-        // Buffer for the shared heat ring (flushed on the next slow path).
-        if st.pending_samples.len() < SAMPLE_BACKLOG {
-            st.pending_samples.push(snap.clone());
-        } else {
-            let pos = st.pending_pos % SAMPLE_BACKLOG;
-            st.pending_samples[pos] = snap.clone();
-        }
-        st.pending_pos += 1;
-        snap
-    }
-
-    /// The thread's current encoded context without sample accounting.
-    fn current_context(&self) -> EncodedContext {
-        let mut guard = self.slot.state.lock();
-        let st = &mut *guard;
-        self.refresh(st);
-        snapshot_of(st)
-    }
-
-    /// The thread's current encoded context, without sample accounting
-    /// (the journal recorder's full-state capture: entry states, seam
-    /// seeds and resync records).
-    pub fn context(&self) -> EncodedContext {
-        self.current_context()
-    }
-
-    /// An O(1) probe of the state components one call/return event can
-    /// change (see [`crate::fragment::StateSig`]). Reads the state
-    /// exactly as the last event left it — no refresh, no accounting —
-    /// so the journal recorder can verify a derived effect per op
-    /// without cloning the ccStack.
-    pub fn state_sig(&self) -> crate::fragment::StateSig {
-        let guard = self.slot.state.lock();
-        let st = &*guard;
-        crate::fragment::StateSig {
-            ts: st.snap.ts,
-            id: st.ctx.id,
-            depth: st.ctx.cc.depth(),
-            top: st.ctx.cc.top().copied(),
-            leaf: st.ctx.current,
-        }
-    }
-
-    /// Captures the current context as a migratable *task origin* (§5.3,
-    /// "work migration"): hand the returned [`TaskContext`] to whatever
-    /// executor thread will run the work and have it call
-    /// [`ThreadHandle::adopt`].
-    pub fn capture_task(&self, handoff_site: CallSiteId) -> TaskContext {
-        TaskContext {
-            site: handoff_site,
-            origin: self.current_context(),
-        }
-    }
-
-    /// Adopts a migrated task's origin context for the duration of the
-    /// returned guard: samples taken while it is alive decode to
-    /// `origin -> (handoff site) -> this thread's frames`. Nest adoptions
-    /// like calls; the guard restores the previous creation link on drop.
-    pub fn adopt(&self, task: &TaskContext) -> AdoptGuard<'_> {
-        let mut guard = self.slot.state.lock();
-        let link = SpawnLink {
-            site: task.site,
-            parent: Box::new(task.origin.clone()),
-        };
-        let previous = guard.ctx.spawn.replace(link);
-        AdoptGuard {
-            handle: self,
-            previous: Some(previous),
-        }
-    }
-}
-
-/// Resolves `(site, target)` against the thread's cached snapshot, routing
-/// polymorphic (indirect) sites through the per-thread inline cache. A hit
-/// costs one epoch-stamped entry compare instead of the compare chain /
-/// hash probe; a miss falls back to the snapshot's poly table and installs
-/// the result. Entries are keyed to the snapshot epoch, so a republish
-/// invalidates the whole cache without any cross-thread signal.
-#[inline]
-fn resolve_cached(
-    st: &mut ThreadState,
-    site: CallSiteId,
-    target: FunctionId,
-) -> Option<ResolvedSite> {
-    let (slot, cs) = st.snap.dispatch.entry(site)?;
-    match cs.dispatch {
-        CompiledDispatch::Trap => None,
-        CompiledDispatch::Mono {
-            target: known,
-            action,
-        } => (known == target).then_some(ResolvedSite {
-            action,
-            dispatch_cost: 0,
-            tc_wrap: cs.tc_wrap,
-        }),
-        CompiledDispatch::Poly { index } => {
-            if let Some((action, tc_wrap)) = st.ctx.icache.probe(slot, st.snap.epoch, site, target)
-            {
-                st.shard.icache_hits += 1;
-                Some(ResolvedSite {
-                    action,
-                    // One compare against the cached entry replaces the
-                    // chain walk / hash probe.
-                    dispatch_cost: st.snap.cost.compare,
-                    tc_wrap,
-                })
-            } else {
-                st.shard.icache_misses += 1;
-                let r = st
-                    .snap
-                    .dispatch
-                    .poly_resolve(index, target, &st.snap.cost, cs.tc_wrap)?;
-                st.ctx
-                    .icache
-                    .fill(slot, st.snap.epoch, site, target, r.action, r.tc_wrap);
-                Some(r)
-            }
-        }
-    }
-}
-
-/// Publishes the thread's inline-cache hit/miss deltas to the obs metrics.
-fn flush_icache_obs(obs: &Observability, st: &mut ThreadState) {
-    let dh = st.shard.icache_hits - st.flushed_icache_hits;
-    let dm = st.shard.icache_misses - st.flushed_icache_misses;
-    if dh != 0 || dm != 0 {
-        obs.on_icache(dh, dm);
-        st.flushed_icache_hits = st.shard.icache_hits;
-        st.flushed_icache_misses = st.shard.icache_misses;
-    }
-}
-
-/// Publishes the thread's superop hit/miss deltas to the obs metrics.
-fn flush_superop_obs(obs: &Observability, st: &mut ThreadState) {
-    let dh = st.shard.superop_hits - st.flushed_superop_hits;
-    let dm = st.shard.superop_misses - st.flushed_superop_misses;
-    if dh != 0 || dm != 0 {
-        obs.on_superops(dh, dm);
-        st.flushed_superop_hits = st.shard.superop_hits;
-        st.flushed_superop_misses = st.shard.superop_misses;
-    }
-}
-
-/// Builds the encoded context of a thread's current state. Stamped with
-/// the snapshot's timestamp — the generation the context is encoded under.
-fn snapshot_of(st: &ThreadState) -> EncodedContext {
-    EncodedContext {
-        ts: st.snap.ts,
-        id: st.ctx.id,
-        leaf: st.ctx.current,
-        root: st.ctx.root,
-        cc: st.ctx.cc.entries().to_vec(),
-        spawn: st.ctx.spawn.clone(),
     }
 }
 
@@ -1528,7 +1198,7 @@ pub struct AdoptGuard<'t> {
 impl Drop for AdoptGuard<'_> {
     fn drop(&mut self) {
         if let Some(prev) = self.previous.take() {
-            self.handle.slot.state.lock().ctx.spawn = prev;
+            self.handle.slot.state.lock().st.ctx.spawn = prev;
         }
     }
 }
@@ -1539,33 +1209,16 @@ impl Drop for AdoptGuard<'_> {
 #[derive(Debug)]
 pub struct CallGuard<'t> {
     handle: &'t ThreadHandle,
-    site: CallSiteId,
-    caller: FunctionId,
-    callee: FunctionId,
-    action: EdgeAction,
-    epoch: u64,
+    frame: Frame,
 }
 
 impl Drop for CallGuard<'_> {
     fn drop(&mut self) {
-        let mut guard = self.handle.slot.state.lock();
-        let st = &mut *guard;
-        self.handle.refresh(st);
-        let action = if st.snap.epoch == self.epoch {
-            self.action
-        } else {
-            // A publication intervened since the call; the context was
-            // migrated, so reverse under the current generation's action.
-            st.snap
-                .resolve(self.site, self.callee)
-                .map_or(EdgeAction::Unencoded, |r| r.action)
-        };
-        let _ = fastpath::exec_ret(&*st.snap, &mut st.ctx, self.site, self.caller, action);
-        if action.uses_ccstack() && st.writer.enabled() {
-            st.writer
-                .cc_pop(self.handle.slot.tid.raw(), st.ctx.cc.depth() as u32);
-        }
-        self.handle.note_local_event(st);
+        let mut guard = self.handle.lock_refreshed();
+        let l = &mut *guard;
+        let obs_on = l.writer.enabled();
+        l.close_frame(self.frame, obs_on);
+        l.flush_if_due(&self.handle.inner);
     }
 }
 
@@ -1600,6 +1253,31 @@ mod tests {
         let ctx = th.sample();
         assert_eq!(tracker.format_path(&tracker.decode(&ctx).unwrap()), "main");
         assert_eq!(ctx.id, 0);
+    }
+
+    #[test]
+    fn profiler_profile_leaves_the_heat_backlog_alone() {
+        // Reading the profile mid-run must not move samples into the heat
+        // ring: its contents pick the next encoding.
+        let tracker = Tracker::with_config(DacceConfig {
+            profiler_stride: 1,
+            ..DacceConfig::default()
+        });
+        let main_fn = tracker.define_function("main");
+        let f = tracker.define_function("f");
+        let site = tracker.define_call_site();
+        let th = tracker.register_thread(main_fn);
+        {
+            let _g = th.call(site, f);
+            th.sample();
+        }
+        let heat = || tracker.with_shared(|sh| sh.ring.len());
+        let profile = tracker.profiler_profile();
+        // The sampler only fires with the `obs` feature.
+        assert_eq!(profile.total() > 0, cfg!(feature = "obs"));
+        assert_eq!(heat(), 0);
+        tracker.stats();
+        assert_eq!(heat(), 1);
     }
 
     #[test]

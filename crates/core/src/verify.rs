@@ -255,18 +255,8 @@ impl DacceEngine {
     /// Returns a human-readable description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         check_shared(&self.shared)?;
-        let latest = self
-            .dicts()
-            .latest()
-            .ok_or_else(|| "no dictionary recorded".to_string())?;
-        for (tid, ctx) in &self.threads {
-            check_thread(
-                latest,
-                &self.shared.site_owner,
-                self.max_id(),
-                &tid.to_string(),
-                ctx,
-            )?;
+        for st in self.threads.values() {
+            st.check(&self.shared)?;
         }
         Ok(())
     }
@@ -331,7 +321,7 @@ mod tests {
         e.attach_main(f(0));
         e.thread_start(ThreadId::MAIN, f(0), None);
         // Reach in and corrupt the thread id beyond the encodable range.
-        e.threads.get_mut(&ThreadId::MAIN).unwrap().id = u64::MAX;
+        e.threads.get_mut(&ThreadId::MAIN).unwrap().ctx.id = u64::MAX;
         let err = e.check_invariants().unwrap_err();
         assert!(err.contains("outside encodable range"), "{err}");
     }
@@ -341,7 +331,7 @@ mod tests {
         let mut e = DacceEngine::new(DacceConfig::default(), CostModel::default());
         e.attach_main(f(0));
         e.thread_start(ThreadId::MAIN, f(0), None);
-        e.threads.get_mut(&ThreadId::MAIN).unwrap().current = f(7);
+        e.threads.get_mut(&ThreadId::MAIN).unwrap().ctx.current = f(7);
         let err = e.check_invariants().unwrap_err();
         assert!(
             err.contains("does not decode") || err.contains("decoded"),

@@ -17,10 +17,9 @@ use std::sync::Arc;
 
 use dacce_callgraph::analysis::classify_back_edges;
 use dacce_callgraph::encode::{encode_graph, EncodeOptions};
-use dacce_callgraph::{CallSiteId, DecodeDict, Dispatch, FunctionId, TimeStamp};
+use dacce_callgraph::{CallSiteId, Dispatch, FunctionId, TimeStamp};
 
 use crate::shared::SharedState;
-use crate::stats::ProgressPoint;
 
 /// One static call edge to pre-seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,21 +179,9 @@ impl SharedState {
             for e in &edges {
                 owners.insert(e.site, e.caller);
             }
-            let new_ts = self.ts.next();
-            let dict = DecodeDict::from_encoding(&self.graph, &enc, new_ts)
-                .expect("overflow checked above");
-            self.dicts.push(dict);
-            self.ts = new_ts;
-            self.max_id = enc.max_id;
-            self.stats.max_max_id = self.stats.max_max_id.max(self.max_id);
-            self.rebuild_sites(&enc);
+            self.install_encoding(&enc);
             self.last_hot_choice.clear();
-            self.stats.progress.push(ProgressPoint {
-                calls: 0,
-                nodes: self.graph.node_count(),
-                edges: self.graph.edge_count(),
-                max_id: self.max_id,
-            });
+            self.note_generation(0);
             let report = WarmStartReport {
                 seeded_edges: edges.len(),
                 pruned_edges: total - edges.len(),
@@ -202,13 +189,6 @@ impl SharedState {
             };
             self.obs
                 .on_warm_start(report.seeded_edges as u64, report.pruned_edges as u64);
-            self.obs.record_generation(
-                self.ts.raw(),
-                self.graph.node_count() as u32,
-                self.graph.edge_count() as u32,
-                self.max_id,
-                0,
-            );
             self.obs_writer.warm_seed(
                 report.seeded_edges as u32,
                 report.pruned_edges as u32,

@@ -167,7 +167,7 @@ pub fn mutants() -> Vec<Mutant> {
 /// The re-encoder installs a new `EncodingSnapshot` (modelled as a plain
 /// table write) and publishes its epoch; a reader checks the epoch on its
 /// fast path and consumes the table only when it observed the new epoch.
-/// Mirrors `Tracker::republish` / `ThreadHandle::refresh`.
+/// Mirrors `Tracker::republish` / `SlotState::refresh`.
 fn snapshot_publish(ord: &Orderings) -> Model {
     let mut m = Model::new(
         "snapshot-publish",

@@ -13,6 +13,20 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
+    /// Builds the CDF from a histogram: `counts[v]` observations of value
+    /// `v`.
+    pub fn from_counts(counts: &[u64]) -> Self {
+        let sorted = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(v, &c)| {
+                let v = u32::try_from(v).expect("histogram value fits in u32");
+                std::iter::repeat_n(v, c as usize)
+            })
+            .collect();
+        Cdf { sorted }
+    }
+
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -95,6 +109,14 @@ mod tests {
         assert_eq!(c.depth_covering(0.9), 89);
         assert_eq!(c.depth_covering(1.0), 99);
         assert_eq!(c.max(), 99);
+    }
+
+    #[test]
+    fn counts_constructor_matches_raw_samples() {
+        let raw = Cdf::new(vec![4, 1, 0, 4, 2, 1, 4]);
+        let counts = Cdf::from_counts(&[1, 2, 1, 0, 3, 0]);
+        assert_eq!(counts.sorted, raw.sorted);
+        assert!(Cdf::from_counts(&[0, 0]).is_empty());
     }
 
     #[test]
