@@ -331,9 +331,12 @@ fn main() {
         report.calls,
         report.overhead()
     );
+    let journal = obs.journal();
     println!(
-        "journal: {events_total} events ({} dropped)",
-        snap.journal_dropped
+        "journal: {events_total} events ({} dropped; {} rings for {} writers)",
+        snap.journal_dropped,
+        journal.ring_count(),
+        journal.writer_count()
     );
     for (kind, n) in &totals {
         println!("  {kind:<16} {n}");
@@ -622,6 +625,7 @@ fn finish_json(
     by_kind: &BTreeMap<&'static str, u64>,
 ) -> bool {
     let snap = rt.observe();
+    let journal = rt.observability().journal();
     let agg = JournalAggregates::replay(events);
     let stats = rt.stats();
 
@@ -660,7 +664,8 @@ fn finish_json(
          \"stats\":{{\"traps\":{},\"reencodes\":{},\"reencode_cost\":{},\
          \"overflow_aborts\":{},\"samples\":{},\"decode_errors\":{},\
          \"profiler_samples\":{},\"profiler_sample_weight\":{}}},\
-         \"journal\":{{\"events\":{},\"dropped\":{},\"by_kind\":{}}},\
+         \"journal\":{{\"events\":{},\"dropped\":{},\"rings\":{},\"writers\":{},\
+         \"by_kind\":{}}},\
          \"replay\":{{\"traps\":{},\"reencodes\":{},\"migrations\":{}}},\
          \"dispatch\":{{\"slots\":{},\"span\":{},\"occupancy\":{:.4},\
          \"icache_hits\":{},\"icache_misses\":{},\"icache_hit_rate\":{:.4}}},\
@@ -685,6 +690,8 @@ fn finish_json(
         stats.profiler_sample_weight,
         events.len(),
         snap.journal_dropped,
+        journal.ring_count(),
+        journal.writer_count(),
         kinds,
         agg.traps,
         agg.reencodes,

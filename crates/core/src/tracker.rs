@@ -67,7 +67,8 @@ const EVENT_BATCH: u64 = 64;
 
 /// What a thread keeps under its slot lock: the step core's state, the
 /// published snapshot its context is encoded under, and its own journal
-/// writer (an event ring of its own; lock-free).
+/// writer (lock-free; its event ring is allocated by its first recorded
+/// event).
 #[derive(Debug)]
 struct SlotState {
     st: ThreadState,

@@ -83,6 +83,25 @@ fn nth_tenant_attaches_with_zero_cold_start_traps() {
 }
 
 #[test]
+fn journaling_off_fleet_holds_no_journal_rings() {
+    let def = fan_def(6);
+    let fleet = Fleet::new();
+    for n in 0..64 {
+        let id = fleet.register(&format!("svc-{n}"), &def);
+        drive_all_edges(&fleet.tracker(id).unwrap(), &def);
+    }
+    let tenants = fleet.tenants();
+    assert_eq!(tenants.len(), 64);
+    // Warm starts, attachment and driving all ran with the journal off:
+    // each tenant holds a runtime writer and a thread writer, no ring.
+    for (id, _, tracker) in &tenants {
+        let journal = tracker.observability().journal();
+        assert_eq!(journal.writer_count(), 2, "tenant {id}");
+        assert_eq!(journal.ring_count(), 0, "tenant {id}");
+    }
+}
+
+#[test]
 fn distinct_definitions_get_distinct_lineages() {
     let fleet = Fleet::new();
     fleet.register("a", &fan_def(3));

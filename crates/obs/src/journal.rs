@@ -1,16 +1,18 @@
 //! The event journal: per-writer rings, global sequencing, merged drains.
 //!
-//! A [`Journal`] owns one [`EventRing`] per registered writer and a global
-//! sequence counter that gives every record a strict total order across
-//! threads. Emission is gated by a runtime flag read with a relaxed load;
-//! when the flag is off, [`JournalWriter::emit`] returns before
-//! constructing anything. Draining collects each ring's published records
-//! and merges them by sequence number into one ordered stream.
+//! A [`Journal`] owns one [`EventRing`] per writer that has recorded an
+//! event and a global sequence counter that gives every record a strict
+//! total order across threads. Emission is gated by a runtime flag read
+//! with a relaxed load; when the flag is off, [`JournalWriter::emit`]
+//! returns before constructing anything. A writer allocates its ring on
+//! its first recorded event, so registering writers while the journal is
+//! off costs no ring memory. Draining collects each ring's published
+//! records and merges them by sequence number into one ordered stream.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use dacce_sync::{AtomicBool, AtomicU64, Mutex, Ordering};
+use dacce_sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use crate::event::{EventKind, EventRecord};
 use crate::ring::EventRing;
@@ -18,7 +20,8 @@ use crate::ring::EventRing;
 /// Journal construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct JournalConfig {
-    /// Slots per writer ring (rounded up to a power of two, min 8).
+    /// Slots per writer ring once its writer records (rounded up to a
+    /// power of two, min 8).
     pub ring_capacity: usize,
     /// ccStack depth at which new high-water marks emit `CcOverflow`.
     pub overflow_watermark: u32,
@@ -54,8 +57,12 @@ pub struct Journal {
     enabled: AtomicBool,
     seq: AtomicU64,
     dropped: AtomicU64,
+    writers: AtomicUsize,
     epoch: Instant,
     config: JournalConfig,
+    /// `(tid, ring)` per writer that has recorded an event. Writers
+    /// publish their ring here on first use; drainers reach rings only
+    /// through this lock.
     rings: Mutex<Vec<(u32, Arc<EventRing>)>>,
 }
 
@@ -64,7 +71,8 @@ impl std::fmt::Debug for Journal {
         f.debug_struct("Journal")
             .field("enabled", &self.enabled())
             .field("config", &self.config)
-            .field("writers", &self.rings.lock().len())
+            .field("writers", &self.writer_count())
+            .field("rings", &self.ring_count())
             .finish_non_exhaustive()
     }
 }
@@ -78,6 +86,7 @@ impl Journal {
             enabled: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            writers: AtomicUsize::new(0),
             epoch: Instant::now(),
             config,
             rings: Mutex::new(Vec::new()),
@@ -108,16 +117,44 @@ impl Journal {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Registers a new single-producer writer with its own ring.
+    /// Writers registered so far, whether or not they have recorded.
+    #[must_use]
+    pub fn writer_count(&self) -> usize {
+        self.writers.load(Ordering::Relaxed)
+    }
+
+    /// Rings allocated so far: one per writer that has recorded an event.
+    #[must_use]
+    pub fn ring_count(&self) -> usize {
+        self.rings.lock().len()
+    }
+
+    /// The thread ids of the writers that own a ring, ascending (a tid
+    /// registered more than once appears once per ring).
+    #[must_use]
+    pub fn ring_owners(&self) -> Vec<u32> {
+        let mut tids: Vec<u32> = self.rings.lock().iter().map(|&(tid, _)| tid).collect();
+        tids.sort_unstable();
+        tids
+    }
+
+    /// Registers a new single-producer writer. Its ring is allocated on
+    /// its first recorded event, not here.
     #[must_use]
     pub fn writer(self: &Arc<Self>, tid: u32) -> JournalWriter {
-        let ring = Arc::new(EventRing::new(self.config.ring_capacity));
-        self.rings.lock().push((tid, Arc::clone(&ring)));
+        self.writers.fetch_add(1, Ordering::Relaxed);
         JournalWriter {
             journal: Arc::clone(self),
-            ring,
+            ring: OnceLock::new(),
             tid,
         }
+    }
+
+    /// Allocates a ring for writer `tid` and makes it visible to drains.
+    fn publish_ring(&self, tid: u32) -> Arc<EventRing> {
+        let ring = Arc::new(EventRing::new(self.config.ring_capacity));
+        self.rings.lock().push((tid, Arc::clone(&ring)));
+        ring
     }
 
     /// Drains every ring and merges the records into one stream ordered
@@ -126,12 +163,28 @@ impl Journal {
     /// the overwritten ring.
     #[must_use]
     pub fn drain(&self) -> JournalBatch {
+        let batch = self.collect(EventRing::drain_into);
+        self.dropped.fetch_add(batch.dropped, Ordering::Relaxed);
+        batch
+    }
+
+    /// Reads what a drain would return without consuming it: cursors and
+    /// the drop accounting are untouched, so the owner of the live drain
+    /// still sees every record. This is the flight recorder's view.
+    #[must_use]
+    pub fn peek(&self) -> JournalBatch {
+        self.collect(EventRing::peek_into)
+    }
+
+    /// Reads every allocated ring with `read` (which appends the ring's
+    /// records and returns its losses) and merges the results.
+    fn collect(&self, read: impl Fn(&EventRing, &mut Vec<EventRecord>) -> u64) -> JournalBatch {
         let rings: Vec<(u32, Arc<EventRing>)> = self.rings.lock().clone();
         let mut events = Vec::new();
         let mut dropped = 0;
         let mut dropped_by_thread: Vec<(u32, u64)> = Vec::new();
         for (tid, ring) in rings {
-            let lost = ring.drain_into(&mut events);
+            let lost = read(&ring, &mut events);
             if lost > 0 {
                 dropped += lost;
                 // A tid can own several rings (writer re-registration);
@@ -144,35 +197,6 @@ impl Journal {
         }
         dropped_by_thread.sort_unstable_by_key(|&(tid, _)| tid);
         events.sort_unstable_by_key(|e| e.seq);
-        self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        JournalBatch {
-            events,
-            dropped,
-            dropped_by_thread,
-        }
-    }
-
-    /// Reads what a drain would return without consuming it: cursors and
-    /// the drop accounting are untouched, so the owner of the live drain
-    /// still sees every record. This is the flight recorder's view.
-    #[must_use]
-    pub fn peek(&self) -> JournalBatch {
-        let rings: Vec<(u32, Arc<EventRing>)> = self.rings.lock().clone();
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        let mut dropped_by_thread: Vec<(u32, u64)> = Vec::new();
-        for (tid, ring) in rings {
-            let lost = ring.peek_into(&mut events);
-            if lost > 0 {
-                dropped += lost;
-                match dropped_by_thread.iter_mut().find(|(t, _)| *t == tid) {
-                    Some((_, d)) => *d += lost,
-                    None => dropped_by_thread.push((tid, lost)),
-                }
-            }
-        }
-        dropped_by_thread.sort_unstable_by_key(|&(tid, _)| tid);
-        events.sort_unstable_by_key(|e| e.seq);
         JournalBatch {
             events,
             dropped,
@@ -181,12 +205,14 @@ impl Journal {
     }
 }
 
-/// A handle for one producer thread; owns a private ring inside the
-/// journal. Emission is a relaxed-load check plus a handful of atomic
-/// stores when enabled, and a single relaxed load when disabled.
+/// A handle for one producer thread. The first event it records
+/// allocates its private ring and publishes it in the journal; until then
+/// the handle holds no ring. Emission is a relaxed-load check plus a
+/// handful of atomic stores when enabled, and a single relaxed load when
+/// disabled.
 pub struct JournalWriter {
     journal: Arc<Journal>,
-    ring: Arc<EventRing>,
+    ring: OnceLock<Arc<EventRing>>,
     tid: u32,
 }
 
@@ -194,6 +220,7 @@ impl std::fmt::Debug for JournalWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JournalWriter")
             .field("tid", &self.tid)
+            .field("ring", &self.ring.get().is_some())
             .finish_non_exhaustive()
     }
 }
@@ -236,9 +263,14 @@ impl JournalWriter {
     }
 
     fn emit_always(&self, tid: u32, kind: EventKind) {
+        // Allocate before taking `seq`: the first event's allocation then
+        // never widens the gap between taking a number and publishing it.
+        let ring = self
+            .ring
+            .get_or_init(|| self.journal.publish_ring(self.tid));
         let seq = self.journal.seq.fetch_add(1, Ordering::Relaxed);
         let nanos = u64::try_from(self.journal.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.ring.push(&EventRecord {
+        ring.push(&EventRecord {
             seq,
             nanos,
             tid,
@@ -357,54 +389,61 @@ mod tests {
         let writer = journal.writer(0);
         assert!(!writer.enabled());
         writer.emit(EventKind::CcPush { depth: 1 });
-        let batch = journal.drain();
-        assert!(batch.events.is_empty());
-        assert_eq!(batch.dropped, 0);
+        writer.emit_for(9, EventKind::CcPop { depth: 0 });
+        // A writer that never recorded holds no ring.
+        assert_eq!(journal.writer_count(), 1);
+        assert_eq!(journal.ring_count(), 0);
+        for batch in [journal.peek(), journal.drain()] {
+            assert!(batch.events.is_empty());
+            assert_eq!(batch.dropped, 0);
+        }
     }
 
     #[test]
     fn multi_writer_drain_is_seq_ordered() {
         let journal = Arc::new(Journal::new(JournalConfig::default()));
-        journal.set_enabled(true);
+        // One writer registered before recording starts, one after.
         let w0 = journal.writer(0);
+        journal.set_enabled(true);
         let w1 = journal.writer(1);
         for i in 0..50u32 {
-            if i % 2 == 0 {
+            if i % 3 == 0 {
                 w0.emit(EventKind::CcPush { depth: i });
             } else {
                 w1.emit(EventKind::CcPop { depth: i });
             }
         }
+        assert_eq!(journal.ring_owners(), vec![0, 1]);
         let batch = journal.drain();
         assert_eq!(batch.events.len(), 50);
         assert_eq!(batch.dropped, 0);
         assert!(batch.events.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(batch.events.iter().any(|e| e.tid == 0));
-        assert!(batch.events.iter().any(|e| e.tid == 1));
+        let tids: Vec<u32> = batch.events.iter().map(|e| e.tid).collect();
+        let expected: Vec<u32> = (0..50u32).map(|i| u32::from(i % 3 != 0)).collect();
+        assert_eq!(tids, expected);
     }
 
     #[test]
     fn toggling_enabled_gates_emission() {
         let journal = Arc::new(Journal::new(JournalConfig::default()));
         let writer = journal.writer(3);
-        writer.emit(EventKind::Trap {
-            site: 1,
-            caller: 0,
-            callee: 2,
-        });
+        writer.emit(EventKind::CcPush { depth: 1 });
         journal.set_enabled(true);
-        writer.emit(EventKind::Trap {
-            site: 1,
-            caller: 0,
-            callee: 2,
-        });
+        writer.emit(EventKind::CcPush { depth: 2 });
         journal.set_enabled(false);
-        writer.emit(EventKind::Trap {
-            site: 1,
-            caller: 0,
-            callee: 2,
-        });
-        assert_eq!(journal.drain().events.len(), 1);
+        writer.emit(EventKind::CcPush { depth: 3 });
+        journal.set_enabled(true);
+        writer.emit(EventKind::CcPush { depth: 4 });
+        // Recording again reuses the ring the first recorded event made.
+        assert_eq!(journal.ring_count(), 1);
+        let kinds: Vec<EventKind> = journal.drain().events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::CcPush { depth: 2 },
+                EventKind::CcPush { depth: 4 }
+            ]
+        );
     }
 
     #[test]
@@ -413,15 +452,17 @@ mod tests {
             ring_capacity: 8,
             ..JournalConfig::default()
         }));
-        journal.set_enabled(true);
         let quiet = journal.writer(1);
         let noisy = journal.writer(2);
+        noisy.emit(EventKind::CcPop { depth: 0 });
+        journal.set_enabled(true);
         for i in 0..4u32 {
             quiet.emit(EventKind::CcPush { depth: i });
         }
         for i in 0..40u32 {
             noisy.emit(EventKind::CcPop { depth: i });
         }
+        assert_eq!(journal.peek().dropped_by_thread, vec![(2, 32)]);
         let batch = journal.drain();
         assert_eq!(batch.dropped, 32);
         assert_eq!(batch.dropped_by_thread, vec![(2, 32)]);
