@@ -5,20 +5,21 @@
 //! layers since the concurrency split (see `DESIGN.md`, "Concurrency
 //! architecture"):
 //!
-//! * [`crate::shared::SharedState`] — everything global: the dynamically
-//!   growing call graph, the per-site patch states (the "generated code"),
-//!   the versioned decode dictionaries, trigger state and statistics.
+//! * [`crate::shared::SharedState`] — everything global: the current
+//!   encoding `Generation` (the dynamically growing call
+//!   graph, the per-site patch states — the "generated code" — and the
+//!   versioned decode dictionaries), trigger state and statistics.
 //! * [`crate::thread::ThreadState`] — the step core: one thread's encoding
 //!   context plus the bookkeeping around every call, return, sample and
 //!   migration, executed over a read-only encoding view.
 //!
 //! `DacceEngine` composes the two behind the original single-threaded API:
 //! it owns the shared state plus every thread's [`ThreadState`] and drives
-//! the step core with `&SharedState` as the view. What stays here is the
-//! driver: per-event trigger counting and re-encode timing, the runtime
-//! handler's trap, tail calls and the retrofit of active frames. The
-//! concurrent [`crate::Tracker`] drives the *same* step core with
-//! published snapshots, shared state behind a lock.
+//! the step core with the current generation's view. What stays here is
+//! the driver: per-event trigger counting and re-encode timing, the
+//! runtime handler's trap, tail calls and the retrofit of active frames.
+//! The concurrent [`crate::Tracker`] drives the *same* step core with
+//! published copies of that view, shared state behind a lock.
 //!
 //! The adaptive re-encoding machinery lives in [`crate::reencode`]
 //! (implemented as further methods on [`DacceEngine`]).
@@ -32,7 +33,6 @@ use dacce_program::{ContextPath, CostModel, ThreadId};
 use crate::config::DacceConfig;
 use crate::context::{EncodedContext, SpawnLink};
 use crate::decode::DecodeError;
-use crate::fastpath::EncodingView;
 use crate::patch::EdgeAction;
 use crate::profile::HotContextProfile;
 use crate::shared::SharedState;
@@ -142,7 +142,7 @@ impl DacceEngine {
     /// Registers an additional root function — lineage-attached runtimes
     /// register their own entry point on top of the adopted root set.
     pub fn register_root(&mut self, root: FunctionId) {
-        self.shared.register_root(root);
+        self.shared.current.register_root(root);
     }
 
     /// The shared lineage this engine is attached to, if any.
@@ -164,7 +164,7 @@ impl DacceEngine {
         root: FunctionId,
         parent: Option<(ThreadId, CallSiteId)>,
     ) {
-        self.shared.register_root(root);
+        self.shared.current.register_root(root);
         let spawn = parent.map(|(ptid, site)| SpawnLink {
             site,
             parent: Box::new(self.snapshot(ptid)),
@@ -229,7 +229,7 @@ impl DacceEngine {
         let obs_on = writer.enabled();
         let cost = r.dispatch_cost
             + st.call(
-                &self.shared,
+                &self.shared.current.view,
                 writer,
                 obs_on,
                 site,
@@ -254,13 +254,13 @@ impl DacceEngine {
         callee: FunctionId,
     ) -> u64 {
         self.shared.note_events(1);
-        let action = self
-            .shared
+        let view = &self.shared.current.view;
+        let action = view
             .resolve(site, callee)
             .map_or(EdgeAction::Unencoded, |r| r.action);
         let st = self.threads.get_mut(&tid).expect("thread registered");
         let writer = &self.shared.obs_writer;
-        let cost = st.ret(&self.shared, writer, writer.enabled(), site, caller, action);
+        let cost = st.ret(view, writer, writer.enabled(), site, caller, action);
         cost + self.maybe_reencode()
     }
 
@@ -315,7 +315,7 @@ impl DacceEngine {
         let st = self.threads.get_mut(&tid).expect("thread registered");
         let snap = st.sample();
         st.drain(&mut self.shared);
-        (snap, self.shared.cost.sample_record)
+        (snap, self.shared.current.view.cost.sample_record)
     }
 
     /// Captures the current encoded context of `tid` without recording it.
@@ -331,12 +331,12 @@ impl DacceEngine {
     /// See [`DecodeError`]; errors indicate engine bugs and are counted in
     /// [`DacceStats::decode_errors`] by [`DacceEngine::decode_counted`].
     pub fn decode(&self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
-        self.shared.decode(ctx)
+        self.shared.current.view.decode(ctx)
     }
 
     /// Like [`DacceEngine::decode`] but bumps the error counter on failure.
     pub fn decode_counted(&mut self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
-        let r = self.shared.decode(ctx);
+        let r = self.shared.current.view.decode(ctx);
         if r.is_err() {
             self.shared.stats.decode_errors += 1;
         }
@@ -354,28 +354,28 @@ impl DacceEngine {
 
     /// The dynamic call graph (grown so far).
     pub fn graph(&self) -> &CallGraph {
-        &self.shared.graph
+        &self.shared.current.graph
     }
 
     /// The decode dictionaries recorded so far.
     pub fn dicts(&self) -> &DictStore {
-        &self.shared.dicts
+        &self.shared.current.view.dicts
     }
 
     /// The call-site owner table (site -> containing function), learned
     /// from handler traps; needed for offline decoding.
     pub fn site_owner_map(&self) -> &HashMap<CallSiteId, FunctionId> {
-        &self.shared.site_owner
+        &self.shared.current.view.site_owner
     }
 
     /// Current global timestamp (`gTimeStamp`).
     pub fn timestamp(&self) -> TimeStamp {
-        self.shared.ts
+        self.shared.current.view.ts
     }
 
     /// Current `maxID`.
     pub fn max_id(&self) -> u64 {
-        self.shared.max_id
+        self.shared.current.view.max_id
     }
 
     /// The full sample log (only populated with

@@ -135,11 +135,12 @@ pub(crate) fn export_shared(
     shared: &crate::shared::SharedState,
     degraded: &DegradedState,
 ) -> String {
+    let view = &shared.current.view;
     let mut out = String::new();
     let _ = writeln!(out, "{HEADER}");
-    for ts_idx in 0..shared.dicts.len() {
+    for ts_idx in 0..view.dicts.len() {
         let ts = TimeStamp::new(ts_idx as u32);
-        let dict = shared.dicts.get(ts).expect("indexed in range");
+        let dict = view.dicts.get(ts).expect("indexed in range");
         let _ = writeln!(out, "dict {} {}", ts.raw(), dict.max_id());
         // Nodes: emit numCC for every function the dictionary knows.
         let mut nodes: Vec<FunctionId> = dict
@@ -155,7 +156,7 @@ pub(crate) fn export_shared(
             }
         }
         // Also cover isolated nodes (e.g. `main` before any edge).
-        for f in shared.graph.nodes() {
+        for f in shared.current.graph.nodes() {
             if dict.num_cc(*f).is_some() && dict.incoming(*f).next().is_none() {
                 let known = dict
                     .edges()
@@ -185,14 +186,14 @@ pub(crate) fn export_shared(
         }
         let _ = writeln!(out, "enddict");
     }
-    let mut owners: Vec<(&CallSiteId, &FunctionId)> = shared.site_owner.iter().collect();
+    let mut owners: Vec<(&CallSiteId, &FunctionId)> = view.site_owner.iter().collect();
     owners.sort_by_key(|(s, _)| s.raw());
     for (site, func) in owners {
         let _ = writeln!(out, "owner {} {}", site.raw(), func.raw());
     }
     // The compiled dispatch table of the current generation, one line per
     // resolvable target (polymorphic targets sorted for stable output).
-    for (site, slot, cs) in shared.dispatch.iter_compiled() {
+    for (site, slot, cs) in view.dispatch.iter_compiled() {
         match cs.dispatch {
             CompiledDispatch::Trap => {
                 let _ = writeln!(
@@ -214,7 +215,7 @@ pub(crate) fn export_shared(
             }
             CompiledDispatch::Poly { index } => {
                 let mut targets: Vec<(FunctionId, EdgeAction)> =
-                    shared.dispatch.poly_patch(index).targets().collect();
+                    view.dispatch.poly_patch(index).targets().collect();
                 targets.sort_by_key(|(t, _)| t.raw());
                 for (target, action) in targets {
                     let _ = writeln!(
@@ -737,7 +738,6 @@ pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
 mod tests {
     use super::*;
     use crate::config::DacceConfig;
-    use crate::fastpath::EncodingView;
     use dacce_program::runtime::CallDispatch;
     use dacce_program::{CostModel, ThreadId};
 
@@ -862,6 +862,8 @@ mod tests {
         for r in records.iter().filter(|r| r.kind != DispatchKind::Trap) {
             let resolved = e
                 .shared
+                .current
+                .view
                 .resolve(r.site, r.target.unwrap())
                 .expect("record target resolves live");
             assert_eq!(resolved.action, r.action.unwrap());

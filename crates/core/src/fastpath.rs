@@ -3,97 +3,67 @@
 //! Everything here operates on one thread's [`ThreadCtx`] plus a read-only
 //! [`EncodingView`]: no shared mutable state, no locks. The only caller is
 //! the step core, [`crate::thread::ThreadState`], which wraps these
-//! primitives with the per-event bookkeeping. The
-//! [`crate::engine::DacceEngine`] drives it with `&SharedState` as the view
-//! (it owns everything under one `&mut self`); the concurrent
-//! [`crate::tracker::Tracker`] drives it with a published
-//! [`EncodingSnapshot`], which is what makes call/return over
-//! already-encoded edges execute entirely on thread-local state.
+//! primitives with the per-event bookkeeping. Both drivers read the same
+//! view type: the [`crate::engine::DacceEngine`] passes its shared state's
+//! current view (it owns everything under one `&mut self`); the concurrent
+//! [`crate::tracker::Tracker`] passes the clone inside a published
+//! [`crate::shared::EncodingSnapshot`] — which is what makes call/return
+//! over already-encoded edges execute entirely on thread-local state —
+//! and, on its locked slow paths, the shared state's current view.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dacce_callgraph::{CallSiteId, DictStore, FunctionId, TimeStamp};
 use dacce_program::{ContextPath, CostModel};
 
 use crate::context::EncodedContext;
 use crate::decode::{decode_full, DecodeError};
+use crate::dispatch::DispatchTable;
 use crate::patch::EdgeAction;
-use crate::shared::{EncodingSnapshot, ResolvedSite, SharedState};
+use crate::shared::ResolvedSite;
 use crate::thread::{ShadowFrame, ThreadCtx};
 
-/// Read-only encoding state a thread needs to execute instrumentation.
-pub(crate) trait EncodingView {
+/// The thread-read part of a [`Generation`]: everything a thread needs to
+/// execute instrumentation, decode and migrate its context. Every published
+/// snapshot carries a clone of it, so cloning is cheap: the dispatch
+/// table, dictionaries and owner table are `Arc`-backed.
+///
+/// [`Generation`]: crate::shared::Generation
+#[derive(Clone, Debug)]
+pub(crate) struct EncodingView {
+    /// `gTimeStamp` of the encoding.
+    pub(crate) ts: TimeStamp,
+    /// `maxID` of the encoding.
+    pub(crate) max_id: u64,
+    /// Every dictionary recorded up to `ts`: a context built in an older
+    /// generation decodes (and migrates) under its own dictionary.
+    pub(crate) dicts: DictStore,
+    /// The patch table compiled into dense slot-indexed vectors; the only
+    /// thing the hot-path `resolve` reads.
+    pub(crate) dispatch: DispatchTable,
+    /// The call-site owner table (for decoding).
+    pub(crate) site_owner: Arc<HashMap<CallSiteId, FunctionId>>,
+    /// The instance's own cost model and tail-call switch. Like the
+    /// dispatch slot cap, they come from the instance's configuration and
+    /// are never taken from a lineage.
+    pub(crate) cost: CostModel,
+    pub(crate) handle_tail_calls: bool,
+}
+
+impl EncodingView {
     /// Resolves `(site, callee)` in one compiled-table probe (a
     /// bounds-checked array index for monomorphic sites): action, dispatch
     /// cost and TcStack wrapping. `None` means the site (or this target)
     /// traps.
-    fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite>;
-    /// `maxID` of the current encoding.
-    fn max_id(&self) -> u64;
-    /// The cost model instrumentation is charged under.
-    fn cost(&self) -> &CostModel;
-    /// Whether tail-call handling is enabled.
-    fn handle_tail_calls(&self) -> bool;
-    /// `gTimeStamp` of the current encoding.
-    fn ts(&self) -> TimeStamp;
-    /// Every dictionary recorded so far (migration decodes a context under
-    /// the dictionary of the generation it was built in).
-    fn dicts(&self) -> &DictStore;
-    /// The call-site owner table (for decoding).
-    fn site_owner(&self) -> &HashMap<CallSiteId, FunctionId>;
+    pub(crate) fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite> {
+        self.dispatch.resolve(site, callee, &self.cost)
+    }
 
     /// Decodes an encoded context (spawn chain included) against the
     /// recorded dictionaries.
-    fn decode(&self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
-        decode_full(ctx, self.dicts(), self.site_owner())
-    }
-}
-
-impl EncodingView for SharedState {
-    fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite> {
-        self.dispatch.resolve(site, callee, &self.cost)
-    }
-    fn max_id(&self) -> u64 {
-        self.max_id
-    }
-    fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-    fn handle_tail_calls(&self) -> bool {
-        self.config.handle_tail_calls
-    }
-    fn ts(&self) -> TimeStamp {
-        self.ts
-    }
-    fn dicts(&self) -> &DictStore {
-        &self.dicts
-    }
-    fn site_owner(&self) -> &HashMap<CallSiteId, FunctionId> {
-        &self.site_owner
-    }
-}
-
-impl EncodingView for EncodingSnapshot {
-    fn resolve(&self, site: CallSiteId, callee: FunctionId) -> Option<ResolvedSite> {
-        self.dispatch.resolve(site, callee, &self.cost)
-    }
-    fn max_id(&self) -> u64 {
-        self.max_id
-    }
-    fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-    fn handle_tail_calls(&self) -> bool {
-        self.handle_tail_calls
-    }
-    fn ts(&self) -> TimeStamp {
-        self.ts
-    }
-    fn dicts(&self) -> &DictStore {
-        &self.dicts
-    }
-    fn site_owner(&self) -> &HashMap<CallSiteId, FunctionId> {
-        &self.site_owner
+    pub(crate) fn decode(&self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
+        decode_full(ctx, &self.dicts, &self.site_owner)
     }
 }
 
@@ -109,7 +79,7 @@ pub(crate) struct CallEffect {
 /// already-resolved `action` (`site_wraps` is the site's TcStack flag from
 /// the same probe). Pure thread-local state mutation.
 pub(crate) fn exec_call(
-    view: &impl EncodingView,
+    view: &EncodingView,
     ctx: &mut ThreadCtx,
     site: CallSiteId,
     callee: FunctionId,
@@ -119,34 +89,34 @@ pub(crate) fn exec_call(
 ) -> CallEffect {
     let mut cost = 0u64;
     let mut compress_hit = false;
-    let wrapped = !tail && view.handle_tail_calls() && site_wraps;
+    let wrapped = !tail && view.handle_tail_calls && site_wraps;
 
     let saved_id = ctx.id;
     let saved_cc_len = ctx.cc.depth();
     let saved_top_count = ctx.cc.top().map_or(0, |e| e.count);
     if wrapped {
         ctx.tc_ops += 1;
-        cost += view.cost().tcstack_op;
+        cost += view.cost.tcstack_op;
     }
 
     match action {
         EdgeAction::Encoded { delta } => {
             if delta != 0 {
                 ctx.id = ctx.id.wrapping_add(delta);
-                cost += view.cost().id_arith;
+                cost += view.cost.id_arith;
             }
         }
         EdgeAction::Unencoded => {
             ctx.cc.push(ctx.id, site, callee);
-            ctx.id = view.max_id() + 1;
-            cost += view.cost().ccstack_op + view.cost().id_arith;
+            ctx.id = view.max_id + 1;
+            cost += view.cost.ccstack_op + view.cost.id_arith;
         }
         EdgeAction::UnencodedCompressed => {
             if ctx.cc.push_compressed(ctx.id, site, callee) {
                 compress_hit = true;
             }
-            ctx.id = view.max_id() + 1;
-            cost += view.cost().compare + view.cost().ccstack_op + view.cost().id_arith;
+            ctx.id = view.max_id + 1;
+            cost += view.cost.compare + view.cost.ccstack_op + view.cost.id_arith;
         }
     }
 
@@ -170,7 +140,7 @@ pub(crate) fn exec_call(
 /// (callers resolve it — or reuse the one cached at call time when the
 /// encoding generation has not moved). Returns the cost units spent.
 pub(crate) fn exec_ret(
-    view: &impl EncodingView,
+    view: &EncodingView,
     ctx: &mut ThreadCtx,
     site: CallSiteId,
     caller: FunctionId,
@@ -190,22 +160,22 @@ pub(crate) fn exec_ret(
         ctx.cc.truncate(frame.saved_cc_len);
         ctx.cc.restore_top_count(frame.saved_top_count);
         ctx.tc_ops += 1;
-        cost += view.cost().tcstack_op;
+        cost += view.cost.tcstack_op;
     } else {
         match action {
             EdgeAction::Encoded { delta } => {
                 if delta != 0 {
                     ctx.id = ctx.id.wrapping_sub(delta);
-                    cost += view.cost().id_arith;
+                    cost += view.cost.id_arith;
                 }
             }
             EdgeAction::Unencoded => {
                 ctx.id = ctx.cc.pop();
-                cost += view.cost().ccstack_op;
+                cost += view.cost.ccstack_op;
             }
             EdgeAction::UnencodedCompressed => {
                 ctx.id = ctx.cc.pop_compressed();
-                cost += view.cost().ccstack_op;
+                cost += view.cost.ccstack_op;
             }
         }
     }
@@ -220,7 +190,7 @@ pub(crate) fn exec_ret(
 /// statically either a tail call or not, so the match is unambiguous).
 /// Replay charges nothing: the TcStack saves of the rebuilt frames were
 /// counted when the frames were first entered.
-pub(crate) fn replay(view: &impl EncodingView, ctx: &mut ThreadCtx, path: &ContextPath) {
+pub(crate) fn replay(view: &EncodingView, ctx: &mut ThreadCtx, path: &ContextPath) {
     let old_shadow: Vec<ShadowFrame> = std::mem::take(&mut ctx.shadow);
     let tc_ops = ctx.tc_ops;
     ctx.id = 0;
@@ -242,7 +212,7 @@ pub(crate) fn replay(view: &impl EncodingView, ctx: &mut ThreadCtx, path: &Conte
     }
     ctx.tc_ops = tc_ops;
     debug_assert!(
-        k == old_shadow.len() || !view.handle_tail_calls(),
+        k == old_shadow.len() || !view.handle_tail_calls,
         "replay must reconstruct every physical frame"
     );
     // With a corrupted encoding (broken-tail-call ablation) the decoded

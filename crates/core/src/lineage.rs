@@ -3,13 +3,13 @@
 //!
 //! A fleet of tenants running identical programs should not each pay for
 //! graph discovery and re-encoding. An [`EncodingLineage`] owns one
-//! complete encodable state — graph, dictionaries, patches, compiled
+//! encoding `Generation` — graph, dictionaries, patches, compiled
 //! dispatch table — outside any single engine, keyed by a content hash
 //! over the program's function/edge definition stream. Tenants *attach*
-//! (adopting the state wholesale, O(1) thanks to `Arc`-backed innards),
-//! *adopt* newer generations published by whichever attached tenant
-//! re-encoded first, and *diverge* (copy-on-write) the moment their own
-//! dynamic discovery grows an edge the lineage does not have.
+//! (adopting the generation as one value, O(1) thanks to `Arc`-backed
+//! innards), *adopt* newer generations published by whichever attached
+//! tenant re-encoded first, and *diverge* (copy-on-write) the moment their
+//! own dynamic discovery grows an edge the lineage does not have.
 //!
 //! Linearisation: all publishes and adoptions happen under the lineage's
 //! state lock, and the generation counter is bumped inside that critical
@@ -25,33 +25,20 @@
 //!
 //! [`ReencodeOutcome::Applied`]: crate::shared::ReencodeOutcome
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::sync::{protocol, AtomicU64, Mutex, MutexGuard, Ordering};
 
-use dacce_callgraph::{CallGraph, CallSiteId, DictStore, FunctionId, TimeStamp};
-
-use crate::dispatch::DispatchTable;
-use crate::patch::PatchTable;
+use crate::shared::Generation;
 use crate::warm::WarmStartReport;
 
-/// The complete encodable state of one lineage generation: everything an
-/// attaching tenant copies out (and a publishing tenant writes back in).
-/// Per-instance trigger state, statistics and observability stay with the
-/// tenant — a lineage carries only what the *encoding* is made of. Cloning
-/// is cheap: graph, dictionaries, patches and dispatch are `Arc`-backed.
+/// One lineage generation: the encoding [`Generation`] an attaching tenant
+/// adopts (and a publishing tenant writes back), plus the founding warm
+/// start. Per-instance trigger state, statistics and observability stay
+/// with the tenant. Cloning is cheap: the generation is `Arc`-backed.
 #[derive(Clone, Debug)]
 pub(crate) struct LineageState {
-    pub(crate) graph: Arc<CallGraph>,
-    pub(crate) dicts: DictStore,
-    pub(crate) ts: TimeStamp,
-    pub(crate) max_id: u64,
-    pub(crate) patches: PatchTable,
-    pub(crate) dispatch: DispatchTable,
-    pub(crate) site_owner: Arc<HashMap<CallSiteId, FunctionId>>,
-    pub(crate) tail_fns: HashSet<FunctionId>,
-    pub(crate) roots: Vec<FunctionId>,
+    pub(crate) current: Generation,
     /// Fingerprint and report of the founding warm start, if any. Adopted
     /// by attaching tenants so a repeated identical `warm_start` on them
     /// is recognised as idempotent instead of double-seeding.

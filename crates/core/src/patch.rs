@@ -197,6 +197,13 @@ impl PatchTable {
     pub fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
+
+    /// True when no other table shares this one's sites, so the next
+    /// mutation patches in place instead of copying.
+    #[cfg(test)]
+    pub(crate) fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.sites) == 1
+    }
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ impl DacceEngine {
         live.sort_unstable_by_key(|st| st.tid);
         let writer = &self.shared.obs_writer;
         for st in live {
-            st.migrate(&self.shared, writer, writer.enabled());
+            st.migrate(&self.shared.current.view, writer, writer.enabled());
         }
     }
 }

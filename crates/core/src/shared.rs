@@ -1,20 +1,24 @@
 //! Shared encoding state and its published snapshots.
 //!
 //! This is one half of the engine split: everything that is *global* to a
-//! DACCE instance — the dynamic call graph, the per-site patch states (the
-//! "generated code"), the versioned decode dictionaries, `gTimeStamp`,
-//! `maxID`, edge heat, re-encoding trigger state and aggregate statistics —
-//! lives in [`SharedState`]. Per-thread encoding contexts are owned by the
-//! other half (the [`crate::engine::DacceEngine`] facade or the concurrent
-//! [`crate::tracker::Tracker`] slots) and never appear here.
+//! DACCE instance lives in [`SharedState`]. Its encoding is one
+//! [`Generation`] — what a re-encoding freezes under one `gTimeStamp`
+//! (§4) — next to the instance's edge heat, re-encoding trigger state,
+//! aggregate statistics and observability. Per-thread encoding contexts
+//! are owned by the other half (the [`crate::engine::DacceEngine`] facade
+//! or the concurrent [`crate::tracker::Tracker`] slots) and never appear
+//! here.
 //!
-//! Concurrent runtimes do not read [`SharedState`] directly on their fast
-//! paths: the slow path freezes it into an immutable [`EncodingSnapshot`]
-//! (O(1) thanks to the copy-on-write [`PatchTable`] and the `Arc`-backed
-//! [`DictStore`]) and publishes it under an epoch counter. Reader threads
-//! keep a cached `Arc<EncodingSnapshot>` and revalidate it with a single
-//! atomic epoch load per event — see `DESIGN.md`, "Concurrency
-//! architecture".
+//! A [`Generation`] has two parts. Its thread-read part, the
+//! [`EncodingView`], is all a published [`EncodingSnapshot`] carries: the
+//! slow path clones it (O(1): every constituent is `Arc`-backed) and
+//! publishes it under an epoch counter. Reader threads keep a cached
+//! `Arc<EncodingSnapshot>` and revalidate it with a single atomic epoch
+//! load per event — see `DESIGN.md`, "Concurrency architecture". The
+//! lock-only part (call graph, logical patch table, tail-calling
+//! functions, roots) never leaves the shared lock, so a trap mutates it in
+//! place without copying. An encoding lineage stores and hands out whole
+//! generations.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -29,12 +33,11 @@ use dacce_program::CostModel;
 
 use crate::config::{CompressionMode, DacceConfig};
 use crate::context::EncodedContext;
-use crate::decode::decode_full;
 use crate::dispatch::DispatchTable;
 use crate::fastpath::EncodingView;
 use crate::lineage::{EncodingLineage, LineageState};
 use crate::observe::{self, ObsWriter, Observability};
-use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch};
+use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch, SiteState};
 use crate::profile::HotContextProfile;
 use crate::stats::{DacceStats, ProgressPoint};
 use crate::superop::{SuperOpTable, WindowOp};
@@ -61,27 +64,206 @@ pub(crate) enum ReencodeOutcome {
     Overflowed,
 }
 
-/// The shared (cross-thread) half of a DACCE instance.
-#[derive(Debug)]
-pub(crate) struct SharedState {
-    pub(crate) config: DacceConfig,
-    pub(crate) cost: CostModel,
+/// One encoding generation: everything a re-encoding freezes under one
+/// `gTimeStamp` (§4), split by who reads it. Lineages found, publish and
+/// adopt whole generations; cloning is cheap because the large parts are
+/// `Arc`-backed.
+#[derive(Clone, Debug)]
+pub(crate) struct Generation {
+    /// The thread-read part: cloned into every published snapshot.
+    pub(crate) view: EncodingView,
     /// The dynamic call graph, copy-on-write shared with an attached
     /// lineage: attaching is `Arc::clone`, the first local mutation after
     /// attach pays one deep clone (`Arc::make_mut`).
     pub(crate) graph: Arc<CallGraph>,
-    pub(crate) dicts: DictStore,
-    pub(crate) ts: TimeStamp,
-    pub(crate) max_id: u64,
+    /// The logical patch table; `view.dispatch` is its compiled form, kept
+    /// in lock step by every mutation path.
     pub(crate) patches: PatchTable,
-    /// The patch table compiled into dense slot-indexed vectors; kept in
-    /// lock step with `patches` by every mutation path (the hot-path
-    /// `resolve` reads only this).
-    pub(crate) dispatch: DispatchTable,
-    pub(crate) site_owner: Arc<HashMap<CallSiteId, FunctionId>>,
-    pub(crate) edge_heat: HashMap<EdgeId, u64>,
     pub(crate) tail_fns: HashSet<FunctionId>,
     pub(crate) roots: Vec<FunctionId>,
+}
+
+impl Generation {
+    /// Adds a (thread) root function to the graph and root set.
+    pub(crate) fn register_root(&mut self, root: FunctionId) {
+        if !self.graph.contains_node(root) {
+            Arc::make_mut(&mut self.graph).ensure_node(root);
+        }
+        if !self.roots.contains(&root) {
+            self.roots.push(root);
+        }
+    }
+
+    /// Marks every known site targeting `tail_fn` for TcStack wrapping (the
+    /// per-thread frame retrofit is the caller's job).
+    fn wrap_caller_sites(&mut self, tail_fn: FunctionId) {
+        for &eid in self.graph.incoming(tail_fn) {
+            let site = self.graph.edge(eid).site;
+            if let Some(state) = self.patches.existing_mut(site) {
+                state.tc_wrap = true;
+                self.view.dispatch.sync_site(site, state);
+            }
+        }
+    }
+
+    /// Patches `site` for the newly trapped `callee` and recompiles its
+    /// dispatch record. A new edge stays unencoded until the next
+    /// re-encoding (§3: "that edge is not encoded until the next
+    /// re-encoding process"). Returns the site's state and whether an
+    /// indirect site just converted to hashing.
+    fn patch_site(
+        &mut self,
+        site: CallSiteId,
+        callee: FunctionId,
+        dispatch: CallDispatch,
+        config: &DacceConfig,
+    ) -> (&SiteState, bool) {
+        let action = EdgeAction::Unencoded;
+        let tc_wrap = config.handle_tail_calls && self.tail_fns.contains(&callee);
+        let state = self.patches.site_mut(site);
+        state.tc_wrap |= tc_wrap;
+        let mut converted = false;
+        match dispatch {
+            CallDispatch::Direct | CallDispatch::Plt => {
+                state.patch = SitePatch::Direct(callee, action);
+            }
+            CallDispatch::Indirect => {
+                if !matches!(state.patch, SitePatch::Indirect(_)) {
+                    state.patch = SitePatch::Indirect(IndirectPatch::default());
+                }
+                let SitePatch::Indirect(p) = &mut state.patch else {
+                    unreachable!("patched indirect above")
+                };
+                let before = p.hashed.is_some();
+                p.add_target(callee, action, config.indirect_inline_max);
+                converted = !before && p.hashed.is_some();
+            }
+        }
+        self.view.dispatch.sync_site(site, state);
+        (state, converted)
+    }
+
+    /// Freezes `enc`'s dictionary under the next `gTimeStamp` and
+    /// regenerates every site patch, and the compiled dispatch table, from
+    /// it. Returns how many indirect sites newly converted to hashing.
+    fn install(
+        &mut self,
+        enc: &Encoding,
+        config: &DacceConfig,
+        heat: &HashMap<EdgeId, u64>,
+    ) -> u64 {
+        let ts = self.view.ts.next();
+        let dict = DecodeDict::from_encoding(&self.graph, enc, ts).expect("overflow checked above");
+        self.view.dicts.push(dict);
+        self.view.ts = ts;
+        self.view.max_id = enc.max_id;
+
+        let heat_of = |eid: EdgeId| heat.get(&eid).copied().unwrap_or(0);
+        // The action the new encoding assigns to one graph edge.
+        let action_for = |eid: EdgeId, back: bool| {
+            if back {
+                let compress = match config.compression {
+                    CompressionMode::Always => true,
+                    CompressionMode::Never => false,
+                    CompressionMode::Adaptive => heat_of(eid) >= config.compression_min_heat,
+                };
+                if compress {
+                    EdgeAction::UnencodedCompressed
+                } else {
+                    EdgeAction::Unencoded
+                }
+            } else {
+                EdgeAction::Encoded {
+                    delta: enc.encoding_u64(eid).expect("non-overflowing encoding"),
+                }
+            }
+        };
+        // Group edges per site.
+        let mut by_site: HashMap<CallSiteId, Vec<EdgeId>> = HashMap::new();
+        for (eid, e) in self.graph.edges() {
+            by_site.entry(e.site).or_default().push(eid);
+        }
+
+        let mut conversions = 0;
+        let mut rebuilt: HashMap<CallSiteId, SiteState> = HashMap::with_capacity(by_site.len());
+        for (site, eids) in by_site {
+            let indirect = eids
+                .iter()
+                .any(|&eid| self.graph.edge(eid).dispatch == Dispatch::Indirect);
+            let tc_wrap = config.handle_tail_calls
+                && eids
+                    .iter()
+                    .any(|&eid| self.tail_fns.contains(&self.graph.edge(eid).callee));
+
+            let patch = if indirect {
+                // Order known targets hottest-first for the compare chain.
+                let mut ordered: Vec<(u64, EdgeId)> =
+                    eids.iter().map(|&eid| (heat_of(eid), eid)).collect();
+                ordered.sort_by_key(|&(h, eid)| (std::cmp::Reverse(h), eid.index()));
+                let mut p = IndirectPatch::default();
+                for &(_, eid) in &ordered {
+                    let e = self.graph.edge(eid);
+                    let action = action_for(eid, e.back);
+                    p.add_target(e.callee, action, config.indirect_inline_max);
+                }
+                if p.hashed.is_some() {
+                    // Conversion accounting only when the site was inline
+                    // before (or new).
+                    let was_hashed = matches!(
+                        self.patches.get(site).map(|s| &s.patch),
+                        Some(SitePatch::Indirect(old)) if old.hashed.is_some()
+                    );
+                    if !was_hashed {
+                        conversions += 1;
+                    }
+                }
+                SitePatch::Indirect(p)
+            } else {
+                let eid = eids[0];
+                let e = self.graph.edge(eid);
+                SitePatch::Direct(e.callee, action_for(eid, e.back))
+            };
+
+            rebuilt.insert(site, SiteState { tc_wrap, patch });
+        }
+        self.patches.replace_all(rebuilt);
+        self.view.dispatch.rebuild(&self.patches);
+        conversions
+    }
+
+    /// Adds each sample's weight to the heat of every edge its decoded path
+    /// runs through (§4, first bullet). Returns how many samples failed to
+    /// decode.
+    fn add_heat<'a>(
+        &self,
+        samples: impl Iterator<Item = (&'a EncodedContext, u64)>,
+        heat: &mut HashMap<EdgeId, u64>,
+    ) -> u64 {
+        let mut errors = 0;
+        for (samp, weight) in samples {
+            let Ok(path) = self.view.decode(samp) else {
+                errors += 1;
+                continue;
+            };
+            for w in path.0.windows(2) {
+                if let Some(site) = w[1].site {
+                    if let Some(eid) = self.graph.edge_id(site, w[1].func) {
+                        *heat.entry(eid).or_insert(0) += weight;
+                    }
+                }
+            }
+        }
+        errors
+    }
+}
+
+/// The shared (cross-thread) half of a DACCE instance.
+#[derive(Debug)]
+pub(crate) struct SharedState {
+    pub(crate) config: DacceConfig,
+    /// The current encoding generation.
+    pub(crate) current: Generation,
+    pub(crate) edge_heat: HashMap<EdgeId, u64>,
     // Re-encoding trigger state.
     pub(crate) new_edges: usize,
     pub(crate) events_since_reencode: u64,
@@ -152,19 +334,25 @@ impl SharedState {
         let obs_writer = obs.writer(u32::MAX);
         let mut dispatch = DispatchTable::new();
         dispatch.set_slot_cap(config.fault.dispatch_slot_cap);
-        SharedState {
-            config,
-            cost,
-            graph: Arc::new(CallGraph::new()),
-            dicts: DictStore::new(),
+        let view = EncodingView {
             ts: TimeStamp::ZERO,
             max_id: 0,
-            patches: PatchTable::new(),
+            dicts: DictStore::new(),
             dispatch,
             site_owner: Arc::new(HashMap::new()),
+            cost,
+            handle_tail_calls: config.handle_tail_calls,
+        };
+        SharedState {
+            config,
+            current: Generation {
+                view,
+                graph: Arc::new(CallGraph::new()),
+                patches: PatchTable::new(),
+                tail_fns: HashSet::new(),
+                roots: Vec::new(),
+            },
             edge_heat: HashMap::new(),
-            tail_fns: HashSet::new(),
-            roots: Vec::new(),
             new_edges: 0,
             events_since_reencode: 0,
             cur_min_events,
@@ -205,13 +393,13 @@ impl SharedState {
 
     /// §3: the initial graph contains only `main`; freeze dictionary 0.
     pub(crate) fn attach_main(&mut self, main: FunctionId) {
-        Arc::make_mut(&mut self.graph).ensure_node(main);
-        self.roots.push(main);
-        let enc = encode_graph(&self.graph, &self.roots, &EncodeOptions::default());
-        let dict = DecodeDict::from_encoding(&self.graph, &enc, TimeStamp::ZERO)
+        let g = &mut self.current;
+        g.register_root(main);
+        let enc = encode_graph(&g.graph, &g.roots, &EncodeOptions::default());
+        let dict = DecodeDict::from_encoding(&g.graph, &enc, TimeStamp::ZERO)
             .expect("trivial graph cannot overflow");
-        self.dicts.push(dict);
-        self.max_id = enc.max_id;
+        g.view.dicts.push(dict);
+        g.view.max_id = enc.max_id;
         self.next_hot_check = self.config.hot_check_every;
         self.note_generation(0);
     }
@@ -219,39 +407,29 @@ impl SharedState {
     /// Records the generation just installed: its Figure 9 progress point
     /// and its row in the obs generation table, charged `cost` units.
     pub(crate) fn note_generation(&mut self, cost: u64) {
-        let nodes = self.graph.node_count();
-        let edges = self.graph.edge_count();
+        let nodes = self.current.graph.node_count();
+        let edges = self.current.graph.edge_count();
         self.stats.progress.push(ProgressPoint {
             calls: self.stats.calls,
             nodes,
             edges,
-            max_id: self.max_id,
+            max_id: self.current.view.max_id,
         });
-        self.obs
-            .record_generation(self.ts.raw(), nodes as u32, edges as u32, self.max_id, cost);
+        self.obs.record_generation(
+            self.current.view.ts.raw(),
+            nodes as u32,
+            edges as u32,
+            self.current.view.max_id,
+            cost,
+        );
     }
 
-    /// Freezes `enc`'s dictionary under the next `gTimeStamp` and
-    /// re-patches every site from it.
+    /// Installs `enc` as the next generation (see [`Generation::install`])
+    /// and accounts for it.
     pub(crate) fn install_encoding(&mut self, enc: &Encoding) {
-        let new_ts = self.ts.next();
-        let dict =
-            DecodeDict::from_encoding(&self.graph, enc, new_ts).expect("overflow checked above");
-        self.dicts.push(dict);
-        self.ts = new_ts;
-        self.max_id = enc.max_id;
-        self.stats.max_max_id = self.stats.max_max_id.max(self.max_id);
-        self.rebuild_sites(enc);
-    }
-
-    /// Adds a (thread) root function to the graph and root set.
-    pub(crate) fn register_root(&mut self, root: FunctionId) {
-        if !self.graph.contains_node(root) {
-            Arc::make_mut(&mut self.graph).ensure_node(root);
-        }
-        if !self.roots.contains(&root) {
-            self.roots.push(root);
-        }
+        self.stats.hash_conversions += self.current.install(enc, &self.config, &self.edge_heat);
+        self.stats.max_max_id = self.stats.max_max_id.max(enc.max_id);
+        self.dispatch_changed();
     }
 
     /// Trigger bookkeeping for `n` call/return events.
@@ -278,12 +456,12 @@ impl SharedState {
         dispatch: CallDispatch,
         tail: bool,
     ) -> (ResolvedSite, Option<FunctionId>) {
-        if let Some(r) = self.resolve(site, callee) {
+        if let Some(r) = self.current.view.resolve(site, callee) {
             return (r, None);
         }
         let timer = observe::start_timer();
         self.stats.traps += 1;
-        let prev_owner = Arc::make_mut(&mut self.site_owner).insert(site, caller);
+        let prev_owner = Arc::make_mut(&mut self.current.view.site_owner).insert(site, caller);
         debug_assert!(
             prev_owner.is_none() || prev_owner == Some(caller),
             "call site {site} observed in two functions ({prev_owner:?} and {caller}); \
@@ -295,7 +473,7 @@ impl SharedState {
             CallDispatch::Plt => Dispatch::Plt,
         };
         let (eid, is_new) =
-            Arc::make_mut(&mut self.graph).add_edge(caller, callee, site, graph_dispatch);
+            Arc::make_mut(&mut self.current.graph).add_edge(caller, callee, site, graph_dispatch);
         if is_new {
             self.new_edges += 1;
             self.mark_diverged();
@@ -314,55 +492,26 @@ impl SharedState {
 
         // §5.2: the first tail call inside `caller` reveals that `caller`'s
         // callers must save/restore the encoding context absolutely.
-        let newly_tail = if tail && self.config.handle_tail_calls && self.tail_fns.insert(caller) {
-            self.wrap_caller_sites(caller);
-            Some(caller)
-        } else {
-            None
-        };
+        let newly_tail =
+            if tail && self.config.handle_tail_calls && self.current.tail_fns.insert(caller) {
+                self.current.wrap_caller_sites(caller);
+                Some(caller)
+            } else {
+                None
+            };
 
-        // Patch the site. New edges stay unencoded until the next
-        // re-encoding (§3: "that edge is not encoded until the next
-        // re-encoding process").
-        let action = EdgeAction::Unencoded;
-        let inline_max = self.config.indirect_inline_max;
-        let tc_wrap = self.config.handle_tail_calls && self.tail_fns.contains(&callee);
-        let mut converted = false;
-        let state = self.patches.site_mut(site);
-        if tc_wrap {
-            state.tc_wrap = true;
-        }
-        match dispatch {
-            CallDispatch::Direct | CallDispatch::Plt => {
-                state.patch = SitePatch::Direct(callee, action);
-            }
-            CallDispatch::Indirect => {
-                let p = match &mut state.patch {
-                    SitePatch::Indirect(p) => p,
-                    _ => {
-                        state.patch = SitePatch::Indirect(IndirectPatch::default());
-                        match &mut state.patch {
-                            SitePatch::Indirect(p) => p,
-                            _ => unreachable!(),
-                        }
-                    }
-                };
-                let before = p.hashed.is_some();
-                p.add_target(callee, action, inline_max);
-                if !before && p.hashed.is_some() {
-                    converted = true;
-                }
-            }
-        }
+        let (state, converted) = self
+            .current
+            .patch_site(site, callee, dispatch, &self.config);
+        let tc_wrap = state.tc_wrap;
+        let targets = match &state.patch {
+            SitePatch::Indirect(p) => p.target_count() as u32,
+            _ => 1,
+        };
         if converted {
             self.stats.hash_conversions += 1;
         }
-        self.dispatch
-            .sync_site(site, self.patches.get(site).expect("site patched above"));
-        self.superops_dirty = true;
-        self.sync_slot_failures();
-        let (occupied, span) = self.dispatch.occupancy();
-        self.obs.record_dispatch(occupied, span);
+        self.dispatch_changed();
 
         self.obs.on_trap(timer.elapsed_ns());
         self.obs.on_site_patched();
@@ -375,40 +524,17 @@ impl SharedState {
             if is_new {
                 self.obs_writer.edge_discovered(tid, s, cr, ce);
             }
-            let targets = match &self.patches.get(site).expect("site patched above").patch {
-                SitePatch::Indirect(p) => p.target_count() as u32,
-                _ => 1,
-            };
             self.obs_writer.site_patched(tid, s, targets);
         }
-        let tc_wrap = self.patches.get(site).is_some_and(|s| s.tc_wrap);
-        let dispatch_cost = self.cost.handler_trap;
+        let dispatch_cost = self.current.view.cost.handler_trap;
         (
             ResolvedSite {
-                action,
+                action: EdgeAction::Unencoded,
                 dispatch_cost,
                 tc_wrap,
             },
             newly_tail,
         )
-    }
-
-    /// Marks every known site targeting `tail_fn` for TcStack wrapping (the
-    /// per-thread frame retrofit is the caller's job).
-    fn wrap_caller_sites(&mut self, tail_fn: FunctionId) {
-        let mut sites_to_wrap: Vec<CallSiteId> = Vec::new();
-        for &eid in self.graph.incoming(tail_fn) {
-            sites_to_wrap.push(self.graph.edge(eid).site);
-        }
-        for site in sites_to_wrap {
-            if let Some(state) = self.patches.existing_mut(site) {
-                state.tc_wrap = true;
-            }
-            if let Some(state) = self.patches.get(site) {
-                self.dispatch.sync_site(site, state);
-                self.superops_dirty = true;
-            }
-        }
     }
 
     /// Feeds a sample into the heat ring (and the optional log). Samples
@@ -445,7 +571,7 @@ impl SharedState {
         let mut prof = HotContextProfile::new();
         let ring = std::mem::take(&mut self.profiler_ring);
         for (samp, weight) in &ring {
-            match decode_full(samp, &self.dicts, &self.site_owner) {
+            match self.current.view.decode(samp) {
                 Ok(path) => prof.record_weighted(&path, *weight),
                 Err(_) => self.stats.decode_errors += 1,
             }
@@ -462,21 +588,28 @@ impl SharedState {
         if self.postmortem.is_some() {
             return;
         }
-        self.postmortem =
-            self.obs
-                .render_postmortem(reason, self.ts.raw(), self.max_id, &self.stats.degraded);
+        self.postmortem = self.obs.render_postmortem(
+            reason,
+            self.current.view.ts.raw(),
+            self.current.view.max_id,
+            &self.stats.degraded,
+        );
     }
 
-    /// Mirrors the dispatch table's slot-refusal counter into
-    /// [`crate::stats::DegradedState`] and the obs metrics (delta-based,
-    /// so every mutation path can call it idempotently).
-    pub(crate) fn sync_slot_failures(&mut self) {
-        let total = self.dispatch.slot_failures();
+    /// Bookkeeping after the dispatch table changed: the superop table
+    /// recompiles at the next snapshot, and the table's slot refusals
+    /// (delta-based) and occupancy are mirrored into
+    /// [`crate::stats::DegradedState`] and the obs metrics.
+    fn dispatch_changed(&mut self) {
+        self.superops_dirty = true;
+        let total = self.current.view.dispatch.slot_failures();
         let prev = self.stats.degraded.slot_failures;
         if total > prev {
             self.obs.on_slot_failures(total - prev);
             self.stats.degraded.slot_failures = total;
         }
+        let (occupied, span) = self.current.view.dispatch.occupancy();
+        self.obs.record_dispatch(occupied, span);
     }
 
     /// Switches the instance into permanent degraded mode: the current
@@ -549,7 +682,7 @@ impl SharedState {
             return true;
         }
         if self.config.compression == CompressionMode::Adaptive {
-            for (eid, e) in self.graph.edges() {
+            for (eid, e) in self.current.graph.edges() {
                 if !e.back {
                     continue;
                 }
@@ -557,7 +690,7 @@ impl SharedState {
                 if heat < self.config.compression_min_heat {
                     continue;
                 }
-                if let Some(state) = self.patches.get(e.site) {
+                if let Some(state) = self.current.patches.get(e.site) {
                     let action = match &state.patch {
                         SitePatch::Direct(t, a) if *t == e.callee => Some(*a),
                         SitePatch::Indirect(p) => p.lookup(e.callee).map(|(a, _, _)| a),
@@ -576,8 +709,8 @@ impl SharedState {
     /// noise floor.
     fn hottest_incoming(&self, node: FunctionId) -> Option<EdgeId> {
         let mut best: Option<(u64, EdgeId)> = None;
-        for &eid in self.graph.incoming(node) {
-            if self.graph.edge(eid).back {
+        for &eid in self.current.graph.incoming(node) {
+            if self.current.graph.edge(eid).back {
                 continue;
             }
             let heat = self.edge_heat.get(&eid).copied().unwrap_or(0);
@@ -595,7 +728,7 @@ impl SharedState {
     /// at the last encoding.
     fn hot_choices_changed(&self) -> usize {
         let mut changed = 0;
-        for &node in self.graph.nodes() {
+        for &node in self.current.graph.nodes() {
             if let (Some(best_eid), Some(&prev)) =
                 (self.hottest_incoming(node), self.last_hot_choice.get(&node))
             {
@@ -607,49 +740,6 @@ impl SharedState {
         changed
     }
 
-    /// Derives edge heat from the recent-sample ring (§4, first bullet).
-    fn heat_from_ring(&mut self) {
-        let ring = std::mem::take(&mut self.ring);
-        for samp in &ring {
-            if let Ok(path) = decode_full(samp, &self.dicts, &self.site_owner) {
-                for w in path.0.windows(2) {
-                    if let Some(site) = w[1].site {
-                        if let Some(eid) = self.graph.edge_id(site, w[1].func) {
-                            *self.edge_heat.entry(eid).or_insert(0) += 4;
-                        }
-                    }
-                }
-            } else {
-                self.stats.decode_errors += 1;
-            }
-        }
-        self.ring = ring;
-    }
-
-    /// Folds the continuous profiler's weighted samples into edge heat —
-    /// the adaptive feedback loop behind
-    /// [`DacceConfig::profiler_feedback`]. Each sampled context adds its
-    /// weight to every path-window edge it decodes through, so the
-    /// hottest-incoming-edge selection of the next encoding sees sampled
-    /// hotness, not just trap counts and the heat ring.
-    fn heat_from_profiler(&mut self) {
-        let ring = std::mem::take(&mut self.profiler_ring);
-        for (samp, weight) in &ring {
-            if let Ok(path) = decode_full(samp, &self.dicts, &self.site_owner) {
-                for w in path.0.windows(2) {
-                    if let Some(site) = w[1].site {
-                        if let Some(eid) = self.graph.edge_id(site, w[1].func) {
-                            *self.edge_heat.entry(eid).or_insert(0) += *weight;
-                        }
-                    }
-                }
-            } else {
-                self.stats.decode_errors += 1;
-            }
-        }
-        self.profiler_ring = ring;
-    }
-
     /// The shared core of the re-encoding procedure (§4): derives heat,
     /// re-classifies back edges, re-encodes the grown graph, freezes a new
     /// dictionary under `gTimeStamp + 1` and regenerates every site patch.
@@ -659,24 +749,32 @@ impl SharedState {
     /// the store (see [`crate::thread::ThreadState::migrate`]), then call
     /// [`SharedState::reset_triggers`].
     pub(crate) fn reencode_core(&mut self) -> (ReencodeOutcome, u64) {
-        let cost = self.graph.edge_count() as u64 * self.cost.reencode_per_edge;
+        let cost =
+            self.current.graph.edge_count() as u64 * self.current.view.cost.reencode_per_edge;
         self.stats.reencodes += 1;
         self.stats.reencode_cost += cost;
-        self.obs_writer.reencode_begin(self.ts.raw());
+        self.obs_writer.reencode_begin(self.current.view.ts.raw());
 
-        self.heat_from_ring();
+        // Edge heat from the recent-sample ring, then — the adaptive
+        // feedback loop behind `DacceConfig::profiler_feedback` — from the
+        // continuous profiler's samples, each weighted by the call events
+        // it stands for.
+        let ring = self.ring.iter().map(|samp| (samp, 4));
+        let mut errors = self.current.add_heat(ring, &mut self.edge_heat);
         if self.config.profiler_feedback {
-            self.heat_from_profiler();
+            let ring = self.profiler_ring.iter().map(|(samp, w)| (samp, *w));
+            errors += self.current.add_heat(ring, &mut self.edge_heat);
         }
+        self.stats.decode_errors += errors;
 
         // Re-classify and re-encode the grown graph.
-        classify_back_edges(Arc::make_mut(&mut self.graph), &self.roots);
+        classify_back_edges(Arc::make_mut(&mut self.current.graph), &self.current.roots);
         let opts = if self.config.heat_ordering {
             EncodeOptions::with_heat(self.edge_heat.clone())
         } else {
             EncodeOptions::default()
         };
-        let enc = encode_graph(&self.graph, &self.roots, &opts);
+        let enc = encode_graph(&self.current.graph, &self.current.roots, &opts);
         // Injected id-space exhaustion: treat an encoding past the cap
         // exactly like a genuine 64-bit overflow.
         let exhausted = enc.overflow
@@ -687,7 +785,7 @@ impl SharedState {
                 .is_some_and(|cap| enc.max_id > cap);
         // Injected abort of this target generation: one-shot, so the
         // rolled-back attempt can succeed when retried.
-        let target_gen = self.ts.raw() + 1;
+        let target_gen = self.current.view.ts.raw() + 1;
         let injected_abort =
             self.config.fault.aborts_generation(target_gen) && self.fired_aborts.insert(target_gen);
         if exhausted || injected_abort {
@@ -711,7 +809,7 @@ impl SharedState {
             }
             self.obs.on_reencode(false, cost);
             self.obs_writer
-                .reencode_end(self.ts.raw(), false, cost, 0, 0, 0);
+                .reencode_end(self.current.view.ts.raw(), false, cost, 0, 0, 0);
             // Flight recorder: the aborted span is in the journal now, so
             // the postmortem's span timeline includes this very abort.
             self.capture_postmortem(if exhausted {
@@ -726,7 +824,7 @@ impl SharedState {
 
         // Remember the per-node hot choice this encoding was built with.
         self.last_hot_choice.clear();
-        for &node in self.graph.nodes() {
+        for &node in self.current.graph.nodes() {
             if let Some(eid) = self.hottest_incoming(node) {
                 self.last_hot_choice.insert(node, eid);
             }
@@ -742,12 +840,12 @@ impl SharedState {
 
         self.obs.on_reencode(true, cost);
         self.obs_writer.reencode_end(
-            self.ts.raw(),
+            self.current.view.ts.raw(),
             true,
             cost,
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
+            self.current.graph.node_count() as u32,
+            self.current.graph.edge_count() as u32,
+            self.current.view.max_id,
         );
 
         (ReencodeOutcome::Applied, cost)
@@ -781,19 +879,11 @@ impl SharedState {
         }
     }
 
-    /// Freezes the complete encodable state for founding or publishing
-    /// into a lineage. Cheap: every constituent is `Arc`-backed or small.
+    /// Freezes the current generation for founding or publishing into a
+    /// lineage. Cheap: every large constituent is `Arc`-backed.
     pub(crate) fn export_lineage_state(&self) -> LineageState {
         LineageState {
-            graph: Arc::clone(&self.graph),
-            dicts: self.dicts.clone(),
-            ts: self.ts,
-            max_id: self.max_id,
-            patches: self.patches.clone(),
-            dispatch: self.dispatch.clone(),
-            site_owner: Arc::clone(&self.site_owner),
-            tail_fns: self.tail_fns.clone(),
-            roots: self.roots.clone(),
+            current: self.current.clone(),
             warm: self.warm_fingerprint,
             generation: self.lineage_gen,
         }
@@ -828,41 +918,26 @@ impl SharedState {
     /// (the adopted `ts` differs, so `refresh` decodes under the old
     /// dictionary and replays under the adopted patches).
     pub(crate) fn adopt_lineage_state(&mut self, state: &LineageState) {
-        self.graph = Arc::clone(&state.graph);
-        self.dicts = state.dicts.clone();
-        self.ts = state.ts;
-        self.max_id = state.max_id;
-        self.patches = state.patches.clone();
-        self.dispatch = state.dispatch.clone();
-        self.superops_dirty = true;
-        // The lineage's table was compiled under the founder's config;
-        // this tenant's (possibly fault-injected) slot cap must survive.
-        self.dispatch
+        let own = std::mem::replace(&mut self.current, state.current.clone());
+        // The instance's own cost model, tail-call switch and (possibly
+        // fault-injected) slot cap survive: the lineage's were set under
+        // the founder's configuration.
+        self.current.view.cost = own.view.cost;
+        self.current.view.handle_tail_calls = self.config.handle_tail_calls;
+        self.current
+            .view
+            .dispatch
             .set_slot_cap(self.config.fault.dispatch_slot_cap);
-        self.site_owner = Arc::clone(&state.site_owner);
-        self.tail_fns.clone_from(&state.tail_fns);
-        for &r in &state.roots {
-            if !self.roots.contains(&r) {
-                self.roots.push(r);
-            }
+        // Roots this tenant registered beyond the lineage's set stay first
+        // and keep their graph nodes (the adopted graph may lack them).
+        let adopted = std::mem::take(&mut self.current.roots);
+        for r in own.roots.into_iter().chain(adopted) {
+            self.current.register_root(r);
         }
-        // Roots this tenant registered beyond the lineage's set must keep
-        // their graph nodes (the adopted graph may not contain them).
-        let missing: Vec<FunctionId> = self
-            .roots
-            .iter()
-            .copied()
-            .filter(|&r| !self.graph.contains_node(r))
-            .collect();
-        if !missing.is_empty() {
-            let g = Arc::make_mut(&mut self.graph);
-            for r in missing {
-                g.ensure_node(r);
-            }
-        }
+        self.superops_dirty = true;
         self.warm_fingerprint = state.warm;
         self.lineage_gen = state.generation;
-        self.stats.max_max_id = self.stats.max_max_id.max(self.max_id);
+        self.stats.max_max_id = self.stats.max_max_id.max(self.current.view.max_id);
         self.last_hot_choice.clear();
         self.next_hot_check = self.events + self.config.hot_check_every;
         self.note_generation(0);
@@ -923,96 +998,12 @@ impl SharedState {
         (applied, cost)
     }
 
-    /// The action the new encoding assigns to one graph edge.
-    fn action_for_edge(&self, eid: EdgeId, back: bool, enc: &Encoding) -> EdgeAction {
-        if back {
-            let compress = match self.config.compression {
-                CompressionMode::Always => true,
-                CompressionMode::Never => false,
-                CompressionMode::Adaptive => {
-                    self.edge_heat.get(&eid).copied().unwrap_or(0)
-                        >= self.config.compression_min_heat
-                }
-            };
-            if compress {
-                EdgeAction::UnencodedCompressed
-            } else {
-                EdgeAction::Unencoded
-            }
-        } else {
-            EdgeAction::Encoded {
-                delta: enc.encoding_u64(eid).expect("non-overflowing encoding"),
-            }
-        }
-    }
-
-    /// Regenerates all site patch states from the new encoding.
-    pub(crate) fn rebuild_sites(&mut self, enc: &Encoding) {
-        // Group edges per site.
-        let mut by_site: HashMap<CallSiteId, Vec<EdgeId>> = HashMap::new();
-        for (eid, e) in self.graph.edges() {
-            by_site.entry(e.site).or_default().push(eid);
-        }
-
-        let mut rebuilt: HashMap<CallSiteId, crate::patch::SiteState> =
-            HashMap::with_capacity(by_site.len());
-        for (site, eids) in by_site {
-            let indirect = eids
-                .iter()
-                .any(|&eid| self.graph.edge(eid).dispatch == Dispatch::Indirect);
-            let tc_wrap = self.config.handle_tail_calls
-                && eids
-                    .iter()
-                    .any(|&eid| self.tail_fns.contains(&self.graph.edge(eid).callee));
-
-            let patch = if indirect {
-                // Order known targets hottest-first for the compare chain.
-                let mut ordered: Vec<(u64, EdgeId)> = eids
-                    .iter()
-                    .map(|&eid| (self.edge_heat.get(&eid).copied().unwrap_or(0), eid))
-                    .collect();
-                ordered.sort_by_key(|&(h, eid)| (std::cmp::Reverse(h), eid.index()));
-                let mut p = IndirectPatch::default();
-                for &(_, eid) in &ordered {
-                    let e = self.graph.edge(eid);
-                    let action = self.action_for_edge(eid, e.back, enc);
-                    p.add_target(e.callee, action, self.config.indirect_inline_max);
-                }
-                if p.hashed.is_some() {
-                    // Conversion accounting only when the site was inline
-                    // before (or new).
-                    let was_hashed = matches!(
-                        self.patches.get(site).map(|s| &s.patch),
-                        Some(SitePatch::Indirect(old)) if old.hashed.is_some()
-                    );
-                    if !was_hashed {
-                        self.stats.hash_conversions += 1;
-                    }
-                }
-                SitePatch::Indirect(p)
-            } else {
-                let eid = eids[0];
-                let e = self.graph.edge(eid);
-                let action = self.action_for_edge(eid, e.back, enc);
-                SitePatch::Direct(e.callee, action)
-            };
-
-            rebuilt.insert(site, crate::patch::SiteState { tc_wrap, patch });
-        }
-        self.patches.replace_all(rebuilt);
-        self.dispatch.rebuild(&self.patches);
-        self.superops_dirty = true;
-        self.sync_slot_failures();
-        let (occupied, span) = self.dispatch.occupancy();
-        self.obs.record_dispatch(occupied, span);
-    }
-
-    /// Freezes the current encoding into an immutable snapshot for
-    /// publication to reader threads. Cheap: the patch table and the
-    /// dictionary store are both `Arc`-backed. When the dispatch state
-    /// moved since the superop table was compiled, the table is
-    /// recompiled here — compile-on-republish — so a published snapshot
-    /// can never carry superops folded under a stale encoding.
+    /// Freezes the current generation's thread-read part into an immutable
+    /// snapshot for publication to reader threads. Cheap: its dispatch
+    /// table, dictionaries and owner table are `Arc`-backed. When the
+    /// dispatch state moved since the superop table was compiled, the
+    /// table is recompiled here — compile-on-republish — so a published
+    /// snapshot can never carry superops folded under a stale encoding.
     pub(crate) fn snapshot(&mut self) -> EncodingSnapshot {
         self.stats.superop_republishes += 1;
         self.obs.on_superop_republish();
@@ -1025,8 +1016,8 @@ impl SharedState {
             }
             let table = if self.config.superops_enabled && !self.superop_candidates.is_empty() {
                 SuperOpTable::compile(
-                    &|site, callee| self.dispatch.resolve(site, callee, &self.cost),
-                    self.max_id,
+                    &|site, callee| self.current.view.resolve(site, callee),
+                    self.current.view.max_id,
                     &self.superop_candidates,
                     self.config.superop_max_window,
                     self.config.superop_max_table,
@@ -1041,41 +1032,22 @@ impl SharedState {
         }
         EncodingSnapshot {
             epoch: self.epoch,
-            ts: self.ts,
-            max_id: self.max_id,
-            dispatch: self.dispatch.clone(),
-            site_owner: Arc::clone(&self.site_owner),
-            dicts: self.dicts.clone(),
-            cost: self.cost.clone(),
-            handle_tail_calls: self.config.handle_tail_calls,
+            view: self.current.view.clone(),
             superops: Arc::clone(&self.superops),
         }
     }
 }
 
-/// An immutable, shareable view of the encoding state at one publication
-/// epoch. Everything a thread needs to execute call/return instrumentation
-/// over already-encoded edges — and to decode or migrate its own context —
-/// without touching any shared lock.
+/// An immutable, shareable copy of the current generation's thread-read
+/// part at one publication epoch: everything a thread needs to execute
+/// call/return instrumentation over already-encoded edges — and to decode
+/// or migrate its own context — without touching any shared lock. The
+/// call graph and the logical patch table stay behind the shared lock.
 #[derive(Clone, Debug)]
 pub(crate) struct EncodingSnapshot {
     /// Publication epoch this snapshot was built at.
     pub(crate) epoch: u64,
-    /// `gTimeStamp` of the encoding the snapshot captures.
-    pub(crate) ts: TimeStamp,
-    /// `maxID` of that encoding.
-    pub(crate) max_id: u64,
-    /// The compiled, slot-indexed dispatch table the fast path resolves
-    /// against (the logical patch table stays behind the shared lock; a
-    /// snapshot carries only the flattened form).
-    pub(crate) dispatch: DispatchTable,
-    /// Call-site owner table (for decoding).
-    pub(crate) site_owner: Arc<HashMap<CallSiteId, FunctionId>>,
-    /// Every dictionary recorded up to `ts` — samples stamped with older
-    /// timestamps decode against their own dictionary.
-    pub(crate) dicts: DictStore,
-    pub(crate) cost: CostModel,
-    pub(crate) handle_tail_calls: bool,
+    pub(crate) view: EncodingView,
     /// Superops compiled against this snapshot's dispatch state; a
     /// republish hands out a table recompiled for the new state, so
     /// stale superops die with the old snapshot (the epoch-invalidation
@@ -1118,44 +1090,4 @@ pub(crate) fn context_fingerprint(snap: &EncodedContext) -> u32 {
             (u64::from(e.site.raw()) << 32) | u64::from(e.target.raw()),
         ]
     })))
-}
-
-/// Patch-table lookup shared by [`SharedState`] and [`EncodingSnapshot`]:
-/// resolves `(site, callee)` in a single probe.
-pub(crate) fn lookup_in(
-    patches: &PatchTable,
-    cost: &CostModel,
-    site: CallSiteId,
-    callee: FunctionId,
-) -> Option<ResolvedSite> {
-    let state = patches.get(site)?;
-    match &state.patch {
-        SitePatch::Trap => None,
-        SitePatch::Direct(target, action) => {
-            if *target == callee {
-                Some(ResolvedSite {
-                    action: *action,
-                    dispatch_cost: 0,
-                    tc_wrap: state.tc_wrap,
-                })
-            } else {
-                None
-            }
-        }
-        SitePatch::Indirect(p) => match p.lookup(callee) {
-            Some((action, cmps, hashed)) => {
-                let dispatch_cost = if hashed {
-                    cost.hash_lookup
-                } else {
-                    u64::from(cmps) * cost.compare
-                };
-                Some(ResolvedSite {
-                    action,
-                    dispatch_cost,
-                    tc_wrap: state.tc_wrap,
-                })
-            }
-            None => None,
-        },
-    }
 }

@@ -33,11 +33,11 @@
 //! * an unbalanced window, or one whose folded final state is not
 //!   exactly the entry state.
 //!
-//! The compiled table lives inside the published [`EncodingSnapshot`]
-//! (`crate::shared::EncodingSnapshot`), so a republish invalidates every
-//! superop exactly like the indirect-call inline cache: threads re-probe
-//! against the new snapshot's table, which was recompiled under the new
-//! dispatch state.
+//! The compiled table is published next to the current generation's
+//! `EncodingView` in each `crate::shared::EncodingSnapshot`, so a
+//! republish invalidates every superop exactly like the indirect-call
+//! inline cache: threads re-probe against the new snapshot's table, which
+//! was recompiled under the new dispatch state.
 
 use dacce_callgraph::{CallSiteId, FunctionId};
 

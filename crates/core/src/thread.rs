@@ -190,9 +190,10 @@ impl ThreadCtx {
 }
 
 /// The step core: one thread's [`ThreadCtx`] plus the bookkeeping around
-/// every event it executes. The [`crate::Tracker`] drives it with its
-/// cached snapshot as the view, the [`crate::DacceEngine`] with
-/// `&SharedState`. The journal writer and its gate are arguments, not
+/// every event it executes. Both drivers pass an [`EncodingView`]: the
+/// [`crate::Tracker`] the one in its cached snapshot, the
+/// [`crate::DacceEngine`] its shared state's current one. The journal
+/// writer and its gate are arguments, not
 /// state: the engine keeps its one shared writer, and batched callers load
 /// the gate once per batch.
 #[derive(Debug)]
@@ -242,7 +243,7 @@ impl ThreadState {
         ThreadState {
             tid,
             ctx,
-            ts: sh.ts,
+            ts: sh.current.view.ts,
             shard: StatsShard::default(),
             batch_events: 0,
             sampler: Sampler::new(config.profiler_stride, seed, config.profiler_budget),
@@ -266,7 +267,7 @@ impl ThreadState {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn call(
         &mut self,
-        view: &impl EncodingView,
+        view: &EncodingView,
         writer: &ObsWriter,
         obs_on: bool,
         site: CallSiteId,
@@ -299,7 +300,7 @@ impl ThreadState {
     #[inline]
     pub(crate) fn ret(
         &mut self,
-        view: &impl EncodingView,
+        view: &EncodingView,
         writer: &ObsWriter,
         obs_on: bool,
         site: CallSiteId,
@@ -381,20 +382,20 @@ impl ThreadState {
     /// context's, decode under the old generation's dictionary (still in
     /// the view's store) and replay under the new patches. Lazy epoch
     /// checks, traps, lineage adoptions and re-encodes all come here.
-    pub(crate) fn migrate(&mut self, view: &impl EncodingView, writer: &ObsWriter, obs_on: bool) {
-        let to = view.ts();
+    pub(crate) fn migrate(&mut self, view: &EncodingView, writer: &ObsWriter, obs_on: bool) {
+        let to = view.ts;
         if to == self.ts {
             return;
         }
         let ctx = &self.ctx;
-        let path = view.dicts().get(self.ts).map(|dict| {
+        let path = view.dicts.get(self.ts).map(|dict| {
             decode_thread(
                 dict,
                 ctx.id,
                 ctx.current,
                 ctx.root,
                 ctx.cc.entries(),
-                view.site_owner(),
+                &view.site_owner,
             )
         });
         match path {
@@ -411,13 +412,13 @@ impl ThreadState {
 
     /// Audits the context against its generation in `view` (see
     /// [`check_thread`]).
-    pub(crate) fn check(&self, view: &impl EncodingView) -> Result<(), String> {
+    pub(crate) fn check(&self, view: &EncodingView) -> Result<(), String> {
         let label = self.tid.to_string();
         let dict = view
-            .dicts()
+            .dicts
             .get(self.ts)
             .ok_or_else(|| format!("{label}: timestamp {} has no dictionary", self.ts))?;
-        check_thread(dict, view.site_owner(), view.max_id(), &label, &self.ctx)
+        check_thread(dict, &view.site_owner, view.max_id, &label, &self.ctx)
     }
 
     /// Whether either sample backlog holds samples to drain.

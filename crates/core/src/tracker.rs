@@ -49,7 +49,6 @@ use crate::config::DacceConfig;
 use crate::context::{EncodedContext, SpawnLink};
 use crate::decode::DecodeError;
 use crate::dispatch::CompiledDispatch;
-use crate::fastpath::EncodingView;
 use crate::lineage::EncodingLineage;
 use crate::observe::{ObsWriter, Observability};
 use crate::patch::EdgeAction;
@@ -402,7 +401,7 @@ impl Tracker {
         let slots: Vec<Arc<ThreadSlot>> = self.inner.registry.lock().clone();
         for slot in slots {
             let l = slot.state.lock();
-            l.st.check(&*l.snap)?;
+            l.st.check(&l.snap.view)?;
         }
         let sh = self.inner.shared.lock();
         check_shared(&sh)
@@ -435,7 +434,7 @@ impl Tracker {
         if self.inner.attached.fetch_add(1, Ordering::Relaxed) == 0 {
             sh.attach_main(root);
         }
-        sh.register_root(root);
+        sh.current.register_root(root);
         let snap = self.inner.republish(&mut sh);
         let slot = Arc::new(ThreadSlot {
             tid,
@@ -462,7 +461,7 @@ impl Tracker {
     /// recorded dictionaries (indicates misuse such as unbalanced guards).
     pub fn decode(&self, ctx: &EncodedContext) -> Result<ContextPath, DecodeError> {
         let snap = Arc::clone(&self.inner.published.lock());
-        snap.decode(ctx)
+        snap.view.decode(ctx)
     }
 
     /// Renders a decoded path as `main -> f -> g` using the declared names.
@@ -908,7 +907,8 @@ impl SlotState {
     #[inline(never)]
     fn catch_up(&mut self, inner: &TrackerInner) {
         let snap = Arc::clone(&inner.published.lock());
-        self.st.migrate(&*snap, &self.writer, self.writer.enabled());
+        self.st
+            .migrate(&snap.view, &self.writer, self.writer.enabled());
         self.snap = snap;
     }
 
@@ -934,7 +934,7 @@ impl SlotState {
         let action = match self.resolve_cached(site, target) {
             Some(r) => {
                 let _ = self.st.call(
-                    &*self.snap,
+                    &self.snap.view,
                     &self.writer,
                     obs_on,
                     site,
@@ -968,11 +968,12 @@ impl SlotState {
             frame.action
         } else {
             self.snap
+                .view
                 .resolve(frame.site, frame.callee)
                 .map_or(EdgeAction::Unencoded, |r| r.action)
         };
         let _ = self.st.ret(
-            &*self.snap,
+            &self.snap.view,
             &self.writer,
             obs_on,
             frame.site,
@@ -991,8 +992,9 @@ impl SlotState {
     /// signal.
     #[inline]
     fn resolve_cached(&mut self, site: CallSiteId, target: FunctionId) -> Option<ResolvedSite> {
-        let snap = &*self.snap;
-        let (slot, cs) = snap.dispatch.entry(site)?;
+        let snap = &self.snap;
+        let view = &snap.view;
+        let (slot, cs) = view.dispatch.entry(site)?;
         match cs.dispatch {
             CompiledDispatch::Trap => None,
             CompiledDispatch::Mono {
@@ -1012,14 +1014,14 @@ impl SlotState {
                         action,
                         // One compare against the cached entry replaces the
                         // chain walk / hash probe.
-                        dispatch_cost: snap.cost.compare,
+                        dispatch_cost: view.cost.compare,
                         tc_wrap,
                     })
                 } else {
                     self.st.shard.icache_misses += 1;
-                    let r = snap
+                    let r = view
                         .dispatch
-                        .poly_resolve(index, target, &snap.cost, cs.tc_wrap)?;
+                        .poly_resolve(index, target, &view.cost, cs.tc_wrap)?;
                     self.st
                         .ctx
                         .icache
@@ -1059,14 +1061,15 @@ impl SlotState {
         // since our epoch check in one migration: the call below must
         // execute against the current generation.
         let _ = sh.adopt_pending_lineage();
-        self.st.migrate(&*sh, &self.writer, self.writer.enabled());
+        self.st
+            .migrate(&sh.current.view, &self.writer, self.writer.enabled());
 
         // The tracker API has no tail-call entry point, so a trap never
         // reveals a newly tail-calling function (no frame retrofit: that
         // path is engine-only).
         let (r, _) = sh.resolve_or_trap(self.st.tid.raw(), site, caller, target, dispatch, false);
         let _ = self.st.call(
-            &*sh,
+            &sh.current.view,
             &self.writer,
             obs_on,
             site,
@@ -1083,6 +1086,7 @@ impl SlotState {
         // A re-encoding above may have re-patched this very site; report
         // the action valid under the snapshot the frame will be keyed to.
         self.snap
+            .view
             .resolve(site, target)
             .map_or(r.action, |r| r.action)
     }
@@ -1100,7 +1104,8 @@ impl SlotState {
         // already published (skipping the redundant local re-encode) or
         // re-encodes locally and publishes the result for the siblings.
         let _ = sh.reencode_via_lineage();
-        self.st.migrate(&*sh, &self.writer, self.writer.enabled());
+        self.st
+            .migrate(&sh.current.view, &self.writer, self.writer.enabled());
         // Replay rebuilt our ccStack; publish its ops so the rate window
         // the triggers re-arm with starts clean.
         self.st.publish_cc_ops(&inner.ccops_total);
@@ -1157,7 +1162,8 @@ impl SlotState {
             // A sibling tenant published a newer lineage generation; move
             // this thread across it and republish so the other threads
             // migrate at their next epoch check.
-            self.st.migrate(&*sh, &self.writer, self.writer.enabled());
+            self.st
+                .migrate(&sh.current.view, &self.writer, self.writer.enabled());
             self.snap = inner.republish(sh);
         }
         if self.maybe_reencode(inner, sh) {
@@ -1279,6 +1285,52 @@ mod tests {
         assert_eq!(heat(), 0);
         tracker.stats();
         assert_eq!(heat(), 1);
+    }
+
+    #[test]
+    fn published_snapshots_share_neither_the_graph_nor_the_patch_table() {
+        // Traps patch the graph and the patch table in place under the
+        // shared lock. A snapshot that shared either would turn every trap
+        // into a deep copy of it.
+        let tracker = Tracker::new();
+        let main_fn = tracker.define_function("main");
+        // Registered first, this thread keeps its snapshot from before the
+        // traps cached.
+        let _reader = tracker.register_thread(main_fn);
+        let th = tracker.register_thread(main_fn);
+        for i in 0..8 {
+            let f = tracker.define_function(&format!("f{i}"));
+            let _g = th.call(tracker.define_call_site(), f);
+        }
+        assert!(tracker.request_reencode());
+        let _g = th.call(tracker.define_call_site(), main_fn);
+        tracker.with_shared(|sh| {
+            assert!(sh.lineage.is_none());
+            assert_eq!(Arc::strong_count(&sh.current.graph), 1);
+            assert!(sh.current.patches.is_unique());
+        });
+    }
+
+    #[test]
+    fn lineage_graph_is_shared_until_the_first_divergent_trap() {
+        let founder = Tracker::new();
+        let main_fn = founder.define_function("main");
+        let f = founder.define_function("f");
+        let g = founder.define_function("g");
+        let (known, new) = (founder.define_call_site(), founder.define_call_site());
+        drop(founder.register_thread(main_fn).call(known, f));
+        let lineage = founder.found_lineage(7);
+        let lineage_graph = Arc::clone(&lineage.current().current.graph);
+
+        let tenant = Tracker::with_lineage(DacceConfig::default(), &lineage);
+        let shares = || tenant.with_shared(|sh| Arc::ptr_eq(&sh.current.graph, &lineage_graph));
+        let th = tenant.register_thread(main_fn);
+        drop(th.call(known, f));
+        assert_eq!(tenant.stats().traps, 0, "the lineage encodes the edge");
+        assert!(shares());
+        drop(th.call(new, g));
+        assert!(tenant.diverged());
+        assert!(!shares());
     }
 
     #[test]

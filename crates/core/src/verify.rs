@@ -10,11 +10,12 @@
 use std::collections::HashMap;
 
 use dacce_callgraph::{CallSiteId, DecodeDict, FunctionId};
+use dacce_program::CostModel;
 
 use crate::decode::decode_thread;
 use crate::engine::DacceEngine;
-use crate::patch::SitePatch;
-use crate::shared::{lookup_in, SharedState};
+use crate::patch::{PatchTable, SitePatch};
+use crate::shared::{Generation, ResolvedSite, SharedState};
 use crate::thread::ThreadCtx;
 
 /// Shared-state invariants: dictionaries in lock step with `gTimeStamp`,
@@ -22,36 +23,38 @@ use crate::thread::ThreadCtx;
 /// and the compiled dispatch table agreeing with the logical patch table
 /// for every `(site, callee)` pair.
 pub(crate) fn check_shared(sh: &SharedState) -> Result<(), String> {
+    let g = &sh.current;
+    let view = &g.view;
     // 1 & 2: dictionaries.
-    if sh.dicts.len() != sh.ts.index() + 1 {
+    if view.dicts.len() != view.ts.index() + 1 {
         return Err(format!(
             "dictionary count {} out of step with timestamp {}",
-            sh.dicts.len(),
-            sh.ts
+            view.dicts.len(),
+            view.ts
         ));
     }
-    let latest = sh
+    let latest = view
         .dicts
         .latest()
         .ok_or_else(|| "no dictionary recorded".to_string())?;
-    if latest.max_id() != sh.max_id {
+    if latest.max_id() != view.max_id {
         return Err(format!(
             "latest dictionary maxID {} != live maxID {}",
             latest.max_id(),
-            sh.max_id
+            view.max_id
         ));
     }
 
     // 3: graph edges vs patch states and owners.
-    for (_, e) in sh.graph.edges() {
-        let state = sh
+    for (_, e) in g.graph.edges() {
+        let state = g
             .patches
             .get(e.site)
             .ok_or_else(|| format!("edge {e:?} has no site state"))?;
         if matches!(state.patch, SitePatch::Trap) {
             return Err(format!("executed site {} still patched as trap", e.site));
         }
-        match sh.site_owner.get(&e.site) {
+        match view.site_owner.get(&e.site) {
             Some(&owner) if owner == e.caller => {}
             Some(&owner) => {
                 return Err(format!(
@@ -64,7 +67,7 @@ pub(crate) fn check_shared(sh: &SharedState) -> Result<(), String> {
     }
 
     // 4: the compiled dispatch table is the flattening of the patch table.
-    check_dispatch(sh)?;
+    check_dispatch(g)?;
 
     // 5: degraded-state bookkeeping is arithmetically consistent.
     check_degraded(sh)
@@ -81,15 +84,16 @@ pub(crate) fn check_shared(sh: &SharedState) -> Result<(), String> {
 /// and traps on every call). Such sites are exempt from the per-callee
 /// equivalence check — trapping is always sound — but must be fully
 /// accounted for by the table's refusal counter.
-fn check_dispatch(sh: &SharedState) -> Result<(), String> {
-    let mut nodes: Vec<FunctionId> = sh.graph.nodes().to_vec();
+fn check_dispatch(g: &Generation) -> Result<(), String> {
+    let view = &g.view;
+    let mut nodes: Vec<FunctionId> = g.graph.nodes().to_vec();
     // Probe an id the graph has never seen so unknown-callee traps are
     // covered too.
     nodes.push(FunctionId::new(u32::MAX - 1));
     let mut compiled = 0usize;
     let mut seen_slots = std::collections::HashSet::new();
-    for (site, slot, _) in sh.dispatch.iter_compiled() {
-        if sh.patches.get(site).is_none() {
+    for (site, slot, _) in view.dispatch.iter_compiled() {
+        if g.patches.get(site).is_none() {
             return Err(format!(
                 "dispatch table has a record for unpatched site {site}"
             ));
@@ -100,9 +104,9 @@ fn check_dispatch(sh: &SharedState) -> Result<(), String> {
         compiled += 1;
     }
     let mut starved = 0usize;
-    for (&site, _) in sh.patches.iter() {
-        if !sh.dispatch.iter_compiled().any(|(s, _, _)| s == site) {
-            if sh.dispatch.slot_failures() == 0 {
+    for (&site, _) in g.patches.iter() {
+        if !view.dispatch.iter_compiled().any(|(s, _, _)| s == site) {
+            if view.dispatch.slot_failures() == 0 {
                 return Err(format!("patched site {site} has no compiled record"));
             }
             // Starved by the injected slot cap: permanently traps.
@@ -110,8 +114,8 @@ fn check_dispatch(sh: &SharedState) -> Result<(), String> {
             continue;
         }
         for &callee in &nodes {
-            let flat = sh.dispatch.resolve(site, callee, &sh.cost);
-            let logical = lookup_in(&sh.patches, &sh.cost, site, callee);
+            let flat = view.resolve(site, callee);
+            let logical = lookup_in(&g.patches, &view.cost, site, callee);
             if flat != logical {
                 return Err(format!(
                     "dispatch disagreement at ({site}, {callee}): \
@@ -120,19 +124,59 @@ fn check_dispatch(sh: &SharedState) -> Result<(), String> {
             }
         }
     }
-    if compiled + starved != sh.patches.len() {
+    if compiled + starved != g.patches.len() {
         return Err(format!(
             "{compiled} compiled + {starved} starved records != {} patched sites",
-            sh.patches.len()
+            g.patches.len()
         ));
     }
-    if starved > 0 && sh.dispatch.slot_failures() < starved as u64 {
+    if starved > 0 && view.dispatch.slot_failures() < starved as u64 {
         return Err(format!(
             "{starved} starved sites but only {} recorded slot refusals",
-            sh.dispatch.slot_failures()
+            view.dispatch.slot_failures()
         ));
     }
     Ok(())
+}
+
+/// The logical patch table's resolution of `(site, callee)`: the reference
+/// [`check_dispatch`] holds the compiled dispatch table to, probe by probe.
+fn lookup_in(
+    patches: &PatchTable,
+    cost: &CostModel,
+    site: CallSiteId,
+    callee: FunctionId,
+) -> Option<ResolvedSite> {
+    let state = patches.get(site)?;
+    match &state.patch {
+        SitePatch::Trap => None,
+        SitePatch::Direct(target, action) => {
+            if *target == callee {
+                Some(ResolvedSite {
+                    action: *action,
+                    dispatch_cost: 0,
+                    tc_wrap: state.tc_wrap,
+                })
+            } else {
+                None
+            }
+        }
+        SitePatch::Indirect(p) => match p.lookup(callee) {
+            Some((action, cmps, hashed)) => {
+                let dispatch_cost = if hashed {
+                    cost.hash_lookup
+                } else {
+                    u64::from(cmps) * cost.compare
+                };
+                Some(ResolvedSite {
+                    action,
+                    dispatch_cost,
+                    tc_wrap: state.tc_wrap,
+                })
+            }
+            None => None,
+        },
+    }
 }
 
 /// Degraded-state arithmetic: demoted nodes must exist in the call graph,
@@ -145,7 +189,7 @@ pub(crate) fn check_degraded(sh: &SharedState) -> Result<(), String> {
         return Err("degraded mode active but re-encoding still enabled".to_string());
     }
     for &raw in &d.trap_nodes {
-        if !sh.graph.nodes().contains(&FunctionId::new(raw)) {
+        if !sh.current.graph.nodes().contains(&FunctionId::new(raw)) {
             return Err(format!("degraded node {raw} is not in the call graph"));
         }
     }
@@ -159,11 +203,11 @@ pub(crate) fn check_degraded(sh: &SharedState) -> Result<(), String> {
     if (!d.trap_nodes.is_empty() || d.degraded_traps > 0) && !d.active {
         return Err("degraded traps recorded without degraded mode".to_string());
     }
-    if d.slot_failures < sh.dispatch.slot_failures() {
+    if d.slot_failures < sh.current.view.dispatch.slot_failures() {
         return Err(format!(
             "stats record {} slot failures but the table refused {}",
             d.slot_failures,
-            sh.dispatch.slot_failures()
+            sh.current.view.dispatch.slot_failures()
         ));
     }
     Ok(())
@@ -256,7 +300,7 @@ impl DacceEngine {
     pub fn check_invariants(&self) -> Result<(), String> {
         check_shared(&self.shared)?;
         for st in self.threads.values() {
-            st.check(&self.shared)?;
+            st.check(&self.shared.current.view)?;
         }
         Ok(())
     }

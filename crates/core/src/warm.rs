@@ -120,21 +120,21 @@ impl SharedState {
             return report;
         }
         assert!(
-            !self.dicts.is_empty(),
+            !self.current.view.dicts.is_empty(),
             "warm_start requires attach_main first"
         );
         assert_eq!(
-            self.ts,
+            self.current.view.ts,
             TimeStamp::ZERO,
             "warm_start must precede any re-encoding"
         );
         assert_eq!(self.events, 0, "warm_start must precede execution");
 
         for &r in &seed.roots {
-            self.register_root(r);
+            self.current.register_root(r);
         }
         if self.config.handle_tail_calls {
-            self.tail_fns.extend(seed.tail_fns.iter().copied());
+            self.current.tail_fns.extend(seed.tail_fns.iter().copied());
         }
 
         // Spawn pseudo-edges never materialize as call events; drop them
@@ -147,12 +147,12 @@ impl SharedState {
         let total = edges.len();
 
         loop {
-            let mut g = (*self.graph).clone();
+            let mut g = (*self.current.graph).clone();
             for e in &edges {
                 g.add_edge(e.caller, e.callee, e.site, e.dispatch);
             }
-            classify_back_edges(&mut g, &self.roots);
-            let enc = encode_graph(&g, &self.roots, &EncodeOptions::default());
+            classify_back_edges(&mut g, &self.current.roots);
+            let enc = encode_graph(&g, &self.current.roots, &EncodeOptions::default());
             if enc.overflow {
                 // Prune the callee with the largest context count — the
                 // node driving the blowup — and try again. Its edges fall
@@ -174,8 +174,8 @@ impl SharedState {
                 continue;
             }
 
-            self.graph = Arc::new(g);
-            let owners = Arc::make_mut(&mut self.site_owner);
+            self.current.graph = Arc::new(g);
+            let owners = Arc::make_mut(&mut self.current.view.site_owner);
             for e in &edges {
                 owners.insert(e.site, e.caller);
             }
@@ -185,14 +185,14 @@ impl SharedState {
             let report = WarmStartReport {
                 seeded_edges: edges.len(),
                 pruned_edges: total - edges.len(),
-                max_id: self.max_id,
+                max_id: self.current.view.max_id,
             };
             self.obs
                 .on_warm_start(report.seeded_edges as u64, report.pruned_edges as u64);
             self.obs_writer.warm_seed(
                 report.seeded_edges as u32,
                 report.pruned_edges as u32,
-                self.max_id,
+                self.current.view.max_id,
             );
             self.warm_fingerprint = Some((fingerprint, report));
             return report;

@@ -164,8 +164,9 @@ pub fn mutants() -> Vec<Mutant> {
 
 /// Protocol 1 — snapshot publish vs. fast-path read.
 ///
-/// The re-encoder installs a new `EncodingSnapshot` (modelled as a plain
-/// table write) and publishes its epoch; a reader checks the epoch on its
+/// The re-encoder installs a new snapshot of the current generation's
+/// `EncodingView` (modelled as a plain table write) and publishes its
+/// epoch; a reader checks the epoch on its
 /// fast path and consumes the table only when it observed the new epoch.
 /// Mirrors `Tracker::republish` / `SlotState::refresh`.
 fn snapshot_publish(ord: &Orderings) -> Model {

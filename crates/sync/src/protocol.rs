@@ -15,7 +15,8 @@ use super::Ordering;
 // ---------------------------------------------------------------------
 
 /// `TrackerInner::republish`'s store of the publication epoch, sequenced
-/// after the new `EncodingSnapshot` is written into `published`. Pairs
+/// after the new snapshot (the current `Generation`'s thread-read part,
+/// the `EncodingView`) is written into `published`. Pairs
 /// with [`EPOCH_CHECK`]: Release so a reader that observes the new epoch
 /// also observes the snapshot contents it advertises.
 pub const EPOCH_PUBLISH: Ordering = Ordering::Release;
@@ -95,7 +96,8 @@ pub const RING_STAMP_RECHECK: Ordering = Ordering::Relaxed;
 
 /// `EncodingLineage::publish_into`'s store of the lock-free generation
 /// mirror, executed inside the state critical section after the new
-/// `LineageState` is written. Pairs with [`LINEAGE_GEN_CHECK`]: Release
+/// `LineageState` (one whole `Generation`) is written. Pairs with
+/// [`LINEAGE_GEN_CHECK`]: Release
 /// so the mirror never advertises a generation whose state a subsequent
 /// locked read could miss.
 pub const LINEAGE_GEN_PUBLISH: Ordering = Ordering::Release;

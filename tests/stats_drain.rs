@@ -35,7 +35,9 @@ fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns
         let drainer = scope.spawn(move |_| {
             let mut last_calls = 0u64;
             let mut drains = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            // Drain before reading `stop`: the drainer may first be
+            // scheduled only after the workers finished and `stop` is set.
+            loop {
                 let s = tr.stats();
                 assert!(
                     s.calls >= last_calls,
@@ -44,6 +46,9 @@ fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns
                 );
                 last_calls = s.calls;
                 drains += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             drains
         });
