@@ -30,17 +30,51 @@ pub struct DictEdge {
     pub dispatch: Dispatch,
 }
 
+/// One incoming edge of a callee, compiled for Algorithm 1: the id range
+/// `[lo, hi)` the edge covers and where the decode walk continues.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InEdge {
+    /// `En(e)`: the lowest id whose sub-path enters the callee via this edge.
+    pub lo: u64,
+    /// `En(e) + numCC(caller)` (a caller without a count counts as 1),
+    /// saturated: one past the highest id this edge covers.
+    pub hi: u64,
+    /// The call site `l` inside the caller.
+    pub site: CallSiteId,
+    /// The calling function `p`.
+    pub caller: FunctionId,
+    /// The caller's dictionary-local index (see [`DecodeDict::local`]).
+    pub caller_local: u32,
+    /// Position of the edge in [`DecodeDict::edges`].
+    pub edge: u32,
+    /// Whether the edge is a back edge; the decoder never follows one.
+    pub back: bool,
+}
+
 /// An immutable snapshot of everything needed to decode ids recorded at one
 /// timestamp: edge encodings (`Edge._encoding`), context counts
 /// (`Node._numCC`) and `maxID` (Figure 6 of the paper).
+///
+/// The snapshot is compiled once, at [`DecodeDict::from_encoding`], into
+/// dense arrays over dictionary-local function indices, so the decoder
+/// hashes a function id only at the head of a sub-path and follows
+/// `caller_local` for every acyclic step. Nothing is sized by an id value:
+/// ids in an imported dictionary are untrusted.
 #[derive(Clone, Debug, Default)]
 pub struct DecodeDict {
     timestamp: TimeStamp,
     max_id: u64,
     edges: Vec<DictEdge>,
-    incoming: HashMap<FunctionId, Vec<u32>>,
-    by_site_callee: HashMap<(CallSiteId, FunctionId), u32>,
-    num_cc: HashMap<FunctionId, u64>,
+    /// Function -> local index. Locals `0..num_cc.len()` are the functions
+    /// with a context count; the other graph nodes (edge endpoints
+    /// included) follow.
+    local: HashMap<FunctionId, u32>,
+    /// `numCC` by local index.
+    num_cc: Vec<u64>,
+    /// Incoming edges of local `l` are
+    /// `in_edges[in_start[l]..in_start[l + 1]]`, in graph insertion order.
+    in_start: Vec<u32>,
+    in_edges: Vec<InEdge>,
 }
 
 /// Errors building a dictionary from an encoding.
@@ -75,11 +109,7 @@ impl DecodeDict {
         if encoding.overflow {
             return Err(DictError::Overflow);
         }
-        let mut dict = DecodeDict {
-            timestamp,
-            max_id: encoding.max_id,
-            ..DecodeDict::default()
-        };
+        let mut edges = Vec::with_capacity(graph.edge_count());
         for (eid, e) in graph.edges() {
             let en = if e.back {
                 0
@@ -89,8 +119,7 @@ impl DecodeDict {
                     None => return Err(DictError::Overflow),
                 }
             };
-            let idx = dict.edges.len() as u32;
-            dict.edges.push(DictEdge {
+            edges.push(DictEdge {
                 caller: e.caller,
                 callee: e.callee,
                 site: e.site,
@@ -98,14 +127,66 @@ impl DecodeDict {
                 back: e.back,
                 dispatch: e.dispatch,
             });
-            dict.incoming.entry(e.callee).or_default().push(idx);
-            dict.by_site_callee.insert((e.site, e.callee), idx);
         }
-        for (&node, &cc) in &encoding.num_cc {
-            dict.num_cc
-                .insert(node, u64::try_from(cc).map_err(|_| DictError::Overflow)?);
+
+        // Local indices: counted functions first (graph order, then any
+        // count for a function outside the graph), then the rest.
+        let mut funcs: Vec<FunctionId> = graph
+            .nodes()
+            .iter()
+            .copied()
+            .filter(|f| encoding.num_cc.contains_key(f))
+            .collect();
+        funcs.extend(encoding.num_cc.keys().filter(|f| !graph.contains_node(**f)));
+        let num_cc = funcs
+            .iter()
+            .map(|f| u64::try_from(encoding.num_cc[f]).map_err(|_| DictError::Overflow))
+            .collect::<Result<Vec<u64>, _>>()?;
+        funcs.extend(
+            graph
+                .nodes()
+                .iter()
+                .filter(|f| !encoding.num_cc.contains_key(f)),
+        );
+        let local: HashMap<FunctionId, u32> = funcs
+            .iter()
+            .enumerate()
+            .map(|(l, &f)| (f, l as u32))
+            .collect();
+
+        // Incoming edges grouped by callee; `graph.incoming` keeps each
+        // group in insertion order, and dictionary edge `i` is graph edge
+        // `i`.
+        let mut in_start = Vec::with_capacity(funcs.len() + 1);
+        let mut in_edges = Vec::with_capacity(edges.len());
+        in_start.push(0);
+        for &f in &funcs {
+            for &eid in graph.incoming(f) {
+                let e = &edges[eid.index()];
+                let caller_local = local[&e.caller];
+                let caller_cc = num_cc.get(caller_local as usize).copied().unwrap_or(1);
+                in_edges.push(InEdge {
+                    lo: e.encoding,
+                    hi: e.encoding.saturating_add(caller_cc),
+                    site: e.site,
+                    caller: e.caller,
+                    caller_local,
+                    edge: eid.index() as u32,
+                    back: e.back,
+                });
+            }
+            in_start.push(in_edges.len() as u32);
         }
-        Ok(dict)
+
+        Ok(DecodeDict {
+            timestamp,
+            max_id: encoding.max_id,
+            edges,
+            local,
+            num_cc,
+            in_start,
+            in_edges,
+        })
     }
 
     /// The timestamp this dictionary is valid for.
@@ -128,26 +209,44 @@ impl DecodeDict {
         self.num_cc.len()
     }
 
+    /// The dictionary-local index of `f`, or `None` if `f` has neither a
+    /// context count nor a graph node. The decoder's one hash probe, taken
+    /// at sub-path heads only.
+    #[inline]
+    pub fn local(&self, f: FunctionId) -> Option<u32> {
+        self.local.get(&f).copied()
+    }
+
+    /// Compiled incoming edges of local `l`, in graph insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is not a local index of this dictionary.
+    #[inline]
+    pub fn in_edges(&self, l: u32) -> &[InEdge] {
+        let l = l as usize;
+        &self.in_edges[self.in_start[l] as usize..self.in_start[l + 1] as usize]
+    }
+
     /// `numCC(f)`, or `None` if `f` was not in the graph at snapshot time.
     pub fn num_cc(&self, f: FunctionId) -> Option<u64> {
-        self.num_cc.get(&f).copied()
+        self.local(f)
+            .and_then(|l| self.num_cc.get(l as usize))
+            .copied()
     }
 
     /// Incoming dictionary edges of `f`, in graph insertion order.
     pub fn incoming(&self, f: FunctionId) -> impl Iterator<Item = &DictEdge> {
-        self.incoming
-            .get(&f)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.edges[i as usize])
+        self.local(f)
+            .map_or(&[][..], |l| self.in_edges(l))
+            .iter()
+            .map(move |r| &self.edges[r.edge as usize])
     }
 
     /// The paper's `getEdge(cs, ifun)`: the edge at call site `site` whose
     /// callee is `callee`, if it existed at snapshot time.
     pub fn get_edge(&self, site: CallSiteId, callee: FunctionId) -> Option<&DictEdge> {
-        self.by_site_callee
-            .get(&(site, callee))
-            .map(|&i| &self.edges[i as usize])
+        self.incoming(callee).find(|e| e.site == site)
     }
 
     /// All dictionary edges.

@@ -58,7 +58,7 @@ pub mod graph;
 pub mod ids;
 pub mod paths;
 
-pub use dict::{DecodeDict, DictEdge, DictStore};
+pub use dict::{DecodeDict, DictEdge, DictStore, InEdge};
 pub use encode::{EncodeOptions, Encoding};
 pub use graph::{CallGraph, Dispatch, Edge, Node};
 pub use ids::{CallSiteId, EdgeId, FunctionId, TimeStamp};

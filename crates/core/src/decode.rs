@@ -85,7 +85,10 @@ pub fn decode_thread(
     owner: &HashMap<CallSiteId, FunctionId>,
 ) -> Result<ContextPath, DecodeError> {
     let max_id = dict.max_id();
-    let mut stack: Vec<CcEntry> = cc.to_vec();
+    // The ccStack is read through a cursor: entries `cc[..depth]` remain,
+    // and the top one still stands for `top_count + 1` boundary instances.
+    let mut depth = cc.len();
+    let mut top_count = cc.last().map_or(0, |e| e.count);
 
     // AdjustID (Algorithm 1, lines 1-4).
     let mut id = id;
@@ -98,15 +101,23 @@ pub fn decode_thread(
     };
     adjust(&mut id, &mut onstack);
 
-    // Steps are built leaf-to-root; `site` is the call site through which
-    // the step's function was entered (filled in when the edge is found).
-    let mut steps: Vec<(Option<CallSiteId>, FunctionId)> = vec![(None, leaf)];
+    // Steps are built leaf-to-root; each step's `site` is the call site
+    // through which its function was entered (filled in when the edge is
+    // found). `cur_local` is `cur`'s dictionary-local index, looked up at
+    // sub-path heads only: acyclic steps carry it along the matched edge.
+    // The capacity covers a typical deep context without regrowing.
+    let mut steps = Vec::with_capacity(64);
+    steps.push(PathStep {
+        site: None,
+        func: leaf,
+    });
+    let mut cur = leaf;
+    let mut cur_local = dict.local(leaf);
 
     loop {
         // Lines 9-25: match sub-path heads against the ccStack top.
         while id == 0 && onstack {
-            let cur = steps.last().expect("steps never empty").1;
-            let Some(top) = stack.last().copied() else {
+            let Some(top) = depth.checked_sub(1).map(|i| &cc[i]) else {
                 return Err(DecodeError::CcStackUnderflow { at: cur });
             };
             if cur != top.target {
@@ -118,58 +129,56 @@ pub fn decode_thread(
             // hit, §3.3); consume one instance per pop — the repeated
             // interior sub-paths then decode naturally, because each
             // restart sees the same id.
-            if top.count > 0 {
-                stack.last_mut().expect("checked above").count -= 1;
+            if top_count > 0 {
+                top_count -= 1;
             } else {
-                stack.pop();
+                depth -= 1;
+                top_count = depth.checked_sub(1).map_or(0, |i| cc[i].count);
             }
-            steps.last_mut().expect("steps never empty").0 = Some(top.site);
+            steps.last_mut().expect("steps never empty").site = Some(top.site);
             let Some(&caller) = owner.get(&top.site) else {
                 return Err(DecodeError::UnknownSiteOwner(top.site));
             };
-            steps.push((None, caller));
+            steps.push(PathStep {
+                site: None,
+                func: caller,
+            });
+            cur = caller;
+            cur_local = dict.local(caller);
             id = top.id;
             adjust(&mut id, &mut onstack);
         }
 
-        let cur = steps.last().expect("steps never empty").1;
-
         // Termination: back at the thread root with nothing suspended.
-        if cur == root && id == 0 && !onstack && stack.is_empty() {
+        if cur == root && id == 0 && !onstack && depth == 0 {
             break;
         }
 
-        // Lines 26-33: one acyclic step through the encoded edges.
-        let mut found = None;
-        for e in dict.incoming(cur) {
-            if e.back {
-                continue;
-            }
-            let p_cc = dict.num_cc(e.caller).unwrap_or(1);
-            if e.encoding <= id && id < e.encoding.saturating_add(p_cc) {
-                found = Some((e.site, e.caller, e.encoding));
-                break;
-            }
-        }
-        match found {
-            Some((site, caller, encoding)) => {
-                steps.last_mut().expect("steps never empty").0 = Some(site);
-                steps.push((None, caller));
-                id -= encoding;
-            }
-            None => return Err(DecodeError::NoMatchingEdge { at: cur, id }),
-        }
+        // Lines 26-33: one acyclic step through the encoded edges — the
+        // first non-back incoming edge, in insertion order, whose range
+        // covers the id.
+        let found = cur_local.and_then(|l| {
+            dict.in_edges(l)
+                .iter()
+                .find(|e| !e.back && e.lo <= id && id < e.hi)
+        });
+        let Some(e) = found else {
+            return Err(DecodeError::NoMatchingEdge { at: cur, id });
+        };
+        steps.last_mut().expect("steps never empty").site = Some(e.site);
+        steps.push(PathStep {
+            site: None,
+            func: e.caller,
+        });
+        cur = e.caller;
+        cur_local = Some(e.caller_local);
+        id -= e.lo;
     }
 
-    // Each step carries the site through which its function was entered;
-    // reversing the leaf-to-root order yields the root-first path (the root
-    // step's site stays `None`).
-    let path = steps
-        .iter()
-        .rev()
-        .map(|&(site, func)| PathStep { site, func })
-        .collect();
-    Ok(ContextPath(path))
+    // Reversing the leaf-to-root order yields the root-first path (the
+    // root step's site stays `None`).
+    steps.reverse();
+    Ok(ContextPath(steps))
 }
 
 /// Decodes a full context, following spawn links so that a child thread's
@@ -309,10 +318,12 @@ mod tests {
         let (dict, mut owner) = dict_of(&[(0, 1, 0), (1, 3, 1)], &[f(0)]);
         owner.insert(s(2), f(0));
         owner.insert(s(3), f(3));
-        let m = dict.max_id(); // 0
-                               // Path A D A C D A D: boundaries AD, DA, (encoded ACD), DA, AD.
-                               // Trace the pushes: <0,A,D>, <m+1,D,A>, <m+1,D,A>... matching the
-                               // paper's worked example <0,A,D>,<1,D,A>,<1,D,A>,<1,A,D> with id 1.
+        // maxID is 0. Running A D A C D A D crosses four boundary edges
+        // (AD, DA, DA, AD); each pushes the id held before the call and
+        // restarts at maxID + 1, while the encoded A C D adds nothing. That
+        // leaves id 1 at D over the ccStack <0,A,D> <1,D,A> <1,D,A> <1,A,D>,
+        // the worked example of Figure 5(a-c) without compression.
+        let m = dict.max_id();
         let cc = [
             CcEntry {
                 id: 0,
@@ -339,12 +350,9 @@ mod tests {
                 count: 0,
             },
         ];
-        // Wait: entry 3 is A->D again (site 2, target D), pushed with the
-        // id A held at that time (m+1 adjusted ...). Current function D,
-        // id = m+1.
+        // Decoding pops the four entries and walks C->D and A->C in between:
+        // A D A C D A D, entered through sites 2, 3, 0, 1, 3, 2.
         let got = decode_thread(&dict, m + 1, f(3), f(0), &cc, &owner).unwrap();
-        // Expected: A -2-> D -3-> A -0-> C -1-> D -3-> A -2-> D? The paper
-        // decodes ADACDAD: A D A C D A D.
         assert_eq!(
             got,
             path(&[

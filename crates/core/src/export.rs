@@ -1054,6 +1054,94 @@ mod tests {
         ));
     }
 
+    /// Function and site ids are untrusted u32s: a dictionary whose ids sit
+    /// at the top of the range must import and decode without sizing
+    /// anything by an id value.
+    #[test]
+    fn ids_near_u32_max_import_and_decode() {
+        const M: u32 = u32::MAX;
+        // Root R = M, X = M-2, Y = M-1 (two contexts: R->Y and R->X->Y),
+        // and Z = M-3, entered from Y through the unencoded site M-6.
+        let text = format!(
+            "{HEADER}\n\
+             dict 0 1\n\
+             node {M} 1\n\
+             node {x} 1\n\
+             node {y} 2\n\
+             edge {M} {y} {M} 0 0 direct\n\
+             edge {M} {x} {sa} 0 0 direct\n\
+             edge {x} {y} {sb} 1 0 direct\n\
+             enddict\n\
+             owner {M} {M}\n\
+             owner {sa} {M}\n\
+             owner {sb} {x}\n\
+             owner {sc} {y}\n\
+             sample 0 0 {y} {M}\n\
+             sample 0 1 {y} {M}\n\
+             sample 0 2 {z} {M} 1:{sc}:{z}:0\n\
+             sample 0 0 {z} {M}\n\
+             sample 0 2 {z} {M} 1:{unknown}:{z}:0\n\
+             sample 0 2 {y} {M}\n",
+            x = M - 2,
+            y = M - 1,
+            z = M - 3,
+            sa = M - 4,
+            sb = M - 5,
+            sc = M - 6,
+            unknown = M - 7,
+        );
+        let offline = import(&text).expect("imports");
+        let dict = offline.dicts().get(TimeStamp::ZERO).expect("one dict");
+        assert_eq!(dict.node_count(), 3);
+        assert_eq!(dict.edge_count(), 3);
+        assert_eq!(dict.num_cc(f(M - 1)), Some(2));
+        assert_eq!(dict.get_edge(s(M - 5), f(M - 1)).unwrap().caller, f(M - 2));
+
+        let path = |steps: &[(Option<u32>, u32)]| {
+            ContextPath(
+                steps
+                    .iter()
+                    .map(|&(site, func)| dacce_program::PathStep {
+                        site: site.map(s),
+                        func: f(func),
+                    })
+                    .collect(),
+            )
+        };
+        let got: Vec<_> = offline
+            .samples()
+            .iter()
+            .map(|c| offline.decode(c))
+            .collect();
+        assert_eq!(got[0], Ok(path(&[(None, M), (Some(M), M - 1)])));
+        assert_eq!(
+            got[1],
+            Ok(path(&[
+                (None, M),
+                (Some(M - 4), M - 2),
+                (Some(M - 5), M - 1)
+            ]))
+        );
+        assert_eq!(
+            got[2],
+            Ok(path(&[
+                (None, M),
+                (Some(M - 4), M - 2),
+                (Some(M - 5), M - 1),
+                (Some(M - 6), M - 3),
+            ]))
+        );
+        assert_eq!(
+            got[3],
+            Err(DecodeError::NoMatchingEdge {
+                at: f(M - 3),
+                id: 0
+            })
+        );
+        assert_eq!(got[4], Err(DecodeError::UnknownSiteOwner(s(M - 7))));
+        assert_eq!(got[5], Err(DecodeError::CcStackUnderflow { at: f(M - 1) }));
+    }
+
     #[test]
     fn error_display_is_informative() {
         let e = ImportError::BadLine(3, "bad callee".into());
