@@ -1050,7 +1050,7 @@ mod tests {
         classify_back_edges(&mut g, &[f(0)]);
         let mut enc = encode_graph(&g, &[f(0)], &EncodeOptions::default());
         let dup = g.edge_id(s(3), f(3)).unwrap();
-        enc.edge_encoding.insert(dup, 0);
+        enc.set_encoding(dup, 0);
         let mut store = DictStore::new();
         store.push(DecodeDict::from_encoding(&g, &enc, TimeStamp::ZERO).unwrap());
         let owners = HashMap::from([(s(0), f(0)), (s(1), f(0)), (s(2), f(1)), (s(3), f(2))]);
@@ -1077,8 +1077,8 @@ mod tests {
         classify_back_edges(&mut g, &[f(0)]);
         let mut enc = encode_graph(&g, &[f(0)], &EncodeOptions::default());
         let eid = g.edge_id(s(0), f(1)).unwrap();
-        enc.edge_encoding.insert(eid, 1);
-        enc.num_cc.insert(f(1), 2);
+        enc.set_encoding(eid, 1);
+        enc.set_num_cc(g.local(f(1)).unwrap(), 2);
         enc.max_id = 1;
         let mut store = DictStore::new();
         store.push(DecodeDict::from_encoding(&g, &enc, TimeStamp::ZERO).unwrap());

@@ -66,8 +66,8 @@ fn catalogue_covers_every_emitted_rule() {
     classify_back_edges(&mut g, &[f(0)]);
     let mut enc = encode_graph(&g, &[f(0)], &EncodeOptions::default());
     let eid = g.edge_id(s(0), f(1)).unwrap();
-    enc.edge_encoding.insert(eid, 1);
-    enc.num_cc.insert(f(1), 2);
+    enc.set_encoding(eid, 1);
+    enc.set_num_cc(g.local(f(1)).unwrap(), 2);
     enc.max_id = 1;
     let mut store = DictStore::new();
     store.push(DecodeDict::from_encoding(&g, &enc, TimeStamp::ZERO).unwrap());

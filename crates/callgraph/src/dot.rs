@@ -17,8 +17,8 @@ pub fn to_dot(
     mut name: impl FnMut(FunctionId) -> String,
 ) -> String {
     let mut out = String::from("digraph callgraph {\n  rankdir=TB;\n");
-    for &node in graph.nodes() {
-        let label = match encoding.and_then(|e| e.num_cc.get(&node)) {
+    for (l, &node) in graph.nodes().iter().enumerate() {
+        let label = match encoding.and_then(|e| e.num_cc(l as u32)) {
             Some(cc) => format!("{} [{}]", name(node), cc),
             None => name(node),
         };
@@ -35,8 +35,8 @@ pub fn to_dot(
             Dispatch::Spawn => attrs.push("color=red".to_string()),
             Dispatch::Direct => {}
         }
-        if let Some(en) = encoding.and_then(|enc| enc.edge_encoding.get(&eid)) {
-            if *en != 0 {
+        if let Some(en) = encoding.and_then(|enc| enc.encoding(eid)) {
+            if en != 0 {
                 attrs.push(format!("label=\"+{en}\""));
             }
         }

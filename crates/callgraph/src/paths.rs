@@ -80,7 +80,7 @@ pub fn path_id(graph: &CallGraph, encoding: &Encoding, path: &SitePath) -> Optio
     let mut id: u128 = 0;
     for &(site, callee) in path {
         let eid = graph.edge_id(site, callee)?;
-        id += encoding.edge_encoding.get(&eid)?;
+        id += encoding.encoding(eid)?;
     }
     Some(id)
 }
@@ -132,7 +132,7 @@ mod tests {
         let counts = count_paths(&g, &[f(0)], 32);
         for &node in g.nodes() {
             assert_eq!(
-                enc.num_cc[&node],
+                enc.num_cc_of(&g, node).unwrap(),
                 counts.get(&node).copied().unwrap_or(0).max(1),
                 "numCC mismatch at {node}"
             );
@@ -151,7 +151,7 @@ mod tests {
         });
         for (node, mut v) in ids {
             v.sort_unstable();
-            let expect: Vec<u128> = (0..enc.num_cc[&node]).collect();
+            let expect: Vec<u128> = (0..enc.num_cc_of(&g, node).unwrap()).collect();
             assert_eq!(v, expect, "ids of {node} not dense/unique");
         }
     }

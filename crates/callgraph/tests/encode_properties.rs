@@ -41,11 +41,11 @@ proptest! {
     ) {
         let mut g = build(&pairs);
         classify_back_edges(&mut g, &[f(0)]);
-        let heat_map: HashMap<_, _> = g
+        let heat_by_edge: Vec<u64> = g
             .edges()
-            .map(|(eid, _)| (eid, heat[eid.index() % heat.len()]))
+            .map(|(eid, _)| heat[eid.index() % heat.len()])
             .collect();
-        let enc = encode_graph(&g, &[f(0)], &EncodeOptions::with_heat(heat_map));
+        let enc = encode_graph(&g, &[f(0)], &EncodeOptions::with_heat(&heat_by_edge));
         // Count paths from every source of the non-back subgraph: nodes
         // with no incoming non-back edges act as roots (numCC = 1 base).
         let sources: Vec<FunctionId> = g
@@ -58,7 +58,7 @@ proptest! {
         for &node in g.nodes() {
             let expect = counts.get(&node).copied().unwrap_or(0).max(1);
             prop_assert_eq!(
-                enc.num_cc[&node], expect,
+                enc.num_cc_of(&g, node).unwrap(), expect,
                 "numCC mismatch at {} (graph {:?})", node, pairs
             );
         }
@@ -84,7 +84,7 @@ proptest! {
         }
         for (node, mut v) in ids {
             v.sort_unstable();
-            let expect: Vec<u128> = (0..enc.num_cc[&node]).collect();
+            let expect: Vec<u128> = (0..enc.num_cc_of(&g, node).unwrap()).collect();
             prop_assert_eq!(v, expect, "ids of {} not dense (graph {:?})", node, pairs);
         }
     }

@@ -188,12 +188,13 @@ impl DispatchTable {
     /// Recompiles the whole table from the logical patch table (after a
     /// re-encoding or warm start regenerated every site). Existing slot
     /// assignments are preserved — slots are stable across generations —
-    /// and orphaned poly entries are dropped.
+    /// sites without a slot get one in ascending site order, and orphaned
+    /// poly entries are dropped.
     pub(crate) fn rebuild(&mut self, patches: &PatchTable) {
         let mut slots: Vec<u32> = self.slots.as_ref().clone();
         let mut sites: Vec<CompiledSite> = vec![CompiledSite::TRAP; self.sites.len()];
         let mut poly: Vec<IndirectPatch> = Vec::new();
-        for (&site, state) in patches.iter() {
+        for (site, state) in patches.iter() {
             let idx = site.index();
             if idx >= slots.len() {
                 slots.resize(idx + 1, NO_SLOT);

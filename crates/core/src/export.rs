@@ -563,15 +563,14 @@ pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
                 let (ts, max_id, graph, num_cc, encodings) = current
                     .take()
                     .ok_or_else(|| ImportError::BadLine(lineno, "enddict without dict".into()))?;
-                let mut enc = dacce_callgraph::encode::Encoding {
-                    max_id,
-                    overflow: false,
-                    num_cc,
-                    edge_encoding: HashMap::new(),
-                };
+                let mut enc = dacce_callgraph::encode::Encoding::unassigned(&graph);
+                enc.max_id = max_id;
+                for (f, cc) in num_cc {
+                    enc.set_num_cc(graph.local(f).expect("node lines add a node"), cc);
+                }
                 for (i, (eid, e)) in graph.edges().enumerate() {
                     if !e.back {
-                        enc.edge_encoding.insert(eid, u128::from(encodings[i]));
+                        enc.set_encoding(eid, u128::from(encodings[i]));
                     }
                 }
                 let dict = DecodeDict::from_encoding(&graph, &enc, ts)
@@ -1140,6 +1139,109 @@ mod tests {
         );
         assert_eq!(got[4], Err(DecodeError::UnknownSiteOwner(s(M - 7))));
         assert_eq!(got[5], Err(DecodeError::CcStackUnderflow { at: f(M - 1) }));
+    }
+
+    /// A dacce-export file whose cleared back flag closes a cycle of
+    /// encoding-0 edges: decode must stop with a typed error instead of
+    /// walking the cycle forever.
+    #[test]
+    fn cleared_back_flag_cycle_decodes_to_an_error() {
+        // main(0) -> a(1) -> b(2) -> a, with b -> a inserted before
+        // main -> a and its back flag cleared, so a's first incoming edge
+        // covering id 0 leads back to b.
+        let text = format!(
+            "{HEADER}\n\
+             dict 0 0\n\
+             node 0 1\n\
+             node 1 1\n\
+             node 2 1\n\
+             edge 1 2 1 0 0 direct\n\
+             edge 2 1 2 0 0 direct\n\
+             edge 0 1 0 0 0 direct\n\
+             enddict\n\
+             owner 0 0\n\
+             owner 1 1\n\
+             owner 2 2\n\
+             sample 0 0 2 0\n"
+        );
+        let offline = import(&text).expect("imports");
+        assert_eq!(
+            offline.decode(&offline.samples()[0]),
+            Err(DecodeError::CyclicSubPath { at: f(2) })
+        );
+    }
+
+    /// A ccStack entry whose compressed repetition count is near
+    /// `u64::MAX` stands for ~2^64 boundary instances: decode must reject
+    /// it up front instead of popping them one by one.
+    #[test]
+    fn huge_compressed_count_decodes_to_an_error() {
+        let text = format!(
+            "{HEADER}\n\
+             dict 0 0\n\
+             node 0 1\n\
+             node 1 1\n\
+             edge 0 1 0 0 1 direct\n\
+             enddict\n\
+             owner 0 0\n\
+             owner 1 1\n\
+             sample 0 1 1 0 0:0:1:{count}\n\
+             sample 0 1 1 0 0:0:1:{count} 0:0:1:{count}\n",
+            count = u64::MAX - 1,
+        );
+        let offline = import(&text).expect("imports");
+        for sample in offline.samples() {
+            assert_eq!(offline.decode(sample), Err(DecodeError::TooDeep));
+        }
+    }
+
+    proptest::proptest! {
+        /// Exports with flipped back flags and grown compressed counts
+        /// always import to a typed error or decode every sample to a path
+        /// or a typed error: nothing in the file can make decode run away.
+        #[test]
+        fn mutated_exports_always_finish_decoding(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let e = engine_with_history();
+            let text = format!(
+                "{}{}",
+                export_state(&e),
+                export_samples(e.sample_log().iter())
+            );
+            let mut mutated = String::new();
+            for line in text.lines() {
+                let mut fields: Vec<String> = line.split(' ').map(str::to_owned).collect();
+                match fields[0].as_str() {
+                    "edge" if fields.len() == 7 && rng.gen_bool(0.5) => {
+                        fields[5] = if fields[5] == "1" { "0" } else { "1" }.to_owned();
+                    }
+                    "sample" => {
+                        for field in fields.iter_mut().skip(5) {
+                            let mut parts: Vec<&str> = field.split(':').collect();
+                            if parts.len() == 4 && rng.gen_bool(0.5) {
+                                let count = match rng.gen_range(0u32..3) {
+                                    0 => u64::MAX,
+                                    1 => rng.gen(),
+                                    _ => rng.gen_range(0..8),
+                                }
+                                .to_string();
+                                parts[3] = &count;
+                                *field = parts.join(":");
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                mutated.push_str(&fields.join(" "));
+                mutated.push('\n');
+            }
+            if let Ok(offline) = import(&mutated) {
+                for sample in offline.samples() {
+                    let _ = offline.decode(sample);
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,8 @@ pub mod ccstack;
 pub mod config;
 pub mod context;
 pub mod decode;
+#[cfg(test)]
+mod dense_differential;
 pub(crate) mod dispatch;
 pub mod engine;
 pub mod export;

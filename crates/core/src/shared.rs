@@ -146,19 +146,18 @@ impl Generation {
     /// Freezes `enc`'s dictionary under the next `gTimeStamp` and
     /// regenerates every site patch, and the compiled dispatch table, from
     /// it. Returns how many indirect sites newly converted to hashing.
-    fn install(
-        &mut self,
-        enc: &Encoding,
-        config: &DacceConfig,
-        heat: &HashMap<EdgeId, u64>,
-    ) -> u64 {
+    ///
+    /// One pass over the graph's edges, grouped by site with a counting
+    /// sort in ascending site order; `heat` is indexed by edge id.
+    pub(crate) fn install(&mut self, enc: &Encoding, config: &DacceConfig, heat: &[u64]) -> u64 {
         let ts = self.view.ts.next();
         let dict = DecodeDict::from_encoding(&self.graph, enc, ts).expect("overflow checked above");
         self.view.dicts.push(dict);
         self.view.ts = ts;
         self.view.max_id = enc.max_id;
 
-        let heat_of = |eid: EdgeId| heat.get(&eid).copied().unwrap_or(0);
+        let graph = &*self.graph;
+        let heat_of = |eid: EdgeId| heat.get(eid.index()).copied().unwrap_or(0);
         // The action the new encoding assigns to one graph edge.
         let action_for = |eid: EdgeId, back: bool| {
             if back {
@@ -178,31 +177,58 @@ impl Generation {
                 }
             }
         };
-        // Group edges per site.
-        let mut by_site: HashMap<CallSiteId, Vec<EdgeId>> = HashMap::new();
-        for (eid, e) in self.graph.edges() {
-            by_site.entry(e.site).or_default().push(eid);
+        // Tail-calling functions by graph local.
+        let mut tail = vec![false; graph.node_count()];
+        if config.handle_tail_calls {
+            for l in self.tail_fns.iter().filter_map(|&f| graph.local(f)) {
+                tail[l as usize] = true;
+            }
+        }
+        // Group edges per site: a counting sort over the edge list keeps
+        // each site's edges in insertion order.
+        let span = graph
+            .edges()
+            .map(|(_, e)| e.site.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut start = vec![0u32; span + 1];
+        for (_, e) in graph.edges() {
+            start[e.site.index() + 1] += 1;
+        }
+        for i in 0..span {
+            start[i + 1] += start[i];
+        }
+        let mut by_site = vec![EdgeId::new(0); graph.edge_count()];
+        let mut fill = start.clone();
+        for (eid, e) in graph.edges() {
+            let at = &mut fill[e.site.index()];
+            by_site[*at as usize] = eid;
+            *at += 1;
         }
 
         let mut conversions = 0;
-        let mut rebuilt: HashMap<CallSiteId, SiteState> = HashMap::with_capacity(by_site.len());
-        for (site, eids) in by_site {
+        let mut rebuilt: Vec<Option<SiteState>> = vec![None; span];
+        let mut ordered: Vec<(u64, EdgeId)> = Vec::new();
+        for (idx, slot) in rebuilt.iter_mut().enumerate() {
+            let eids = &by_site[start[idx] as usize..start[idx + 1] as usize];
+            let Some(&first) = eids.first() else {
+                continue;
+            };
             let indirect = eids
                 .iter()
-                .any(|&eid| self.graph.edge(eid).dispatch == Dispatch::Indirect);
-            let tc_wrap = config.handle_tail_calls
-                && eids
-                    .iter()
-                    .any(|&eid| self.tail_fns.contains(&self.graph.edge(eid).callee));
+                .any(|&eid| graph.edge(eid).dispatch == Dispatch::Indirect);
+            let tc_wrap = eids
+                .iter()
+                .any(|&eid| tail[graph.edge(eid).callee_local as usize]);
 
             let patch = if indirect {
                 // Order known targets hottest-first for the compare chain.
-                let mut ordered: Vec<(u64, EdgeId)> =
-                    eids.iter().map(|&eid| (heat_of(eid), eid)).collect();
+                ordered.clear();
+                ordered.extend(eids.iter().map(|&eid| (heat_of(eid), eid)));
                 ordered.sort_by_key(|&(h, eid)| (std::cmp::Reverse(h), eid.index()));
                 let mut p = IndirectPatch::default();
                 for &(_, eid) in &ordered {
-                    let e = self.graph.edge(eid);
+                    let e = graph.edge(eid);
                     let action = action_for(eid, e.back);
                     p.add_target(e.callee, action, config.indirect_inline_max);
                 }
@@ -210,7 +236,7 @@ impl Generation {
                     // Conversion accounting only when the site was inline
                     // before (or new).
                     let was_hashed = matches!(
-                        self.patches.get(site).map(|s| &s.patch),
+                        self.patches.get(CallSiteId::new(idx as u32)).map(|s| &s.patch),
                         Some(SitePatch::Indirect(old)) if old.hashed.is_some()
                     );
                     if !was_hashed {
@@ -219,12 +245,11 @@ impl Generation {
                 }
                 SitePatch::Indirect(p)
             } else {
-                let eid = eids[0];
-                let e = self.graph.edge(eid);
-                SitePatch::Direct(e.callee, action_for(eid, e.back))
+                let e = graph.edge(first);
+                SitePatch::Direct(e.callee, action_for(first, e.back))
             };
 
-            rebuilt.insert(site, SiteState { tc_wrap, patch });
+            *slot = Some(SiteState { tc_wrap, patch });
         }
         self.patches.replace_all(rebuilt);
         self.view.dispatch.rebuild(&self.patches);
@@ -234,23 +259,48 @@ impl Generation {
     /// Adds each sample's weight to the heat of every edge its decoded path
     /// runs through (§4, first bullet). Returns how many samples failed to
     /// decode.
+    ///
+    /// Each path is walked leaf to root: the edge into a step is found
+    /// among its callee's incoming edges by site, and that edge's caller
+    /// local carries the walk on, so only the leaf (and any step whose
+    /// edge is not in the graph) takes a function-id lookup.
     fn add_heat<'a>(
         &self,
         samples: impl Iterator<Item = (&'a EncodedContext, u64)>,
-        heat: &mut HashMap<EdgeId, u64>,
+        heat: &mut Vec<u64>,
     ) -> u64 {
+        let graph = &*self.graph;
+        if heat.len() < graph.edge_count() {
+            heat.resize(graph.edge_count(), 0);
+        }
         let mut errors = 0;
         for (samp, weight) in samples {
             let Ok(path) = self.view.decode(samp) else {
                 errors += 1;
                 continue;
             };
-            for w in path.0.windows(2) {
-                if let Some(site) = w[1].site {
-                    if let Some(eid) = self.graph.edge_id(site, w[1].func) {
-                        *heat.entry(eid).or_insert(0) += weight;
+            let steps = &path.0;
+            let mut local = steps.last().and_then(|s| graph.local(s.func));
+            for w in steps.windows(2).rev() {
+                let edge = w[1].site.zip(local).and_then(|(site, l)| {
+                    graph
+                        .node_at(l)
+                        .incoming
+                        .iter()
+                        .find(|&&eid| graph.edge(eid).site == site)
+                });
+                local = match edge {
+                    Some(&eid) => {
+                        heat[eid.index()] += weight;
+                        let e = graph.edge(eid);
+                        if e.caller == w[0].func {
+                            Some(e.caller_local)
+                        } else {
+                            graph.local(w[0].func)
+                        }
                     }
-                }
+                    None => graph.local(w[0].func),
+                };
             }
         }
         errors
@@ -263,7 +313,8 @@ pub(crate) struct SharedState {
     pub(crate) config: DacceConfig,
     /// The current encoding generation.
     pub(crate) current: Generation,
-    pub(crate) edge_heat: HashMap<EdgeId, u64>,
+    /// Observed invocation heat by edge id (edges past the end: 0).
+    pub(crate) edge_heat: Vec<u64>,
     // Re-encoding trigger state.
     pub(crate) new_edges: usize,
     pub(crate) events_since_reencode: u64,
@@ -271,7 +322,9 @@ pub(crate) struct SharedState {
     pub(crate) window_start_events: u64,
     pub(crate) window_start_ccops: u64,
     pub(crate) next_hot_check: u64,
-    pub(crate) last_hot_choice: HashMap<FunctionId, EdgeId>,
+    /// The hottest incoming edge each node was encoded with, by graph
+    /// local (cleared whenever the graph is replaced).
+    pub(crate) last_hot_choice: Vec<Option<EdgeId>>,
     pub(crate) events: u64,
     pub(crate) reencode_overflowed: bool,
     /// Injected re-encode aborts that already fired, one-shot per target
@@ -352,14 +405,14 @@ impl SharedState {
                 tail_fns: HashSet::new(),
                 roots: Vec::new(),
             },
-            edge_heat: HashMap::new(),
+            edge_heat: Vec::new(),
             new_edges: 0,
             events_since_reencode: 0,
             cur_min_events,
             window_start_events: 0,
             window_start_ccops: 0,
             next_hot_check: 0,
-            last_hot_choice: HashMap::new(),
+            last_hot_choice: Vec::new(),
             events: 0,
             reencode_overflowed: false,
             fired_aborts: HashSet::new(),
@@ -461,7 +514,13 @@ impl SharedState {
         }
         let timer = observe::start_timer();
         self.stats.traps += 1;
-        let prev_owner = Arc::make_mut(&mut self.current.view.site_owner).insert(site, caller);
+        // Copy the owner table (shared with published snapshots) only when
+        // this trap records a new owner, not for every new target of a
+        // known site.
+        let prev_owner = self.current.view.site_owner.get(&site).copied();
+        if prev_owner != Some(caller) {
+            Arc::make_mut(&mut self.current.view.site_owner).insert(site, caller);
+        }
         debug_assert!(
             prev_owner.is_none() || prev_owner == Some(caller),
             "call site {site} observed in two functions ({prev_owner:?} and {caller}); \
@@ -478,7 +537,10 @@ impl SharedState {
             self.new_edges += 1;
             self.mark_diverged();
         }
-        *self.edge_heat.entry(eid).or_insert(0) += 1;
+        if self.edge_heat.len() <= eid.index() {
+            self.edge_heat.resize(eid.index() + 1, 0);
+        }
+        self.edge_heat[eid.index()] += 1;
 
         // In degraded mode newly discovered edges can never be encoded —
         // re-encoding is off for good — so the callee's subgraph runs
@@ -686,7 +748,7 @@ impl SharedState {
                 if !e.back {
                     continue;
                 }
-                let heat = self.edge_heat.get(&eid).copied().unwrap_or(0);
+                let heat = self.edge_heat.get(eid.index()).copied().unwrap_or(0);
                 if heat < self.config.compression_min_heat {
                     continue;
                 }
@@ -705,15 +767,16 @@ impl SharedState {
         false
     }
 
-    /// The hottest non-back incoming edge of `node`, if any clears the
-    /// noise floor.
-    fn hottest_incoming(&self, node: FunctionId) -> Option<EdgeId> {
+    /// The hottest non-back incoming edge of the node at graph local `l`,
+    /// if any clears the noise floor.
+    fn hottest_incoming(&self, l: u32) -> Option<EdgeId> {
+        let graph = &*self.current.graph;
         let mut best: Option<(u64, EdgeId)> = None;
-        for &eid in self.current.graph.incoming(node) {
-            if self.current.graph.edge(eid).back {
+        for &eid in &graph.node_at(l).incoming {
+            if graph.edge(eid).back {
                 continue;
             }
-            let heat = self.edge_heat.get(&eid).copied().unwrap_or(0);
+            let heat = self.edge_heat.get(eid.index()).copied().unwrap_or(0);
             if heat < HOT_FLOOR {
                 continue;
             }
@@ -728,11 +791,9 @@ impl SharedState {
     /// at the last encoding.
     fn hot_choices_changed(&self) -> usize {
         let mut changed = 0;
-        for &node in self.current.graph.nodes() {
-            if let (Some(best_eid), Some(&prev)) =
-                (self.hottest_incoming(node), self.last_hot_choice.get(&node))
-            {
-                if best_eid != prev {
+        for (l, prev) in self.last_hot_choice.iter().enumerate() {
+            if let (Some(prev), Some(best_eid)) = (prev, self.hottest_incoming(l as u32)) {
+                if best_eid != *prev {
                     changed += 1;
                 }
             }
@@ -770,7 +831,7 @@ impl SharedState {
         // Re-classify and re-encode the grown graph.
         classify_back_edges(Arc::make_mut(&mut self.current.graph), &self.current.roots);
         let opts = if self.config.heat_ordering {
-            EncodeOptions::with_heat(self.edge_heat.clone())
+            EncodeOptions::with_heat(&self.edge_heat)
         } else {
             EncodeOptions::default()
         };
@@ -823,18 +884,15 @@ impl SharedState {
         self.install_encoding(&enc);
 
         // Remember the per-node hot choice this encoding was built with.
-        self.last_hot_choice.clear();
-        for &node in self.current.graph.nodes() {
-            if let Some(eid) = self.hottest_incoming(node) {
-                self.last_hot_choice.insert(node, eid);
-            }
-        }
+        self.last_hot_choice = (0..self.current.graph.node_count() as u32)
+            .map(|l| self.hottest_incoming(l))
+            .collect();
 
         self.note_generation(cost);
 
         // Decay heat *after* it drove this encoding, so the next
         // re-encoding weighs recent behaviour over old phases.
-        for h in self.edge_heat.values_mut() {
+        for h in &mut self.edge_heat {
             *h /= 2;
         }
 

@@ -1312,6 +1312,61 @@ mod tests {
     }
 
     #[test]
+    fn warm_started_dispatch_slots_are_deterministic_and_ascend_with_site() {
+        use crate::warm::SeedEdge;
+        use dacce_callgraph::Dispatch;
+
+        let warm_tracker = || {
+            let tracker = Tracker::new();
+            let main_fn = tracker.define_function("main");
+            let fns: Vec<FunctionId> = (0..19)
+                .map(|i| tracker.define_function(&format!("f{i}")))
+                .collect();
+            let sites: Vec<CallSiteId> = (0..19).map(|_| tracker.define_call_site()).collect();
+            // A 19-edge chain, seeded deepest edge first so neither edge
+            // order nor hash order matches site order.
+            let edges = (0..19)
+                .rev()
+                .map(|i| SeedEdge {
+                    caller: if i == 0 { main_fn } else { fns[i - 1] },
+                    callee: fns[i],
+                    site: sites[i],
+                    dispatch: Dispatch::Direct,
+                })
+                .collect();
+            tracker.warm_start(
+                main_fn,
+                &WarmStartSeed {
+                    roots: vec![main_fn],
+                    edges,
+                    tail_fns: Vec::new(),
+                },
+            );
+            crate::export::export_tracker_state(&tracker)
+                .lines()
+                .filter(|l| l.starts_with("dispatch "))
+                .map(str::to_owned)
+                .collect::<Vec<String>>()
+        };
+        let first = warm_tracker();
+        assert_eq!(first.len(), 19);
+        for _ in 0..3 {
+            assert_eq!(warm_tracker(), first);
+        }
+        let slots: Vec<(u32, u32)> = first
+            .iter()
+            .map(|l| {
+                let mut fields = l.split_whitespace().skip(1);
+                let mut next = || fields.next().unwrap().parse::<u32>().unwrap();
+                (next(), next())
+            })
+            .collect();
+        for (i, &(site, slot)) in slots.iter().enumerate() {
+            assert_eq!((site, slot), (i as u32, i as u32));
+        }
+    }
+
+    #[test]
     fn lineage_graph_is_shared_until_the_first_divergent_trap() {
         let founder = Tracker::new();
         let main_fn = founder.define_function("main");

@@ -104,7 +104,7 @@ fn check_dispatch(g: &Generation) -> Result<(), String> {
         compiled += 1;
     }
     let mut starved = 0usize;
-    for (&site, _) in g.patches.iter() {
+    for (site, _) in g.patches.iter() {
         if !view.dispatch.iter_compiled().any(|(s, _, _)| s == site) {
             if view.dispatch.slot_failures() == 0 {
                 return Err(format!("patched site {site} has no compiled record"));
@@ -141,7 +141,7 @@ fn check_dispatch(g: &Generation) -> Result<(), String> {
 
 /// The logical patch table's resolution of `(site, callee)`: the reference
 /// [`check_dispatch`] holds the compiled dispatch table to, probe by probe.
-fn lookup_in(
+pub(crate) fn lookup_in(
     patches: &PatchTable,
     cost: &CostModel,
     site: CallSiteId,

@@ -158,10 +158,10 @@ impl SharedState {
                 // node driving the blowup — and try again. Its edges fall
                 // back to dynamic discovery.
                 let worst = enc
-                    .num_cc
-                    .iter()
-                    .max_by_key(|(f, cc)| (**cc, std::cmp::Reverse(f.raw())))
-                    .map(|(f, _)| *f);
+                    .num_ccs()
+                    .map(|(l, cc)| (g.nodes()[l as usize], cc))
+                    .max_by_key(|&(f, cc)| (cc, std::cmp::Reverse(f.raw())))
+                    .map(|(f, _)| f);
                 let before = edges.len();
                 if let Some(w) = worst {
                     edges.retain(|e| e.callee != w);

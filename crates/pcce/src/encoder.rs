@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use dacce::patch::EdgeAction;
 use dacce_callgraph::analysis::classify_back_edges;
 use dacce_callgraph::encode::{encode_graph, EncodeOptions};
-use dacce_callgraph::{CallGraph, CallSiteId, DecodeDict, EdgeId, FunctionId, TimeStamp};
+use dacce_callgraph::{CallGraph, CallSiteId, DecodeDict, FunctionId, TimeStamp};
 
 use crate::profile::ProfileData;
 use dacce_analyze::graph::StaticGraph;
@@ -75,12 +75,12 @@ impl PcceEncoder {
             graph.edge_mut(eid).back = true;
         }
 
-        let heat: HashMap<EdgeId, u64> = graph
+        let heat: Vec<u64> = graph
             .edges()
-            .map(|(eid, e)| (eid, profile.count(e.site, e.callee)))
+            .map(|(_, e)| profile.count(e.site, e.callee))
             .collect();
 
-        let full_enc = encode_graph(&graph, &sg.roots, &EncodeOptions::with_heat(heat));
+        let full_enc = encode_graph(&graph, &sg.roots, &EncodeOptions::with_heat(&heat));
         let full_nodes = graph.node_count();
         let full_edges = graph.edge_count();
         let max_num_cc_full = full_enc.max_num_cc();
@@ -111,11 +111,11 @@ impl PcceEncoder {
                 let eid = pruned.edge_id(site, callee).expect("just inserted");
                 pruned.edge_mut(eid).back = true;
             }
-            let heat: HashMap<EdgeId, u64> = pruned
+            let heat: Vec<u64> = pruned
                 .edges()
-                .map(|(eid, e)| (eid, profile.count(e.site, e.callee)))
+                .map(|(_, e)| profile.count(e.site, e.callee))
                 .collect();
-            let enc = encode_graph(&pruned, &sg.roots, &EncodeOptions::with_heat(heat));
+            let enc = encode_graph(&pruned, &sg.roots, &EncodeOptions::with_heat(&heat));
             assert!(
                 !enc.overflow,
                 "profile-pruned PCCE graph still overflows 64 bits"
