@@ -37,6 +37,6 @@ pub use graph::{build_static_graph, StaticGraph};
 pub use lint::{Diagnostic, Severity};
 pub use metrics::{verify_metrics, PromDoc, PromSample};
 pub use passes::{analyze, StaticAnalysis, TailAnalysis};
-pub use postmortem::{parse_postmortem, verify_postmortem, Postmortem};
+pub use postmortem::{verify_postmortem, Postmortem};
 pub use verifier::{verify_dicts, verify_engine, verify_export};
 pub use warm::warm_seed;

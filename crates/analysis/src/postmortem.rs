@@ -1,12 +1,8 @@
 //! Validator for the flight-recorder postmortem format (`dacce-postmortem v1`).
 //!
-//! The runtime dumps a postmortem when it first enters degraded mode,
-//! exhausts its re-encode retries, or is asked to via `force_postmortem`.
-//! The dump is a small versioned text document: a key=value header, the
-//! degraded-state counters, the generation table, the last re-encode
-//! spans, and the peeked journal events as JSON. This module parses the
-//! document and checks its internal consistency, reporting findings as
-//! [`Diagnostic`]s under three rules:
+//! The document and its reader live in [`dacce_obs::postmortem`]; this
+//! module parses a dump with [`Postmortem::parse`] and checks its internal
+//! consistency, reporting findings as [`Diagnostic`]s under three rules:
 //!
 //! - `postmortem-format` — the document is structurally well-formed:
 //!   version header, required keys in order, section order, exact CSV
@@ -18,240 +14,10 @@
 //!   count, monotone generation table, and the last generation row does
 //!   not run ahead of the header's generation/max-id.
 
-use dacce_obs::{events_from_json, EventRecord};
+pub use dacce_obs::postmortem::Postmortem;
+use dacce_obs::postmortem::MAX_SPANS;
 
 use crate::lint::{Diagnostic, Severity};
-
-/// Upper bound on span rows a v1 postmortem may carry (the recorder keeps
-/// the last 32 re-encode spans).
-pub const POSTMORTEM_MAX_SPANS: usize = 32;
-
-const HEADER: &str = "# dacce-postmortem v1";
-const HEADER_KEYS: [&str; 6] = [
-    "reason",
-    "generation",
-    "max_id",
-    "spans",
-    "events",
-    "dropped",
-];
-const DEGRADED_KEYS: [&str; 9] = [
-    "active",
-    "trap_nodes",
-    "degraded_traps",
-    "reencode_retries",
-    "cc_spill_events",
-    "cc_spilled_peak",
-    "lock_poisonings",
-    "slot_failures",
-    "batch_errors",
-];
-const GENERATIONS_CSV: &str = "generation,nodes,edges,max_id,cost";
-const SPANS_CSV: &str = "tid,from,to,applied,cost,begin_seq,end_seq,pause_ns";
-
-/// One row of the postmortem's generation table.
-#[derive(Clone, Copy, Debug)]
-pub struct GenerationRow {
-    /// Encoding generation (the dictionary's `gTimeStamp`).
-    pub generation: u64,
-    /// Nodes in that generation's encoded graph.
-    pub nodes: u64,
-    /// Encoded edges in that generation.
-    pub edges: u64,
-    /// The generation's `maxID`.
-    pub max_id: u64,
-    /// Cost charged for producing the generation.
-    pub cost: u64,
-}
-
-/// One row of the postmortem's re-encode span table.
-#[derive(Clone, Copy, Debug)]
-pub struct SpanRow {
-    /// Thread that ran the re-encode.
-    pub tid: u64,
-    /// Generation the span started from.
-    pub from: u64,
-    /// Generation the span ended at.
-    pub to: u64,
-    /// 1 when the re-encode applied, 0 when it aborted.
-    pub applied: u64,
-    /// Cost charged for the span.
-    pub cost: u64,
-    /// Journal sequence number of the begin event.
-    pub begin_seq: u64,
-    /// Journal sequence number of the end event.
-    pub end_seq: u64,
-    /// Wall-clock pause attributed to the span, in nanoseconds.
-    pub pause_ns: u64,
-}
-
-/// A parsed `dacce-postmortem v1` document.
-#[derive(Clone, Debug)]
-pub struct Postmortem {
-    /// Why the dump was captured (e.g. `degraded-entry`).
-    pub reason: String,
-    /// Encoding generation at capture time.
-    pub generation: u64,
-    /// `maxID` at capture time.
-    pub max_id: u64,
-    /// Declared number of span rows.
-    pub spans_declared: u64,
-    /// Declared number of journal events.
-    pub events_declared: u64,
-    /// Events the journal had dropped by capture time.
-    pub dropped: u64,
-    /// The `[degraded]` counters, in file order.
-    pub degraded: Vec<(String, u64)>,
-    /// The `[generations]` table rows.
-    pub generations: Vec<GenerationRow>,
-    /// The `[spans]` table rows.
-    pub spans: Vec<SpanRow>,
-    /// The `[events]` journal records.
-    pub events: Vec<EventRecord>,
-}
-
-impl Postmortem {
-    /// The value of one `[degraded]` counter, if present.
-    #[must_use]
-    pub fn degraded_counter(&self, key: &str) -> Option<u64> {
-        self.degraded
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-    }
-}
-
-fn format_error(message: String) -> Diagnostic {
-    Diagnostic {
-        rule: "postmortem-format",
-        severity: Severity::Error,
-        ts: None,
-        message,
-        witness: Vec::new(),
-    }
-}
-
-fn parse_kv<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    line.strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| format!("expected `{key}=...`, found {line:?}"))
-}
-
-fn parse_u64(line: &str, key: &str) -> Result<u64, String> {
-    let value = parse_kv(line, key)?;
-    value
-        .parse::<u64>()
-        .map_err(|_| format!("`{key}` is not an unsigned integer: {value:?}"))
-}
-
-fn parse_csv_row<const N: usize>(line: &str, header: &str) -> Result<[u64; N], String> {
-    let mut out = [0u64; N];
-    let mut fields = line.split(',');
-    for slot in &mut out {
-        let field = fields
-            .next()
-            .ok_or_else(|| format!("row {line:?} has fewer fields than `{header}`"))?;
-        *slot = field
-            .parse::<u64>()
-            .map_err(|_| format!("non-numeric field {field:?} in row {line:?}"))?;
-    }
-    if fields.next().is_some() {
-        return Err(format!("row {line:?} has more fields than `{header}`"));
-    }
-    Ok(out)
-}
-
-/// Parses a `dacce-postmortem v1` document, or explains why it is
-/// malformed. Semantic checks live in [`verify_postmortem`]; this only
-/// enforces structure.
-pub fn parse_postmortem(text: &str) -> Result<Postmortem, String> {
-    let mut lines = text.lines();
-    let first = lines.next().ok_or("empty postmortem document")?;
-    if first != HEADER {
-        return Err(format!("missing `{HEADER}` header, found {first:?}"));
-    }
-
-    let mut next = || lines.next().ok_or("document truncated".to_string());
-
-    let reason = parse_kv(next()?, "reason")?.to_string();
-    let mut header = [0u64; 5];
-    for (slot, key) in header.iter_mut().zip(&HEADER_KEYS[1..]) {
-        *slot = parse_u64(next()?, key)?;
-    }
-    let [generation, max_id, spans_declared, events_declared, dropped] = header;
-
-    let section = next()?;
-    if section != "[degraded]" {
-        return Err(format!("expected `[degraded]`, found {section:?}"));
-    }
-    let mut degraded = Vec::with_capacity(DEGRADED_KEYS.len());
-    for key in DEGRADED_KEYS {
-        degraded.push((key.to_string(), parse_u64(next()?, key)?));
-    }
-
-    let section = next()?;
-    if section != "[generations]" {
-        return Err(format!("expected `[generations]`, found {section:?}"));
-    }
-    let csv = next()?;
-    if csv != GENERATIONS_CSV {
-        return Err(format!("expected `{GENERATIONS_CSV}`, found {csv:?}"));
-    }
-    let mut generations = Vec::new();
-    let spans_line = loop {
-        let line = next()?;
-        if line == "[spans]" {
-            break line;
-        }
-        let [generation, nodes, edges, max_id, cost] = parse_csv_row(line, GENERATIONS_CSV)?;
-        generations.push(GenerationRow {
-            generation,
-            nodes,
-            edges,
-            max_id,
-            cost,
-        });
-    };
-    debug_assert_eq!(spans_line, "[spans]");
-    let csv = next()?;
-    if csv != SPANS_CSV {
-        return Err(format!("expected `{SPANS_CSV}`, found {csv:?}"));
-    }
-    let mut spans = Vec::new();
-    loop {
-        let line = next()?;
-        if line == "[events]" {
-            break;
-        }
-        let [tid, from, to, applied, cost, begin_seq, end_seq, pause_ns] =
-            parse_csv_row(line, SPANS_CSV)?;
-        spans.push(SpanRow {
-            tid,
-            from,
-            to,
-            applied,
-            cost,
-            begin_seq,
-            end_seq,
-            pause_ns,
-        });
-    }
-    let events_text: String = lines.collect::<Vec<_>>().join("\n");
-    let events = events_from_json(&events_text)?;
-
-    Ok(Postmortem {
-        reason,
-        generation,
-        max_id,
-        spans_declared,
-        events_declared,
-        dropped,
-        degraded,
-        generations,
-        spans,
-        events,
-    })
-}
 
 /// Validates a postmortem document end to end: parses it (reporting any
 /// structural problem under `postmortem-format`) and, when it parses,
@@ -259,10 +25,6 @@ pub fn parse_postmortem(text: &str) -> Result<Postmortem, String> {
 /// consistency (`postmortem-consistent`).
 #[must_use]
 pub fn verify_postmortem(text: &str) -> Vec<Diagnostic> {
-    let pm = match parse_postmortem(text) {
-        Ok(pm) => pm,
-        Err(e) => return vec![format_error(e)],
-    };
     let mut out = Vec::new();
     let mut err = |rule: &'static str, message: String| {
         out.push(Diagnostic {
@@ -272,6 +34,13 @@ pub fn verify_postmortem(text: &str) -> Vec<Diagnostic> {
             message,
             witness: Vec::new(),
         });
+    };
+    let pm = match Postmortem::parse(text) {
+        Ok(pm) => pm,
+        Err(e) => {
+            err("postmortem-format", e);
+            return out;
+        }
     };
 
     // --- postmortem-spans -------------------------------------------------
@@ -285,11 +54,11 @@ pub fn verify_postmortem(text: &str) -> Vec<Diagnostic> {
             ),
         );
     }
-    if pm.spans.len() > POSTMORTEM_MAX_SPANS {
+    if pm.spans.len() > MAX_SPANS {
         err(
             "postmortem-spans",
             format!(
-                "span table has {} rows; the recorder keeps at most {POSTMORTEM_MAX_SPANS}",
+                "span table has {} rows; the recorder keeps at most {MAX_SPANS}",
                 pm.spans.len()
             ),
         );
@@ -361,7 +130,7 @@ pub fn verify_postmortem(text: &str) -> Vec<Diagnostic> {
         }
     }
     if let Some(last) = pm.generations.last() {
-        if last.generation > pm.generation {
+        if u64::from(last.generation) > pm.generation {
             err(
                 "postmortem-consistent",
                 format!(
@@ -426,7 +195,7 @@ mod tests {
     #[test]
     fn valid_document_parses_clean() {
         let doc = valid_doc();
-        let pm = parse_postmortem(&doc).expect("parses");
+        let pm = Postmortem::parse(&doc).expect("parses");
         assert_eq!(pm.reason, "degraded-entry");
         assert_eq!(pm.generation, 2);
         assert_eq!(pm.spans.len(), 1);
@@ -446,7 +215,10 @@ mod tests {
 
     #[test]
     fn wrong_csv_header_is_a_format_error() {
-        let doc = valid_doc().replace(SPANS_CSV, "tid,from,to");
+        let doc = valid_doc().replace(
+            "tid,from,to,applied,cost,begin_seq,end_seq,pause_ns",
+            "tid,from,to",
+        );
         let findings = verify_postmortem(&doc);
         assert_eq!(findings[0].rule, "postmortem-format");
     }
@@ -543,7 +315,7 @@ mod tests {
         }
         assert!(e.force_postmortem("unit-test"));
         let doc = e.postmortem().expect("dump captured").to_string();
-        let pm = parse_postmortem(&doc).expect("engine dump parses");
+        let pm = Postmortem::parse(&doc).expect("engine dump parses");
         assert_eq!(pm.reason, "unit-test");
         let findings = verify_postmortem(&doc);
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");

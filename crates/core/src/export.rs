@@ -42,17 +42,20 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use dacce_callgraph::{CallSiteId, DecodeDict, DictStore, Dispatch, FunctionId, TimeStamp};
+use dacce_callgraph::dict::DictError;
+use dacce_callgraph::{
+    CallGraph, CallSiteId, DecodeDict, DictStore, Encoding, FunctionId, TimeStamp,
+};
 use dacce_program::ContextPath;
 
-use crate::ccstack::CcEntry;
-use crate::context::{EncodedContext, SpawnLink};
+use crate::codec::{self, write_ctx, ACTIONS, DISPATCH, DISPATCH_KINDS};
+use crate::context::EncodedContext;
 use crate::decode::{decode_full, DecodeError};
 use crate::dispatch::CompiledDispatch;
 use crate::engine::DacceEngine;
 use crate::patch::EdgeAction;
 use crate::stats::DegradedState;
-use crate::superop::WindowOp;
+use crate::superop::{SuperOp, WindowOp};
 
 /// Header line of the export format.
 pub const HEADER: &str = "dacce-export v1";
@@ -62,8 +65,8 @@ pub const HEADER: &str = "dacce-export v1";
 pub enum ImportError {
     /// The header line is missing or has the wrong version.
     BadHeader,
-    /// A line could not be parsed; carries the 1-based line number and a
-    /// description.
+    /// A line could not be parsed; carries the 1-based line number (0 when
+    /// the input ends inside an open section) and a description.
     BadLine(usize, String),
 }
 
@@ -77,43 +80,6 @@ impl std::fmt::Display for ImportError {
 }
 
 impl std::error::Error for ImportError {}
-
-fn dispatch_tag(d: Dispatch) -> &'static str {
-    match d {
-        Dispatch::Direct => "direct",
-        Dispatch::Indirect => "indirect",
-        Dispatch::Plt => "plt",
-        Dispatch::Spawn => "spawn",
-    }
-}
-
-fn parse_dispatch(s: &str) -> Option<Dispatch> {
-    Some(match s {
-        "direct" => Dispatch::Direct,
-        "indirect" => Dispatch::Indirect,
-        "plt" => Dispatch::Plt,
-        "spawn" => Dispatch::Spawn,
-        _ => return None,
-    })
-}
-
-fn action_tag(a: EdgeAction) -> String {
-    match a {
-        EdgeAction::Encoded { delta } => format!("enc:{delta}"),
-        EdgeAction::Unencoded => "cc".into(),
-        EdgeAction::UnencodedCompressed => "ccc".into(),
-    }
-}
-
-fn parse_action(s: &str) -> Option<EdgeAction> {
-    Some(match s {
-        "cc" => EdgeAction::Unencoded,
-        "ccc" => EdgeAction::UnencodedCompressed,
-        _ => EdgeAction::Encoded {
-            delta: s.strip_prefix("enc:")?.parse().ok()?,
-        },
-    })
-}
 
 /// Serialises the engine's decode dictionaries and site owners.
 pub fn export_state(engine: &DacceEngine) -> String {
@@ -142,7 +108,8 @@ pub(crate) fn export_shared(
         let ts = TimeStamp::new(ts_idx as u32);
         let dict = view.dicts.get(ts).expect("indexed in range");
         let _ = writeln!(out, "dict {} {}", ts.raw(), dict.max_id());
-        // Nodes: emit numCC for every function the dictionary knows.
+        // Nodes: every function an edge touches, sorted, then the isolated
+        // ones (e.g. `main` before any edge) in graph order.
         let mut nodes: Vec<FunctionId> = dict
             .edges()
             .iter()
@@ -150,39 +117,25 @@ pub(crate) fn export_shared(
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
-        for f in nodes {
-            if let Some(cc) = dict.num_cc(f) {
-                let _ = writeln!(out, "node {} {}", f.raw(), cc);
-            }
-        }
-        // Also cover isolated nodes (e.g. `main` before any edge).
-        for f in shared.current.graph.nodes() {
-            if dict.num_cc(*f).is_some() && dict.incoming(*f).next().is_none() {
-                let known = dict
-                    .edges()
-                    .iter()
-                    .any(|e| e.caller == *f || e.callee == *f);
-                if !known {
-                    let _ = writeln!(
-                        out,
-                        "node {} {}",
-                        f.raw(),
-                        dict.num_cc(*f).expect("checked")
-                    );
-                }
+        let graph = shared.current.graph.nodes();
+        let isolated = graph.iter().filter(|f| nodes.binary_search(f).is_err());
+        for f in nodes.iter().chain(isolated) {
+            if let Some(cc) = dict.num_cc(*f) {
+                let _ = writeln!(out, "node {} {cc}", f.raw());
             }
         }
         for e in dict.edges() {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "edge {} {} {} {} {} {}",
+                "edge {} {} {} {} {} ",
                 e.caller.raw(),
                 e.callee.raw(),
                 e.site.raw(),
                 e.encoding,
                 u8::from(e.back),
-                dispatch_tag(e.dispatch),
             );
+            DISPATCH.write(&mut out, e.dispatch);
+            out.push('\n');
         }
         let _ = writeln!(out, "enddict");
     }
@@ -194,38 +147,29 @@ pub(crate) fn export_shared(
     // The compiled dispatch table of the current generation, one line per
     // resolvable target (polymorphic targets sorted for stable output).
     for (site, slot, cs) in view.dispatch.iter_compiled() {
-        match cs.dispatch {
-            CompiledDispatch::Trap => {
-                let _ = writeln!(
-                    out,
-                    "dispatch {} {slot} trap - - {}",
-                    site.raw(),
-                    u8::from(cs.tc_wrap)
-                );
+        let mut line = |kind, payload: Option<(FunctionId, EdgeAction)>| {
+            let _ = write!(out, "dispatch {} {slot} ", site.raw());
+            DISPATCH_KINDS.write(&mut out, kind);
+            match payload {
+                Some((target, action)) => {
+                    let _ = write!(out, " {} ", target.raw());
+                    ACTIONS.write(&mut out, action);
+                }
+                None => out.push_str(" - -"),
             }
+            let _ = writeln!(out, " {}", u8::from(cs.tc_wrap));
+        };
+        match cs.dispatch {
+            CompiledDispatch::Trap => line(DispatchKind::Trap, None),
             CompiledDispatch::Mono { target, action } => {
-                let _ = writeln!(
-                    out,
-                    "dispatch {} {slot} mono {} {} {}",
-                    site.raw(),
-                    target.raw(),
-                    action_tag(action),
-                    u8::from(cs.tc_wrap)
-                );
+                line(DispatchKind::Mono, Some((target, action)));
             }
             CompiledDispatch::Poly { index } => {
                 let mut targets: Vec<(FunctionId, EdgeAction)> =
                     view.dispatch.poly_patch(index).targets().collect();
                 targets.sort_by_key(|(t, _)| t.raw());
-                for (target, action) in targets {
-                    let _ = writeln!(
-                        out,
-                        "dispatch {} {slot} poly {} {} {}",
-                        site.raw(),
-                        target.raw(),
-                        action_tag(action),
-                        u8::from(cs.tc_wrap)
-                    );
+                for target in targets {
+                    line(DispatchKind::Poly, Some(target));
                 }
             }
         }
@@ -271,31 +215,6 @@ pub(crate) fn export_shared(
     out
 }
 
-pub(crate) fn write_ctx(out: &mut String, ctx: &EncodedContext) {
-    let _ = write!(
-        out,
-        "{} {} {} {}",
-        ctx.ts.raw(),
-        ctx.id,
-        ctx.leaf.raw(),
-        ctx.root.raw()
-    );
-    for e in &ctx.cc {
-        let _ = write!(
-            out,
-            " {}:{}:{}:{}",
-            e.id,
-            e.site.raw(),
-            e.target.raw(),
-            e.count
-        );
-    }
-    if let Some(link) = &ctx.spawn {
-        let _ = write!(out, " | {} ", link.site.raw());
-        write_ctx(out, &link.parent);
-    }
-}
-
 /// Serialises collected contexts, one `sample` line each.
 pub fn export_samples<'a>(samples: impl IntoIterator<Item = &'a EncodedContext>) -> String {
     let mut out = String::new();
@@ -335,22 +254,6 @@ pub struct DispatchRecord {
     pub tc_wrap: bool,
 }
 
-/// One line of the export's compiled superop table: the call/return
-/// window plus the memoized net effect the runtime applies on a hit.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SuperOpRecord {
-    /// The window trace the superop matches.
-    pub window: Vec<WindowOp>,
-    /// Call events the window covers.
-    pub calls: u64,
-    /// ccStack operations (pushes + pops) the window performs.
-    pub cc_ops: u64,
-    /// Compressed-recursion hits inside the window.
-    pub compress_hits: u64,
-    /// Peak ccStack depth inside the window, relative to entry.
-    pub cc_peak: usize,
-}
-
 /// Offline decoding state reassembled from an export.
 #[derive(Debug, Default)]
 pub struct OfflineDecoder {
@@ -358,7 +261,7 @@ pub struct OfflineDecoder {
     owners: HashMap<CallSiteId, FunctionId>,
     samples: Vec<EncodedContext>,
     dispatch: Vec<DispatchRecord>,
-    superops: Vec<SuperOpRecord>,
+    superops: Vec<SuperOp>,
     degraded: DegradedState,
 }
 
@@ -384,7 +287,7 @@ impl OfflineDecoder {
     }
 
     /// The imported compiled superop table, in input order.
-    pub fn superops(&self) -> &[SuperOpRecord] {
+    pub fn superops(&self) -> &[SuperOp] {
         &self.superops
     }
 
@@ -404,287 +307,144 @@ impl OfflineDecoder {
     }
 }
 
-pub(crate) fn parse_ctx(
-    tokens: &mut std::iter::Peekable<std::str::SplitWhitespace<'_>>,
-    lineno: usize,
-) -> Result<EncodedContext, ImportError> {
-    let mut next_num = |what: &str| -> Result<u64, ImportError> {
-        tokens
-            .next()
-            .ok_or_else(|| ImportError::BadLine(lineno, format!("missing {what}")))?
-            .parse::<u64>()
-            .map_err(|_| ImportError::BadLine(lineno, format!("bad {what}")))
-    };
-    let ts = TimeStamp::new(next_num("ts")? as u32);
-    let id = next_num("id")?;
-    let leaf = FunctionId::new(next_num("leaf")? as u32);
-    let root = FunctionId::new(next_num("root")? as u32);
-    let mut cc = Vec::new();
-    let mut spawn = None;
-    while let Some(&tok) = tokens.peek() {
-        if tok == "|" {
-            tokens.next();
-            let site = CallSiteId::new(
-                tokens
-                    .next()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "missing spawn site".into()))?
-                    .parse::<u32>()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad spawn site".into()))?,
-            );
-            let parent = parse_ctx(tokens, lineno)?;
-            spawn = Some(SpawnLink {
-                site,
-                parent: Box::new(parent),
-            });
-            break;
+/// A dictionary being read: its `dict` header, graph and per-node `numCC`,
+/// and the edge encodings in insertion order (graph edge `i` is entry `i`).
+struct OpenDict {
+    ts: TimeStamp,
+    max_id: u64,
+    graph: CallGraph,
+    num_cc: Vec<(u32, u128)>,
+    encodings: Vec<u64>,
+}
+
+impl OpenDict {
+    fn finish(self) -> Result<DecodeDict, DictError> {
+        let mut enc = Encoding::unassigned(&self.graph);
+        enc.max_id = self.max_id;
+        for (local, cc) in self.num_cc {
+            enc.set_num_cc(local, cc);
         }
-        let tok = tokens.next().expect("peeked");
-        let parts: Vec<&str> = tok.split(':').collect();
-        if parts.len() != 4 {
-            return Err(ImportError::BadLine(lineno, format!("bad cc entry {tok}")));
+        for ((eid, e), en) in self.graph.edges().zip(self.encodings) {
+            if !e.back {
+                enc.set_encoding(eid, u128::from(en));
+            }
         }
-        let nums: Result<Vec<u64>, _> = parts.iter().map(|p| p.parse::<u64>()).collect();
-        let nums = nums.map_err(|_| ImportError::BadLine(lineno, format!("bad cc entry {tok}")))?;
-        cc.push(CcEntry {
-            id: nums[0],
-            site: CallSiteId::new(nums[1] as u32),
-            target: FunctionId::new(nums[2] as u32),
-            count: nums[3],
-        });
+        DecodeDict::from_encoding(&self.graph, &enc, self.ts)
     }
-    Ok(EncodedContext {
-        ts,
-        id,
-        leaf,
-        root,
-        cc,
-        spawn,
-    })
 }
 
 /// Parses an export (state and/or samples, in any order after the header).
 ///
 /// # Errors
 ///
-/// Returns [`ImportError`] on malformed input.
+/// Returns [`ImportError`] on malformed input: a bad header, a field that
+/// does not parse at its width, a dictionary out of timestamp order or
+/// left open, a repeated edge, or a record with leftover tokens.
 pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, h)) if h.trim() == HEADER => {}
-        _ => return Err(ImportError::BadHeader),
-    }
-
+    let records = codec::records(text, HEADER).ok_or(ImportError::BadHeader)?;
     let mut out = OfflineDecoder::default();
-    // Dictionary assembly state: timestamp, maxID, graph, numCC table, and
-    // the edge encodings in insertion order.
-    type DictState = (
-        TimeStamp,
-        u64,
-        dacce_callgraph::CallGraph,
-        HashMap<FunctionId, u128>,
-        Vec<u64>,
-    );
-    let mut current: Option<DictState> = None;
-
-    for (idx, raw) in lines {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace().peekable();
-        let kind = tokens.next().expect("non-empty line");
-        match kind {
+    let mut open: Option<OpenDict> = None;
+    for (kw, mut f) in records {
+        match kw {
             "dict" => {
-                let ts: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad dict ts".into()))?;
-                let max_id: u64 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad dict maxID".into()))?;
-                current = Some((
-                    TimeStamp::new(ts),
-                    max_id,
-                    dacce_callgraph::CallGraph::new(),
-                    HashMap::new(),
-                    Vec::new(),
-                ));
+                if open.is_some() {
+                    return Err(f.error("dict inside an open dict"));
+                }
+                let ts: u32 = f.num("dict ts")?;
+                if ts as usize != out.dicts.len() {
+                    return Err(f.error(format!(
+                        "dict ts {ts} out of order (expected {})",
+                        out.dicts.len()
+                    )));
+                }
+                open = Some(OpenDict {
+                    ts: TimeStamp::new(ts),
+                    max_id: f.num("dict maxID")?,
+                    graph: CallGraph::new(),
+                    num_cc: Vec::new(),
+                    encodings: Vec::new(),
+                });
             }
             "node" => {
-                let (_, _, graph, num_cc, _) = current
-                    .as_mut()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "node outside dict".into()))?;
-                let f: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad node".into()))?;
-                let cc: u128 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad numCC".into()))?;
-                graph.ensure_node(FunctionId::new(f));
-                num_cc.insert(FunctionId::new(f), cc);
+                let d = open.as_mut().ok_or_else(|| f.error("node outside dict"))?;
+                let func = FunctionId::new(f.num("node")?);
+                let cc = f.num("numCC")?;
+                d.graph.ensure_node(func);
+                d.num_cc
+                    .push((d.graph.local(func).expect("just added"), cc));
             }
             "edge" => {
-                let (_, _, graph, _, encodings) = current
-                    .as_mut()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "edge outside dict".into()))?;
-                let nums: Vec<&str> = tokens.by_ref().collect();
-                if nums.len() != 6 {
-                    return Err(ImportError::BadLine(lineno, "edge needs 6 fields".into()));
+                let d = open.as_mut().ok_or_else(|| f.error("edge outside dict"))?;
+                let caller = FunctionId::new(f.num("caller")?);
+                let callee = FunctionId::new(f.num("callee")?);
+                let site = CallSiteId::new(f.num("site")?);
+                let encoding = f.num("encoding")?;
+                let back = f.flag("back")?;
+                let dispatch = f.tag(&DISPATCH, "dispatch")?;
+                let (eid, new) = d.graph.add_edge(caller, callee, site, dispatch);
+                if !new {
+                    return Err(f.error(format!("duplicate edge {site} -> {callee}")));
                 }
-                let caller: u32 = nums[0]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad caller".into()))?;
-                let callee: u32 = nums[1]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad callee".into()))?;
-                let site: u32 = nums[2]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad site".into()))?;
-                let _encoding: u64 = nums[3]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad encoding".into()))?;
-                let back = nums[4] == "1";
-                let dispatch = parse_dispatch(nums[5])
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad dispatch".into()))?;
-                let (eid, _) = graph.add_edge(
-                    FunctionId::new(caller),
-                    FunctionId::new(callee),
-                    CallSiteId::new(site),
-                    dispatch,
-                );
-                graph.edge_mut(eid).back = back;
-                encodings.push(_encoding);
+                d.graph.edge_mut(eid).back = back;
+                d.encodings.push(encoding);
             }
             "enddict" => {
-                let (ts, max_id, graph, num_cc, encodings) = current
-                    .take()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "enddict without dict".into()))?;
-                let mut enc = dacce_callgraph::encode::Encoding::unassigned(&graph);
-                enc.max_id = max_id;
-                for (f, cc) in num_cc {
-                    enc.set_num_cc(graph.local(f).expect("node lines add a node"), cc);
-                }
-                for (i, (eid, e)) in graph.edges().enumerate() {
-                    if !e.back {
-                        enc.set_encoding(eid, u128::from(encodings[i]));
-                    }
-                }
-                let dict = DecodeDict::from_encoding(&graph, &enc, ts)
-                    .map_err(|e| ImportError::BadLine(lineno, e.to_string()))?;
-                out.dicts.push(dict);
+                let d = open.take().ok_or_else(|| f.error("enddict without dict"))?;
+                out.dicts
+                    .push(d.finish().map_err(|e| f.error(e.to_string()))?);
             }
             "owner" => {
-                let site: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad owner site".into()))?;
-                let func: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad owner func".into()))?;
+                let site = CallSiteId::new(f.num("owner site")?);
                 out.owners
-                    .insert(CallSiteId::new(site), FunctionId::new(func));
+                    .insert(site, FunctionId::new(f.num("owner func")?));
             }
             "dispatch" => {
-                let fields: Vec<&str> = tokens.by_ref().collect();
-                if fields.len() != 6 {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "dispatch needs 6 fields".into(),
-                    ));
-                }
-                let site: u32 = fields[0]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad dispatch site".into()))?;
-                let slot: u32 = fields[1]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad dispatch slot".into()))?;
-                let kind = match fields[2] {
-                    "trap" => DispatchKind::Trap,
-                    "mono" => DispatchKind::Mono,
-                    "poly" => DispatchKind::Poly,
-                    other => {
-                        return Err(ImportError::BadLine(
-                            lineno,
-                            format!("bad dispatch kind {other}"),
-                        ))
-                    }
-                };
-                let target = match fields[3] {
+                let site = CallSiteId::new(f.num("dispatch site")?);
+                let slot = f.num("dispatch slot")?;
+                let kind = f.tag(&DISPATCH_KINDS, "dispatch kind")?;
+                let target = match f.token("dispatch target")? {
                     "-" => None,
-                    t => Some(FunctionId::new(t.parse().map_err(|_| {
-                        ImportError::BadLine(lineno, "bad dispatch target".into())
-                    })?)),
+                    t => Some(FunctionId::new(f.parse(t, "dispatch target")?)),
                 };
-                let action = match fields[4] {
+                let action = match f.token("dispatch action")? {
                     "-" => None,
-                    a => Some(parse_action(a).ok_or_else(|| {
-                        ImportError::BadLine(lineno, format!("bad dispatch action {a}"))
-                    })?),
+                    a => Some(f.tagged(a, &ACTIONS, "dispatch action")?),
                 };
                 let want_payload = kind != DispatchKind::Trap;
                 if target.is_some() != want_payload || action.is_some() != want_payload {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "dispatch target/action must be '-' iff kind is trap".into(),
-                    ));
+                    return Err(f.error("dispatch target/action must be '-' iff kind is trap"));
                 }
-                let tc_wrap = fields[5] == "1";
                 out.dispatch.push(DispatchRecord {
-                    site: CallSiteId::new(site),
+                    site,
                     slot,
                     kind,
                     target,
                     action,
-                    tc_wrap,
+                    tc_wrap: f.flag("dispatch tcwrap")?,
                 });
             }
             "superop" => {
-                let mut next_num = |what: &str| -> Result<u64, ImportError> {
-                    tokens
-                        .next()
-                        .ok_or_else(|| ImportError::BadLine(lineno, format!("missing {what}")))?
-                        .parse::<u64>()
-                        .map_err(|_| ImportError::BadLine(lineno, format!("bad {what}")))
-                };
-                let calls = next_num("superop calls")?;
-                let cc_ops = next_num("superop ccops")?;
-                let compress_hits = next_num("superop compresshits")?;
-                let cc_peak = next_num("superop ccpeak")? as usize;
+                let calls = f.num("superop calls")?;
+                let cc_ops = f.num("superop ccops")?;
+                let compress_hits = f.num("superop compresshits")?;
+                let cc_peak = f.num("superop ccpeak")?;
                 let mut window = Vec::new();
-                for tok in tokens.by_ref() {
-                    if tok == "r" {
-                        window.push(WindowOp::Ret);
-                        continue;
-                    }
-                    let rest = tok.strip_prefix("c:").ok_or_else(|| {
-                        ImportError::BadLine(lineno, format!("bad superop token {tok}"))
-                    })?;
-                    let (site, target) = rest.split_once(':').ok_or_else(|| {
-                        ImportError::BadLine(lineno, format!("bad superop token {tok}"))
-                    })?;
-                    let site: u32 = site.parse().map_err(|_| {
-                        ImportError::BadLine(lineno, format!("bad superop site {tok}"))
-                    })?;
-                    let target: u32 = target.parse().map_err(|_| {
-                        ImportError::BadLine(lineno, format!("bad superop target {tok}"))
-                    })?;
-                    window.push(WindowOp::Call {
-                        site: CallSiteId::new(site),
-                        target: FunctionId::new(target),
+                while let Some(tok) = f.next_token() {
+                    window.push(match tok {
+                        "r" => WindowOp::Ret,
+                        _ => f.split(tok, "superop token", |p| {
+                            p.lit("c")?;
+                            Some(WindowOp::Call {
+                                site: CallSiteId::new(p.num()?),
+                                target: FunctionId::new(p.num()?),
+                            })
+                        })?,
                     });
                 }
                 if window.is_empty() {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "superop needs a window".into(),
-                    ));
+                    return Err(f.error("superop needs a window"));
                 }
-                out.superops.push(SuperOpRecord {
+                out.superops.push(SuperOp {
                     window,
                     calls,
                     cc_ops,
@@ -693,49 +453,36 @@ pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
                 });
             }
             "degraded" => {
-                let fields: Vec<&str> = tokens.by_ref().collect();
-                if fields.len() != 8 {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "degraded needs 8 fields".into(),
-                    ));
+                let d = &mut out.degraded;
+                d.active = f.flag("degraded active")?;
+                for (counter, what) in [
+                    (&mut d.degraded_traps, "degraded traps"),
+                    (&mut d.reencode_retries, "degraded retries"),
+                    (&mut d.cc_spill_events, "degraded spills"),
+                    (&mut d.cc_spilled_peak, "degraded spilledpeak"),
+                    (&mut d.lock_poisonings, "degraded poisonings"),
+                    (&mut d.slot_failures, "degraded slotfail"),
+                    (&mut d.batch_errors, "degraded batcherr"),
+                ] {
+                    *counter = f.num(what)?;
                 }
-                let nums: Result<Vec<u64>, _> = fields.iter().map(|t| t.parse::<u64>()).collect();
-                let nums =
-                    nums.map_err(|_| ImportError::BadLine(lineno, "bad degraded counter".into()))?;
-                out.degraded.active = nums[0] != 0;
-                out.degraded.degraded_traps = nums[1];
-                out.degraded.reencode_retries = nums[2];
-                out.degraded.cc_spill_events = nums[3];
-                out.degraded.cc_spilled_peak = nums[4];
-                out.degraded.lock_poisonings = nums[5];
-                out.degraded.slot_failures = nums[6];
-                out.degraded.batch_errors = nums[7];
             }
-            "degradednode" => {
-                let n: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad degraded node".into()))?;
-                out.degraded.note_trap_node(n);
-            }
-            "sample" => {
-                out.samples.push(parse_ctx(&mut tokens, lineno)?);
-            }
-            other => {
-                return Err(ImportError::BadLine(
-                    lineno,
-                    format!("unknown record {other}"),
-                ));
-            }
+            "degradednode" => out.degraded.note_trap_node(f.num("degraded node")?),
+            "sample" => out.samples.push(f.ctx()?),
+            other => return Err(f.error(format!("unknown record {other}"))),
         }
+        f.end()?;
     }
-    Ok(out)
+    match open {
+        Some(_) => Err(ImportError::BadLine(0, "unterminated dict".into())),
+        None => Ok(out),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::{decode_all, random_mutation, record};
     use crate::config::DacceConfig;
     use dacce_program::runtime::CallDispatch;
     use dacce_program::{CostModel, ThreadId};
@@ -1042,6 +789,37 @@ mod tests {
         } else {
             panic!("unexpected {err:?}");
         }
+        let dict = "dict 0 0\nnode 0 1\nnode 1 1\nnode 2 1\nnode 3 1";
+        for (body, line) in [
+            // A dictionary out of timestamp order.
+            ("dict 3 0\nenddict", 2),
+            ("dict 0 0\nenddict\ndict 0 0\nenddict", 4),
+            // Ids past u32::MAX, in a sample and in its ccStack entries.
+            ("sample 4294967296 0 4294967297 0", 2),
+            ("owner 0 0\nsample 0 0 1 0 0:4294967296:1:0", 3),
+            ("sample 0 0 1 0 0:0:4294967297:0", 2),
+            ("sample 0 0 1 0 | 4294967296 0 0 0 0", 2),
+            // A repeated edge (same site and callee) inside one dict.
+            (
+                &format!(
+                    "{dict}\nedge 0 1 0 0 0 direct\nedge 0 1 0 7 0 direct\n\
+                     edge 1 2 1 1 0 direct\nedge 2 3 2 2 0 direct\nenddict"
+                ),
+                8,
+            ),
+            // Trailing tokens, non-strict flags, an open dict at the end.
+            ("owner 0 0 9", 2),
+            (&format!("{dict}\nedge 0 1 0 0 2 direct\nenddict"), 7),
+            ("dispatch 0 0 trap - - 0 extra", 2),
+            ("dispatch 0 0 trap - - 7", 2),
+            ("degraded 2 0 0 0 0 0 0 0", 2),
+            ("dict 0 0", 0),
+        ] {
+            match import(&format!("{HEADER}\n{body}\n")) {
+                Err(ImportError::BadLine(n, _)) => assert_eq!(n, line, "{body:?}"),
+                other => panic!("{body:?}: expected a line-{line} error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1196,8 +974,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Exports with flipped back flags and grown compressed counts
-        /// always import to a typed error or decode every sample to a path
+        /// Exports with flipped back flags, grown compressed counts or a
+        /// truncated, deleted or replaced byte always import to a typed
+        /// error or decode every sample (and the run's journal) to a path
         /// or a typed error: nothing in the file can make decode run away.
         #[test]
         fn mutated_exports_always_finish_decoding(seed in 0u64..u64::MAX) {
@@ -1239,6 +1018,14 @@ mod tests {
             if let Ok(offline) = import(&mutated) {
                 for sample in offline.samples() {
                     let _ = offline.decode(sample);
+                }
+            }
+            // Byte-level damage to a recorded tracker export: a typed error,
+            // or dictionaries its samples and journal decode against.
+            let rec = record(seed);
+            for _ in 0..16 {
+                if let Ok(offline) = import(&random_mutation(&rec.export, &mut rng)) {
+                    decode_all(&rec.journal, &offline);
                 }
             }
         }

@@ -32,8 +32,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dacce_callgraph::{CallSiteId, FunctionId, TimeStamp};
 
 use crate::ccstack::CcEntry;
+use crate::codec::{self, write_ctx, CALL_EFFECTS, RET_EFFECTS};
 use crate::context::EncodedContext;
-use crate::export::{parse_ctx, write_ctx, ImportError, OfflineDecoder};
+use crate::export::{ImportError, OfflineDecoder};
+
+/// Header line of the journal format.
+const HEADER: &str = "dacce-journal v1";
 
 /// The effect one before-call instrumentation execution had on the
 /// thread's encoding state.
@@ -228,7 +232,10 @@ pub fn apply_op(st: &mut EncodedContext, op: &JournalOp) -> Result<(), String> {
                             top.id, top.site, top.target
                         ));
                     }
-                    top.count += 1;
+                    top.count = top
+                        .count
+                        .checked_add(1)
+                        .ok_or_else(|| "compress count overflows".to_string())?;
                     st.id = id;
                 }
             }
@@ -441,7 +448,7 @@ impl DecodeJournal {
     /// Serialises the journal as `dacce-journal v1` text.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = String::from("dacce-journal v1\n");
+        let mut out = format!("{HEADER}\n");
         for t in &self.threads {
             let _ = write!(out, "thread {} ", t.tid);
             write_ctx(&mut out, &t.entry);
@@ -459,37 +466,19 @@ impl DecodeJournal {
                         effect,
                     } => {
                         let _ = write!(out, "op c {} {} ", site.raw(), target.raw());
-                        match effect {
-                            CallEffect::Arith { delta } => {
-                                let _ = write!(out, "a{delta}");
-                            }
-                            CallEffect::Push { id } => {
-                                let _ = write!(out, "p{id}");
-                            }
-                            CallEffect::Compress { id } => {
-                                let _ = write!(out, "k{id}");
-                            }
-                        }
-                        out.push('\n');
+                        CALL_EFFECTS.write(&mut out, *effect);
                     }
                     JournalOp::Ret { caller, effect } => {
                         let _ = write!(out, "op r {} ", caller.raw());
-                        match effect {
-                            RetEffect::Arith { delta } => {
-                                let _ = write!(out, "a{delta}");
-                            }
-                            RetEffect::Pop => out.push('o'),
-                            RetEffect::Uncompress => out.push('u'),
-                        }
-                        out.push('\n');
+                        RET_EFFECTS.write(&mut out, *effect);
                     }
-                    JournalOp::Sample => out.push_str("op s\n"),
+                    JournalOp::Sample => out.push_str("op s"),
                     JournalOp::Resync(ctx) => {
                         out.push_str("op g ");
                         write_ctx(&mut out, ctx);
-                        out.push('\n');
                     }
                 }
+                out.push('\n');
             }
             out.push_str("end\n");
         }
@@ -500,125 +489,71 @@ impl DecodeJournal {
     ///
     /// # Errors
     ///
-    /// Returns [`ImportError`] on malformed input.
+    /// Returns [`ImportError`] on malformed input (line 0 when the input
+    /// ends inside a thread section).
     pub fn parse(text: &str) -> Result<DecodeJournal, ImportError> {
-        let mut lines = text.lines().enumerate();
-        let bad = |n: usize, msg: &str| ImportError::BadLine(n + 1, msg.to_string());
-        match lines.next() {
-            Some((_, "dacce-journal v1")) => {}
-            _ => return Err(bad(0, "missing dacce-journal v1 header")),
-        }
+        let records = codec::records(text, HEADER)
+            .ok_or_else(|| ImportError::BadLine(1, format!("missing {HEADER} header")))?;
         let mut journal = DecodeJournal::default();
         let mut cur: Option<JournalThread> = None;
-        for (n, line) in lines {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let mut tokens = line.split_whitespace().peekable();
-            let kw = tokens.next().expect("non-empty line");
+        for (kw, mut f) in records {
             match kw {
+                "op" => {
+                    let t = cur.as_mut().ok_or_else(|| f.error("op outside thread"))?;
+                    let op = match f.token("op kind")? {
+                        "c" => JournalOp::Call {
+                            site: CallSiteId::new(f.num("call site")?),
+                            target: FunctionId::new(f.num("call target")?),
+                            effect: f.tag(&CALL_EFFECTS, "call effect")?,
+                        },
+                        "r" => JournalOp::Ret {
+                            caller: FunctionId::new(f.num("ret caller")?),
+                            effect: f.tag(&RET_EFFECTS, "ret effect")?,
+                        },
+                        "s" => JournalOp::Sample,
+                        "g" => JournalOp::Resync(f.ctx()?),
+                        kind => return Err(f.error(format!("unknown op kind {kind}"))),
+                    };
+                    t.ops.push(op);
+                }
                 "thread" => {
                     if cur.is_some() {
-                        return Err(bad(n, "thread inside open thread section"));
+                        return Err(f.error("thread inside open thread section"));
                     }
-                    let tid = tokens
-                        .next()
-                        .and_then(|t| t.parse::<u64>().ok())
-                        .ok_or_else(|| bad(n, "bad thread id"))?;
-                    let entry = parse_ctx(&mut tokens, n + 1)?;
                     cur = Some(JournalThread {
-                        tid,
-                        entry,
+                        tid: f.num("thread id")?,
+                        entry: f.ctx()?,
                         ops: Vec::new(),
                         seams: Vec::new(),
                     });
                 }
                 "seam" => {
-                    let t = cur.as_mut().ok_or_else(|| bad(n, "seam outside thread"))?;
-                    let at = tokens
-                        .next()
-                        .and_then(|x| x.parse::<usize>().ok())
-                        .ok_or_else(|| bad(n, "bad seam index"))?;
-                    let ctx = parse_ctx(&mut tokens, n + 1)?;
+                    let t = cur.as_mut().ok_or_else(|| f.error("seam outside thread"))?;
+                    let at = f.num("seam index")?;
+                    let ctx = f.ctx()?;
                     if t.seams.last().is_some_and(|s| s.at >= at) || at == 0 {
-                        return Err(bad(n, "seam indices must be strictly increasing"));
+                        return Err(f.error("seam indices must be strictly increasing"));
                     }
                     t.seams.push(SeamSeed { at, ctx });
                 }
-                "op" => {
-                    let t = cur.as_mut().ok_or_else(|| bad(n, "op outside thread"))?;
-                    let kind = tokens.next().ok_or_else(|| bad(n, "missing op kind"))?;
-                    match kind {
-                        "c" => {
-                            let site = tokens
-                                .next()
-                                .and_then(|x| x.parse::<u32>().ok())
-                                .map(CallSiteId::new)
-                                .ok_or_else(|| bad(n, "bad call site"))?;
-                            let target = tokens
-                                .next()
-                                .and_then(|x| x.parse::<u32>().ok())
-                                .map(FunctionId::new)
-                                .ok_or_else(|| bad(n, "bad call target"))?;
-                            let eff = tokens.next().ok_or_else(|| bad(n, "missing effect"))?;
-                            let num = |s: &str| s[1..].parse::<u64>().ok();
-                            let effect = match (eff.as_bytes().first(), num(eff)) {
-                                (Some(b'a'), Some(delta)) => CallEffect::Arith { delta },
-                                (Some(b'p'), Some(id)) => CallEffect::Push { id },
-                                (Some(b'k'), Some(id)) => CallEffect::Compress { id },
-                                _ => return Err(bad(n, "bad call effect")),
-                            };
-                            t.ops.push(JournalOp::Call {
-                                site,
-                                target,
-                                effect,
-                            });
-                        }
-                        "r" => {
-                            let caller = tokens
-                                .next()
-                                .and_then(|x| x.parse::<u32>().ok())
-                                .map(FunctionId::new)
-                                .ok_or_else(|| bad(n, "bad ret caller"))?;
-                            let eff = tokens.next().ok_or_else(|| bad(n, "missing effect"))?;
-                            let effect = match eff.as_bytes().first() {
-                                Some(b'a') => RetEffect::Arith {
-                                    delta: eff[1..]
-                                        .parse::<u64>()
-                                        .map_err(|_| bad(n, "bad ret delta"))?,
-                                },
-                                Some(b'o') => RetEffect::Pop,
-                                Some(b'u') => RetEffect::Uncompress,
-                                _ => return Err(bad(n, "bad ret effect")),
-                            };
-                            t.ops.push(JournalOp::Ret { caller, effect });
-                        }
-                        "s" => t.ops.push(JournalOp::Sample),
-                        "g" => {
-                            let ctx = parse_ctx(&mut tokens, n + 1)?;
-                            t.ops.push(JournalOp::Resync(ctx));
-                        }
-                        _ => return Err(bad(n, "unknown op kind")),
-                    }
-                }
                 "end" => {
-                    let t = cur.take().ok_or_else(|| bad(n, "end outside thread"))?;
+                    let t = cur.take().ok_or_else(|| f.error("end outside thread"))?;
                     if t.seams.last().is_some_and(|s| s.at > t.ops.len()) {
-                        return Err(bad(n, "seam index past end of ops"));
+                        return Err(f.error("seam index past end of ops"));
                     }
                     journal.threads.push(t);
                 }
-                _ => return Err(bad(n, "unknown journal line")),
+                other => return Err(f.error(format!("unknown journal line {other}"))),
             }
+            f.end()?;
         }
-        if cur.is_some() {
-            return Err(ImportError::BadLine(
+        match cur {
+            Some(_) => Err(ImportError::BadLine(
                 0,
                 "unterminated thread section".into(),
-            ));
+            )),
+            None => Ok(journal),
         }
-        Ok(journal)
     }
 }
 
@@ -1033,6 +968,25 @@ mod tests {
             DecodeJournal::parse("dacce-journal v1\nthread 0 0 0 0 0\nseam 0 0 0 0 0\nend\n")
                 .is_err()
         );
+        for (body, line) in [
+            // An effect token that starts with a multi-byte character.
+            ("op c 1 2 \u{e9}", 3),
+            ("op r 1 \u{e9}5", 3),
+            // Ids past u32::MAX inside a context.
+            ("op g 4294967296 0 0 0", 3),
+            ("op g 0 0 0 0 0:4294967296:1:0", 3),
+            // Trailing tokens and effects with leftovers.
+            ("op s 1", 3),
+            ("op c 1 2 a5 a6", 3),
+            ("op r 1 o5", 3),
+            ("end 1\nend", 3),
+        ] {
+            let text = format!("dacce-journal v1\nthread 0 0 0 0 0\n{body}\nend\n");
+            match DecodeJournal::parse(&text) {
+                Err(ImportError::BadLine(n, _)) => assert_eq!(n, line, "{body:?}"),
+                other => panic!("{body:?}: expected a line-{line} error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1066,6 +1020,14 @@ mod tests {
             effect: RetEffect::Uncompress,
         };
         assert!(apply_op(&mut st, &un).is_err());
+        // a compressed count at u64::MAX cannot take another repetition
+        let mut st = ctx(0, 5, 2, &[(5, 1, 2, u64::MAX)]);
+        let compress = JournalOp::Call {
+            site: CallSiteId::new(1),
+            target: FunctionId::new(2),
+            effect: CallEffect::Compress { id: 9 },
+        };
+        assert!(apply_op(&mut st, &compress).is_err());
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! ```
 
 pub mod ccstack;
+mod codec;
 pub mod config;
 pub mod context;
 pub mod decode;
@@ -74,7 +75,7 @@ pub use decode::{decode_full, decode_thread, DecodeError};
 pub use engine::DacceEngine;
 pub use export::{
     export_samples, export_state, export_tracker_state, import, DispatchKind, DispatchRecord,
-    ImportError, OfflineDecoder, SuperOpRecord,
+    ImportError, OfflineDecoder,
 };
 pub use fault::FaultPlan;
 pub use fragment::{
@@ -87,6 +88,6 @@ pub use observe::Observability;
 pub use profile::HotContextProfile;
 pub use runtime::DacceRuntime;
 pub use stats::{DacceStats, DegradedState, ProgressPoint};
-pub use superop::WindowOp;
+pub use superop::{SuperOp, WindowOp};
 pub use tracker::{BatchError, BatchErrorKind, BatchOp, TaskContext, Tracker};
 pub use warm::{SeedEdge, WarmStartReport, WarmStartSeed};

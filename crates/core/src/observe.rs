@@ -19,9 +19,10 @@
 mod imp {
     use std::sync::Arc;
 
+    use dacce_obs::postmortem::{Postmortem, SpanRow, MAX_SPANS};
     use dacce_obs::{
-        events_to_json, EventKind, GenerationInfo, Journal, JournalBatch, JournalConfig,
-        JournalWriter, MetricsRegistry, MetricsSnapshot, SpanTimeline,
+        EventKind, GenerationInfo, Journal, JournalBatch, JournalConfig, JournalWriter,
+        MetricsRegistry, MetricsSnapshot, SpanTimeline,
     };
 
     use crate::stats::DegradedState;
@@ -34,9 +35,6 @@ mod imp {
     /// Thread id stamped on events emitted by the shared slow path when no
     /// specific thread is acting (re-encode cores, warm starts).
     pub const RUNTIME_TID: u32 = u32::MAX;
-
-    /// Re-encode spans retained in a postmortem document.
-    const POSTMORTEM_SPANS: usize = 32;
 
     /// Shared observability handle: the event journal plus the metrics
     /// registry. Cloning shares both (the clones observe the same run).
@@ -286,57 +284,49 @@ mod imp {
             max_id: u64,
             degraded: &DegradedState,
         ) -> Option<String> {
-            use std::fmt::Write as _;
             let batch = self.journal.peek();
             let timeline = SpanTimeline::stitch(&batch.events);
-            let spans = timeline.last(POSTMORTEM_SPANS);
+            let spans: Vec<SpanRow> = timeline
+                .last(MAX_SPANS)
+                .iter()
+                .map(|s| SpanRow {
+                    tid: s.tid.into(),
+                    from: s.from_generation.into(),
+                    to: s.to_generation.into(),
+                    applied: s.applied.into(),
+                    cost: s.cost,
+                    begin_seq: s.begin_seq,
+                    end_seq: s.end_seq,
+                    pause_ns: s.pause_ns(),
+                })
+                .collect();
             let snap = self.metrics.snapshot();
-            let mut s = String::from("# dacce-postmortem v1\n");
-            let _ = writeln!(s, "reason={reason}");
-            let _ = writeln!(s, "generation={generation}");
-            let _ = writeln!(s, "max_id={max_id}");
-            let _ = writeln!(s, "spans={}", spans.len());
-            let _ = writeln!(s, "events={}", batch.events.len());
-            let _ = writeln!(s, "dropped={}", batch.dropped);
-            s.push_str("[degraded]\n");
-            let _ = writeln!(s, "active={}", u64::from(degraded.active));
-            let _ = writeln!(s, "trap_nodes={}", degraded.trap_nodes.len());
-            let _ = writeln!(s, "degraded_traps={}", degraded.degraded_traps);
-            let _ = writeln!(s, "reencode_retries={}", degraded.reencode_retries);
-            let _ = writeln!(s, "cc_spill_events={}", degraded.cc_spill_events);
-            let _ = writeln!(s, "cc_spilled_peak={}", degraded.cc_spilled_peak);
-            let _ = writeln!(s, "lock_poisonings={}", degraded.lock_poisonings);
-            let _ = writeln!(s, "slot_failures={}", degraded.slot_failures);
-            let _ = writeln!(s, "batch_errors={}", degraded.batch_errors);
-            s.push_str("[generations]\n");
-            s.push_str("generation,nodes,edges,max_id,cost\n");
-            for g in &snap.generations {
-                let _ = writeln!(
-                    s,
-                    "{},{},{},{},{}",
-                    g.generation, g.nodes, g.edges, g.max_id, g.cost
-                );
-            }
-            s.push_str("[spans]\n");
-            s.push_str("tid,from,to,applied,cost,begin_seq,end_seq,pause_ns\n");
-            for span in spans {
-                let _ = writeln!(
-                    s,
-                    "{},{},{},{},{},{},{},{}",
-                    span.tid,
-                    span.from_generation,
-                    span.to_generation,
-                    u64::from(span.applied),
-                    span.cost,
-                    span.begin_seq,
-                    span.end_seq,
-                    span.pause_ns()
-                );
-            }
-            s.push_str("[events]\n");
-            s.push_str(&events_to_json(&batch.events));
-            s.push('\n');
-            Some(s)
+            let d = degraded;
+            Some(
+                Postmortem {
+                    reason: reason.to_string(),
+                    generation: generation.into(),
+                    max_id,
+                    spans_declared: spans.len() as u64,
+                    events_declared: batch.events.len() as u64,
+                    dropped: batch.dropped,
+                    degraded: [
+                        d.active.into(),
+                        d.trap_nodes.len() as u64,
+                        d.degraded_traps,
+                        d.reencode_retries,
+                        d.cc_spill_events,
+                        d.cc_spilled_peak,
+                        d.lock_poisonings,
+                        d.slot_failures,
+                        d.batch_errors,
+                    ],
+                    generations: snap.generations,
+                    spans,
+                    events: batch.events,
+                }
+                .render(),
+            )
         }
     }
 

@@ -83,20 +83,20 @@ impl WindowOp {
 /// ccStack entries and the shadow stack exactly (see the module docs),
 /// the net effect is pure bookkeeping.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct SuperOp {
+pub struct SuperOp {
     /// The exact op sequence this superop replaces (first op is a call).
-    pub(crate) window: Vec<WindowOp>,
+    pub window: Vec<WindowOp>,
     /// Call events the window contains (shard `calls` delta and sampler
     /// bulk-skip amount).
-    pub(crate) calls: u64,
+    pub calls: u64,
     /// ccStack operations the window performs (`ops()` delta, feeding the
     /// §4 rate trigger exactly like per-event execution).
-    pub(crate) cc_ops: u64,
+    pub cc_ops: u64,
     /// Compressed pushes that hit the top entry.
-    pub(crate) compress_hits: u64,
+    pub compress_hits: u64,
     /// Peak ccStack depth the window reaches, relative to its entry depth
     /// (the max-depth watermark folded into the stack on apply).
-    pub(crate) cc_peak: usize,
+    pub cc_peak: usize,
 }
 
 /// Result of probing the superop table at one trace position.

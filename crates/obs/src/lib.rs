@@ -34,6 +34,7 @@ pub mod export;
 pub mod fleet;
 pub mod journal;
 pub mod metrics;
+pub mod postmortem;
 pub mod profiler;
 pub mod ring;
 
@@ -44,4 +45,5 @@ pub use metrics::{
     Counter, GenerationInfo, Histogram, HistogramSnapshot, IdHeadroom, MetricsRegistry,
     MetricsSnapshot,
 };
+pub use postmortem::Postmortem;
 pub use profiler::{merge_by_lineage, FlameGraph, ReencodeSpan, Sampler, SpanTimeline};
