@@ -161,7 +161,12 @@ fn main() -> ExitCode {
         };
         match &mut merged {
             None => merged = Some(graph),
-            Some(m) => m.merge(&graph),
+            Some(m) => {
+                if let Err(e) = m.merge(&graph) {
+                    eprintln!("{input}: {e}");
+                    return ExitCode::from(2);
+                }
+            }
         }
     }
     let merged = merged.expect("at least one input");

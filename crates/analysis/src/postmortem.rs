@@ -313,7 +313,7 @@ mod tests {
                 );
             }
         }
-        assert!(e.force_postmortem("unit-test"));
+        e.force_postmortem("unit-test");
         let doc = e.postmortem().expect("dump captured").to_string();
         let pm = Postmortem::parse(&doc).expect("engine dump parses");
         assert_eq!(pm.reason, "unit-test");

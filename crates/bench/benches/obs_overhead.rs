@@ -111,7 +111,7 @@ fn measure(p: &Prepared, threads: usize) -> f64 {
             best = ns;
         }
         // Keep an enabled journal from accumulating unboundedly.
-        let _ = p.tracker.observability().drain_journal();
+        let _ = p.tracker.observability().journal().drain();
     }
     best
 }
@@ -126,12 +126,12 @@ fn main() {
     for &threads in &[1usize, 2, 4] {
         let p = prepare(threads);
         // Journal compiled in, runtime-disabled (the shipping default).
-        p.tracker.observability().set_journaling(false);
+        p.tracker.observability().journal().set_enabled(false);
         let off = measure(&p, threads);
         // Runtime-enabled: every ccStack push/pop journaled.
-        p.tracker.observability().set_journaling(true);
+        p.tracker.observability().journal().set_enabled(true);
         let on = measure(&p, threads);
-        p.tracker.observability().set_journaling(false);
+        p.tracker.observability().journal().set_enabled(false);
         assert_eq!(p.tracker.stats().decode_errors, 0);
 
         println!(

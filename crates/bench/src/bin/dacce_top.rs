@@ -231,7 +231,7 @@ fn main() {
     let icfg = interp_config(&spec, &cfg);
     let mut rt = DacceRuntime::new(cfg.dacce.clone(), cfg.cost.clone());
     let obs = rt.observability().clone();
-    obs.set_journaling(true);
+    obs.journal().set_enabled(true);
 
     if opts.json {
         let report = Interpreter::new(&program, icfg).run(&mut rt);
@@ -239,10 +239,10 @@ fn main() {
         // peeks the ring, so the dump carries the events the drain is
         // about to consume. A dump the run already tripped (degraded
         // entry, re-encode abort) wins over the forced one.
-        if opts.postmortem_out.is_some() && rt.engine().postmortem().is_none() {
+        if opts.postmortem_out.is_some() {
             rt.engine_mut().force_postmortem("operator-requested");
         }
-        let batch = obs.drain_journal();
+        let batch = obs.journal().drain();
         let by_kind = count_by_kind(&batch.events);
         let ok = finish_json(
             &opts,
@@ -267,13 +267,8 @@ fn main() {
             write_creating_dirs(path, &events_to_json(&batch.events));
         }
         if let Some(path) = &opts.postmortem_out {
-            match rt.engine().postmortem() {
-                Some(dump) => write_creating_dirs(path, dump),
-                None => {
-                    eprintln!("dacce-top: --postmortem-out: no dump (obs feature off?)");
-                    std::process::exit(1);
-                }
-            }
+            let dump = rt.engine().postmortem().expect("captured above");
+            write_creating_dirs(path, dump);
         }
         std::process::exit(i32::from(!ok));
     }
@@ -295,7 +290,7 @@ fn main() {
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => panic!("workload thread died"),
         }
-        let batch = obs.drain_journal();
+        let batch = obs.journal().drain();
         let fresh = count_by_kind(&batch.events);
         for (k, v) in &fresh {
             *totals.entry(k).or_insert(0) += v;
@@ -316,7 +311,7 @@ fn main() {
     worker.join().expect("workload thread joins");
 
     // Final drain + summary (plain, no ANSI — it should survive in logs).
-    let batch = obs.drain_journal();
+    let batch = obs.journal().drain();
     let fresh = count_by_kind(&batch.events);
     for (k, v) in &fresh {
         *totals.entry(k).or_insert(0) += v;
@@ -954,7 +949,7 @@ fn drive_tenant(tracker: &Tracker, def: &ProgramDef, index: usize, iterations: u
 fn pump_tick(fleet: &Fleet, pump: &mut FleetPump) {
     for (_, label, tracker) in fleet.tenants() {
         let obs = tracker.observability();
-        let batch = obs.drain_journal();
+        let batch = obs.journal().drain();
         pump.note_events(&label, batch.events.len() as u64);
         pump.record(&label, obs.snapshot());
     }
@@ -1026,7 +1021,7 @@ fn run_fleet(opts: &TopOptions, tenants: usize) -> bool {
     // the gate at registration.
     for id in &ids {
         let tracker = fleet.tracker(*id).expect("tenant just registered");
-        tracker.observability().set_journaling(true);
+        tracker.observability().journal().set_enabled(true);
     }
 
     let iterations = ((opts.scale * 200_000.0) as u64).max(1_024);
@@ -1106,7 +1101,13 @@ fn run_fleet(opts: &TopOptions, tenants: usize) -> bool {
                 })
             })
             .collect();
-        let merged = merge_by_lineage(graphs);
+        let merged = match merge_by_lineage(graphs) {
+            Ok(merged) => merged,
+            Err(e) => {
+                eprintln!("dacce-top: --flame-out: {e}");
+                return false;
+            }
+        };
         let text: String = merged.iter().map(FlameGraph::to_collapsed).collect();
         write_creating_dirs(path, &text);
     }

@@ -25,6 +25,11 @@ use crate::export::{DispatchKind, ImportError};
 use crate::fragment::{CallEffect, RetEffect};
 use crate::patch::EdgeAction;
 
+/// The most spawn links one encoded context may carry when read back. A
+/// deeper chain is rejected: the context's derived `Drop`, `Clone` and
+/// `PartialEq`, [`write_ctx`] and the decoder all recurse once per link.
+pub(crate) const MAX_SPAWN_DEPTH: usize = 1024;
+
 /// A tag table shared by a writer and its reader: one row per variant,
 /// holding its tag and a template value. A variant that carries a number
 /// is written `<tag><number>`; `num` exposes that number.
@@ -218,37 +223,52 @@ impl<'a> Fields<'a> {
 
     /// Reads the rest of the record as an encoded context:
     /// `<ts> <id> <leaf> <root> <id:site:target:count>* [| <spawn-site> <context>]`.
+    /// The spawn chain is read in a loop, and a chain of more than
+    /// [`MAX_SPAWN_DEPTH`] links is an error.
     pub(crate) fn ctx(&mut self) -> Result<EncodedContext, ImportError> {
-        let ts = TimeStamp::new(self.num("ts")?);
-        let id = self.num("id")?;
-        let leaf = FunctionId::new(self.num("leaf")?);
-        let root = FunctionId::new(self.num("root")?);
-        let mut cc = Vec::new();
-        let mut spawn = None;
-        while let Some(tok) = self.tokens.next() {
-            if tok == "|" {
-                let site = CallSiteId::new(self.num("spawn site")?);
-                let parent = Box::new(self.ctx()?);
-                spawn = Some(SpawnLink { site, parent });
-                break;
+        // The contexts read so far, each with the spawn site that links it
+        // to the next one (its parent).
+        let mut children: Vec<(EncodedContext, CallSiteId)> = Vec::new();
+        let mut ctx = loop {
+            let mut ctx = EncodedContext {
+                ts: TimeStamp::new(self.num("ts")?),
+                id: self.num("id")?,
+                leaf: FunctionId::new(self.num("leaf")?),
+                root: FunctionId::new(self.num("root")?),
+                cc: Vec::new(),
+                spawn: None,
+            };
+            let mut linked = false;
+            while let Some(tok) = self.tokens.next() {
+                if tok == "|" {
+                    linked = true;
+                    break;
+                }
+                ctx.cc.push(self.split(tok, "cc entry", |p| {
+                    Some(CcEntry {
+                        id: p.num()?,
+                        site: CallSiteId::new(p.num()?),
+                        target: FunctionId::new(p.num()?),
+                        count: p.num()?,
+                    })
+                })?);
             }
-            cc.push(self.split(tok, "cc entry", |p| {
-                Some(CcEntry {
-                    id: p.num()?,
-                    site: CallSiteId::new(p.num()?),
-                    target: FunctionId::new(p.num()?),
-                    count: p.num()?,
-                })
-            })?);
+            if !linked {
+                break ctx;
+            }
+            if children.len() == MAX_SPAWN_DEPTH {
+                return Err(self.error(format!("spawn chain longer than {MAX_SPAWN_DEPTH} links")));
+            }
+            children.push((ctx, CallSiteId::new(self.num("spawn site")?)));
+        };
+        while let Some((mut child, site)) = children.pop() {
+            child.spawn = Some(SpawnLink {
+                site,
+                parent: Box::new(ctx),
+            });
+            ctx = child;
         }
-        Ok(EncodedContext {
-            ts,
-            id,
-            leaf,
-            root,
-            cc,
-            spawn,
-        })
+        Ok(ctx)
     }
 
     /// Finishes the record: any token left over is an error.

@@ -68,9 +68,8 @@ pub struct DacceConfig {
     /// memory on long runs).
     pub keep_sample_log: bool,
     /// Per-producer event-journal ring capacity (rounded up to a power of
-    /// two), allocated when the producer records its first event. Only
-    /// read when the `obs` feature is compiled in; the journal
-    /// additionally has a runtime enable flag and starts disabled.
+    /// two), allocated when the producer records its first event. The
+    /// journal has a runtime enable flag and starts disabled.
     pub journal_ring_capacity: usize,
     /// ccStack depth at which a new per-thread high-water mark is journaled
     /// as an overflow event (observability only; no behaviour changes).

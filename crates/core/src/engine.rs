@@ -302,11 +302,9 @@ impl DacceEngine {
 
     /// Forces a flight-recorder dump now with the given reason. The first
     /// capture wins: a later degradation will not overwrite a forced dump
-    /// (nor vice versa). Returns `true` when a postmortem exists after the
-    /// call — `false` only with the `obs` feature compiled out.
-    pub fn force_postmortem(&mut self, reason: &str) -> bool {
+    /// (nor vice versa).
+    pub fn force_postmortem(&mut self, reason: &str) {
         self.shared.capture_postmortem(reason);
-        self.shared.postmortem.is_some()
     }
 
     /// Records a sample of thread `tid`'s current context. Returns the
@@ -389,8 +387,7 @@ impl DacceEngine {
         &self.shared.config
     }
 
-    /// The observability handle (event journal + metrics registry). With
-    /// the `obs` feature disabled this is an inert placeholder.
+    /// The observability handle (event journal + metrics registry).
     pub fn observability(&self) -> &crate::observe::Observability {
         &self.shared.obs
     }

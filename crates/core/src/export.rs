@@ -483,6 +483,7 @@ pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
 mod tests {
     use super::*;
     use crate::codec::tests::{decode_all, random_mutation, record};
+    use crate::codec::MAX_SPAWN_DEPTH;
     use crate::config::DacceConfig;
     use dacce_program::runtime::CallDispatch;
     use dacce_program::{CostModel, ThreadId};
@@ -790,6 +791,14 @@ mod tests {
             panic!("unexpected {err:?}");
         }
         let dict = "dict 0 0\nnode 0 1\nnode 1 1\nnode 2 1\nnode 3 1";
+        // A spawn chain at the depth bound imports; one far past it is an
+        // error, not a stack overflow.
+        let links = |n: usize| " | 0 0 0 0 0".repeat(n);
+        let deepest = format!("{HEADER}\nsample 0 0 0 0{}\n", links(MAX_SPAWN_DEPTH));
+        let samples = import(&deepest)
+            .expect("chain at the bound imports")
+            .samples;
+        assert_eq!(samples[0].spawn_depth(), MAX_SPAWN_DEPTH);
         for (body, line) in [
             // A dictionary out of timestamp order.
             ("dict 3 0\nenddict", 2),
@@ -814,6 +823,8 @@ mod tests {
             ("dispatch 0 0 trap - - 7", 2),
             ("degraded 2 0 0 0 0 0 0 0", 2),
             ("dict 0 0", 0),
+            (&format!("sample 0 0 0 0{}", links(200_000)), 2),
+            (&format!("sample 0 0 0 0{}", links(MAX_SPAWN_DEPTH + 1)), 2),
         ] {
             match import(&format!("{HEADER}\n{body}\n")) {
                 Err(ImportError::BadLine(n, _)) => assert_eq!(n, line, "{body:?}"),

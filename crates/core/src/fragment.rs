@@ -980,6 +980,11 @@ mod tests {
             ("op c 1 2 a5 a6", 3),
             ("op r 1 o5", 3),
             ("end 1\nend", 3),
+            // A resync context with a spawn chain far past the bound.
+            (
+                &format!("op g 0 0 0 0{}", " | 0 0 0 0 0".repeat(200_000)),
+                3,
+            ),
         ] {
             let text = format!("dacce-journal v1\nthread 0 0 0 0 0\n{body}\nend\n");
             match DecodeJournal::parse(&text) {

@@ -79,15 +79,13 @@ impl DacceRuntime {
         self.engine.stats()
     }
 
-    /// The observability handle (event journal + metrics registry). With
-    /// the `obs` feature disabled this is an inert placeholder.
+    /// The observability handle (event journal + metrics registry).
     pub fn observability(&self) -> &crate::observe::Observability {
         self.engine.observability()
     }
 
     /// A point-in-time snapshot of every runtime metric (counters,
     /// histograms, per-generation dictionary table, id headroom).
-    #[cfg(feature = "obs")]
     pub fn observe(&self) -> dacce_obs::MetricsSnapshot {
         self.engine.observability().snapshot()
     }

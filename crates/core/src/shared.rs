@@ -22,12 +22,15 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use dacce_callgraph::analysis::classify_back_edges;
 use dacce_callgraph::encode::{encode_graph, EncodeOptions, Encoding};
 use dacce_callgraph::{
     CallGraph, CallSiteId, DecodeDict, DictStore, Dispatch, EdgeId, FunctionId, TimeStamp,
 };
+use dacce_obs::profiler::fingerprint64;
+use dacce_obs::{EventKind, GenerationInfo, JournalConfig, JournalWriter};
 use dacce_program::runtime::CallDispatch;
 use dacce_program::CostModel;
 
@@ -36,7 +39,7 @@ use crate::context::EncodedContext;
 use crate::dispatch::DispatchTable;
 use crate::fastpath::EncodingView;
 use crate::lineage::{EncodingLineage, LineageState};
-use crate::observe::{self, ObsWriter, Observability};
+use crate::observe::{Observability, RUNTIME_TID};
 use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch, SiteState};
 use crate::profile::HotContextProfile;
 use crate::stats::{DacceStats, ProgressPoint};
@@ -351,7 +354,7 @@ pub(crate) struct SharedState {
     /// Journal writer for events emitted under the shared lock (traps,
     /// re-encodes, warm starts) — single-producer because the lock
     /// serialises all such emissions.
-    pub(crate) obs_writer: ObsWriter,
+    pub(crate) obs_writer: JournalWriter,
     /// The shared encoding lineage this instance is attached to, if any.
     pub(crate) lineage: Option<EncodingLineage>,
     /// The lineage generation this instance last adopted or published.
@@ -380,11 +383,11 @@ pub(crate) struct SharedState {
 impl SharedState {
     pub(crate) fn new(config: DacceConfig, cost: CostModel) -> Self {
         let cur_min_events = config.min_events_between_reencodes;
-        let obs = Observability::from_settings(
-            config.journal_ring_capacity,
-            config.journal_overflow_watermark,
-        );
-        let obs_writer = obs.writer(u32::MAX);
+        let obs = Observability::with_config(JournalConfig {
+            ring_capacity: config.journal_ring_capacity,
+            overflow_watermark: config.journal_overflow_watermark,
+        });
+        let obs_writer = obs.journal().writer(RUNTIME_TID);
         let mut dispatch = DispatchTable::new();
         dispatch.set_slot_cap(config.fault.dispatch_slot_cap);
         let view = EncodingView {
@@ -468,13 +471,13 @@ impl SharedState {
             edges,
             max_id: self.current.view.max_id,
         });
-        self.obs.record_generation(
-            self.current.view.ts.raw(),
-            nodes as u32,
-            edges as u32,
-            self.current.view.max_id,
+        self.obs.metrics().record_generation(GenerationInfo {
+            generation: self.current.view.ts.raw(),
+            nodes: nodes as u32,
+            edges: edges as u32,
+            max_id: self.current.view.max_id,
             cost,
-        );
+        });
     }
 
     /// Installs `enc` as the next generation (see [`Generation::install`])
@@ -512,7 +515,7 @@ impl SharedState {
         if let Some(r) = self.current.view.resolve(site, callee) {
             return (r, None);
         }
-        let timer = observe::start_timer();
+        let started = Instant::now();
         self.stats.traps += 1;
         // Copy the owner table (shared with published snapshots) only when
         // this trap records a new owner, not for every new target of a
@@ -549,7 +552,7 @@ impl SharedState {
         if self.stats.degraded.active {
             self.stats.degraded.note_trap_node(callee.raw());
             self.stats.degraded.degraded_traps += 1;
-            self.obs.on_degraded_trap();
+            self.obs.metrics().degraded_traps.inc();
         }
 
         // §5.2: the first tail call inside `caller` reveals that `caller`'s
@@ -575,18 +578,34 @@ impl SharedState {
         }
         self.dispatch_changed();
 
-        self.obs.on_trap(timer.elapsed_ns());
-        self.obs.on_site_patched();
+        let metrics = self.obs.metrics();
+        metrics.on_trap(started.elapsed());
+        metrics.sites_patched.inc();
         if is_new {
-            self.obs.on_edge_discovered();
+            metrics.edges_discovered.inc();
         }
-        if self.obs_writer.enabled() {
-            let (s, cr, ce) = (site.raw(), caller.raw(), callee.raw());
-            self.obs_writer.trap(tid, s, cr, ce);
+        let writer = &self.obs_writer;
+        if writer.enabled() {
+            let (site, caller, callee) = (site.raw(), caller.raw(), callee.raw());
+            writer.emit_for(
+                tid,
+                EventKind::Trap {
+                    site,
+                    caller,
+                    callee,
+                },
+            );
             if is_new {
-                self.obs_writer.edge_discovered(tid, s, cr, ce);
+                writer.emit_for(
+                    tid,
+                    EventKind::EdgeDiscovered {
+                        site,
+                        caller,
+                        callee,
+                    },
+                );
             }
-            self.obs_writer.site_patched(tid, s, targets);
+            writer.emit_for(tid, EventKind::SitePatched { site, targets });
         }
         let dispatch_cost = self.current.view.cost.handler_trap;
         (
@@ -645,17 +664,17 @@ impl SharedState {
     /// Captures a flight-recorder postmortem (first trigger wins): peeks
     /// the journal without consuming it, stitches the recent re-encode
     /// spans and renders the versioned dump document. A no-op when a dump
-    /// was already captured or observability is compiled out.
+    /// was already captured.
     pub(crate) fn capture_postmortem(&mut self, reason: &str) {
         if self.postmortem.is_some() {
             return;
         }
-        self.postmortem = self.obs.render_postmortem(
+        self.postmortem = Some(self.obs.render_postmortem(
             reason,
             self.current.view.ts.raw(),
             self.current.view.max_id,
             &self.stats.degraded,
-        );
+        ));
     }
 
     /// Bookkeeping after the dispatch table changed: the superop table
@@ -667,11 +686,11 @@ impl SharedState {
         let total = self.current.view.dispatch.slot_failures();
         let prev = self.stats.degraded.slot_failures;
         if total > prev {
-            self.obs.on_slot_failures(total - prev);
+            self.obs.metrics().slot_failures.add(total - prev);
             self.stats.degraded.slot_failures = total;
         }
         let (occupied, span) = self.current.view.dispatch.occupancy();
-        self.obs.record_dispatch(occupied, span);
+        self.obs.metrics().record_dispatch(occupied, span);
     }
 
     /// Switches the instance into permanent degraded mode: the current
@@ -814,7 +833,9 @@ impl SharedState {
             self.current.graph.edge_count() as u64 * self.current.view.cost.reencode_per_edge;
         self.stats.reencodes += 1;
         self.stats.reencode_cost += cost;
-        self.obs_writer.reencode_begin(self.current.view.ts.raw());
+        self.obs_writer.emit(EventKind::ReencodeBegin {
+            generation: self.current.view.ts.raw(),
+        });
 
         // Edge heat from the recent-sample ring, then — the adaptive
         // feedback loop behind `DacceConfig::profiler_feedback` — from the
@@ -864,13 +885,19 @@ impl SharedState {
                 // trigger with one extra (capped) backoff step so the
                 // retry is exponential, not immediate.
                 self.stats.degraded.reencode_retries += 1;
-                self.obs.on_reencode_retry();
+                self.obs.metrics().reencode_retries.inc();
                 let next = (self.cur_min_events as f64 * self.config.reencode_backoff) as u64;
                 self.cur_min_events = next.min(self.config.reencode_interval_cap);
             }
-            self.obs.on_reencode(false, cost);
-            self.obs_writer
-                .reencode_end(self.current.view.ts.raw(), false, cost, 0, 0, 0);
+            self.obs.metrics().on_reencode(false, cost);
+            self.obs_writer.emit(EventKind::ReencodeEnd {
+                generation: self.current.view.ts.raw(),
+                applied: false,
+                cost,
+                nodes: 0,
+                edges: 0,
+                max_id: 0,
+            });
             // Flight recorder: the aborted span is in the journal now, so
             // the postmortem's span timeline includes this very abort.
             self.capture_postmortem(if exhausted {
@@ -896,15 +923,15 @@ impl SharedState {
             *h /= 2;
         }
 
-        self.obs.on_reencode(true, cost);
-        self.obs_writer.reencode_end(
-            self.current.view.ts.raw(),
-            true,
+        self.obs.metrics().on_reencode(true, cost);
+        self.obs_writer.emit(EventKind::ReencodeEnd {
+            generation: self.current.view.ts.raw(),
+            applied: true,
             cost,
-            self.current.graph.node_count() as u32,
-            self.current.graph.edge_count() as u32,
-            self.current.view.max_id,
-        );
+            nodes: self.current.graph.node_count() as u32,
+            edges: self.current.graph.edge_count() as u32,
+            max_id: self.current.view.max_id,
+        });
 
         (ReencodeOutcome::Applied, cost)
     }
@@ -933,7 +960,7 @@ impl SharedState {
             self.diverged = true;
             self.stats.lineage_divergences += 1;
             lineage.note_divergence();
-            self.obs.on_lineage_diverge();
+            self.obs.metrics().lineage_divergences.inc();
         }
     }
 
@@ -1017,7 +1044,7 @@ impl SharedState {
         }
         self.adopt_lineage_state(&state);
         self.stats.lineage_adoptions += 1;
-        self.obs.on_lineage_adopt();
+        self.obs.metrics().lineage_adoptions.inc();
         true
     }
 
@@ -1043,7 +1070,7 @@ impl SharedState {
             drop(guard);
             self.adopt_lineage_state(&state);
             self.stats.lineage_adoptions += 1;
-            self.obs.on_lineage_adopt();
+            self.obs.metrics().lineage_adoptions.inc();
             return (true, 0);
         }
         let (outcome, cost) = self.reencode_core();
@@ -1051,7 +1078,7 @@ impl SharedState {
         if applied && !self.diverged {
             self.lineage_gen = lineage.publish_into(&mut guard, self.export_lineage_state());
             self.stats.lineage_publishes += 1;
-            self.obs.on_lineage_publish();
+            self.obs.metrics().lineage_publishes.inc();
         }
         (applied, cost)
     }
@@ -1064,13 +1091,13 @@ impl SharedState {
     /// snapshot can never carry superops folded under a stale encoding.
     pub(crate) fn snapshot(&mut self) -> EncodingSnapshot {
         self.stats.superop_republishes += 1;
-        self.obs.on_superop_republish();
+        self.obs.metrics().superop_republishes.inc();
         if self.superops_dirty {
             self.superops_dirty = false;
             let dropped = self.superops.len();
             if dropped > 0 {
                 self.stats.superop_invalidations += dropped as u64;
-                self.obs.on_superop_invalidations(dropped as u64);
+                self.obs.metrics().superop_invalidations.add(dropped as u64);
             }
             let table = if self.config.superops_enabled && !self.superop_candidates.is_empty() {
                 SuperOpTable::compile(
@@ -1085,6 +1112,7 @@ impl SharedState {
             };
             self.stats.superop_compiled = table.len() as u64;
             self.obs
+                .metrics()
                 .record_superops(table.len() as u64, self.superop_candidates.len() as u64);
             self.superops = Arc::new(table);
         }
@@ -1142,7 +1170,7 @@ pub(crate) fn push_circular<T>(buf: &mut Vec<T>, pos: &mut usize, cap: usize, it
 /// with each profiler sample so offline consumers can tell distinct deep
 /// contexts apart even when only the fixed-width wire record survives.
 pub(crate) fn context_fingerprint(snap: &EncodedContext) -> u32 {
-    observe::fingerprint64(std::iter::once(snap.id).chain(snap.cc.iter().flat_map(|e| {
+    fingerprint64(std::iter::once(snap.id).chain(snap.cc.iter().flat_map(|e| {
         [
             e.id,
             (u64::from(e.site.raw()) << 32) | u64::from(e.target.raw()),

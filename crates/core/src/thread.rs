@@ -14,14 +14,16 @@
 //! keeps — statistics shard, profiler sampler, sample backlogs — and is the
 //! step core both the engine and the concurrent tracker drive.
 
+use std::sync::Arc;
+
 use dacce_callgraph::{CallSiteId, FunctionId, TimeStamp};
+use dacce_obs::{EventKind, JournalWriter, MetricsRegistry, Sampler};
 use dacce_program::ThreadId;
 
 use crate::ccstack::CcStack;
 use crate::context::{EncodedContext, SpawnLink};
 use crate::decode::decode_thread;
 use crate::fastpath::{self, EncodingView};
-use crate::observe::{ObsWriter, Observability, Sampler};
 use crate::patch::EdgeAction;
 use crate::shared::{context_fingerprint, push_circular, SharedState};
 use crate::stats::{DacceStats, StatsShard};
@@ -221,7 +223,7 @@ pub(crate) struct ThreadState {
     pending_pos: usize,
     pending_profiler: Vec<(EncodedContext, u64)>,
     pending_profiler_pos: usize,
-    obs: Observability,
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// Capacity of each per-thread sample backlog.
@@ -255,7 +257,7 @@ impl ThreadState {
             pending_pos: 0,
             pending_profiler: Vec::new(),
             pending_profiler_pos: 0,
-            obs: sh.obs.clone(),
+            metrics: Arc::clone(sh.obs.metrics()),
         }
     }
 
@@ -268,7 +270,7 @@ impl ThreadState {
     pub(crate) fn call(
         &mut self,
         view: &EncodingView,
-        writer: &ObsWriter,
+        writer: &JournalWriter,
         obs_on: bool,
         site: CallSiteId,
         callee: FunctionId,
@@ -283,13 +285,15 @@ impl ThreadState {
             self.shard.compress_hits += 1;
         }
         if action.uses_ccstack() {
-            let depth = self.ctx.cc.depth();
+            let deeper = self.ctx.cc.depth() > prev_max;
+            let depth = self.ctx.cc.depth() as u32;
+            let tid = self.tid.raw();
             if obs_on {
-                writer.cc_push(self.tid.raw(), depth as u32);
+                writer.emit_for(tid, EventKind::CcPush { depth });
             }
-            if depth > prev_max && depth as u32 >= writer.watermark() {
-                self.obs.on_cc_overflow();
-                writer.cc_overflow(self.tid.raw(), depth as u32);
+            if deeper && depth >= writer.overflow_watermark() {
+                self.metrics.cc_overflows.inc();
+                writer.emit_for(tid, EventKind::CcOverflow { depth });
             }
         }
         eff.cost
@@ -301,7 +305,7 @@ impl ThreadState {
     pub(crate) fn ret(
         &mut self,
         view: &EncodingView,
-        writer: &ObsWriter,
+        writer: &JournalWriter,
         obs_on: bool,
         site: CallSiteId,
         caller: FunctionId,
@@ -309,7 +313,8 @@ impl ThreadState {
     ) -> u64 {
         let cost = fastpath::exec_ret(view, &mut self.ctx, site, caller, action);
         if obs_on && action.uses_ccstack() {
-            writer.cc_pop(self.tid.raw(), self.ctx.cc.depth() as u32);
+            let depth = self.ctx.cc.depth() as u32;
+            writer.emit_for(self.tid.raw(), EventKind::CcPop { depth });
         }
         cost
     }
@@ -318,7 +323,7 @@ impl ThreadState {
     /// sampler fires, the context is counted, journaled as a `Sample`
     /// event and buffered for the next [`Self::drain`].
     #[inline]
-    pub(crate) fn profiler_tick(&mut self, writer: &ObsWriter, obs_on: bool, site: CallSiteId) {
+    pub(crate) fn profiler_tick(&mut self, writer: &JournalWriter, obs_on: bool, site: CallSiteId) {
         let Some(weight) = self.sampler.tick() else {
             return;
         };
@@ -326,20 +331,19 @@ impl ThreadState {
         let depth = snap.cc_depth() as u32;
         self.shard.profiler_samples += 1;
         self.shard.profiler_sample_weight += weight;
-        self.obs.on_profiler_sample(depth, snap.id, weight);
+        self.metrics.on_profiler_sample(depth, snap.id, weight);
         if obs_on {
-            let fp = context_fingerprint(&snap);
-            writer.sample(
-                self.tid.raw(),
-                snap.ts.raw(),
-                snap.id,
-                site.raw(),
-                snap.leaf.raw(),
-                snap.root.raw(),
-                fp,
-                u32::try_from(weight).unwrap_or(u32::MAX),
+            let sample = EventKind::Sample {
+                generation: snap.ts.raw(),
+                id: snap.id,
+                site: site.raw(),
+                leaf: snap.leaf.raw(),
+                root: snap.root.raw(),
+                fingerprint: context_fingerprint(&snap),
+                weight: u32::try_from(weight).unwrap_or(u32::MAX),
                 depth,
-            );
+            };
+            writer.emit_for(self.tid.raw(), sample);
         }
         push_circular(
             &mut self.pending_profiler,
@@ -368,7 +372,7 @@ impl ThreadState {
         let snap = self.context();
         self.shard.samples += 1;
         self.shard.note_cc_depth(snap.cc_depth());
-        self.obs.on_sample(snap.cc_depth() as u32, snap.id);
+        self.metrics.on_sample(snap.cc_depth() as u32, snap.id);
         push_circular(
             &mut self.pending_samples,
             &mut self.pending_pos,
@@ -382,7 +386,7 @@ impl ThreadState {
     /// context's, decode under the old generation's dictionary (still in
     /// the view's store) and replay under the new patches. Lazy epoch
     /// checks, traps, lineage adoptions and re-encodes all come here.
-    pub(crate) fn migrate(&mut self, view: &EncodingView, writer: &ObsWriter, obs_on: bool) {
+    pub(crate) fn migrate(&mut self, view: &EncodingView, writer: &JournalWriter, obs_on: bool) {
         let to = view.ts;
         if to == self.ts {
             return;
@@ -403,9 +407,10 @@ impl ThreadState {
             // An engine bug: keep the stale state and surface it.
             _ => self.shard.decode_errors += 1,
         }
-        self.obs.on_migration();
+        self.metrics.migrations.inc();
         if obs_on {
-            writer.migration(self.tid.raw(), self.ts.raw(), to.raw());
+            let (from, to) = (self.ts.raw(), to.raw());
+            writer.emit_for(self.tid.raw(), EventKind::Migration { from, to });
         }
         self.ts = to;
     }
@@ -460,7 +465,7 @@ impl ThreadState {
             degraded.cc_spill_events += d;
             let peak = self.ctx.cc.spilled_peak() as u64;
             degraded.cc_spilled_peak = degraded.cc_spilled_peak.max(peak);
-            sh.obs.on_cc_spills(d);
+            sh.obs.metrics().cc_spills.add(d);
             self.flushed_spill_events = spills;
         }
     }
@@ -483,13 +488,14 @@ impl ThreadState {
         let icache = (self.shard.icache_hits, self.shard.icache_misses);
         if icache != self.flushed_icache {
             let (hits, misses) = self.flushed_icache;
-            self.obs.on_icache(icache.0 - hits, icache.1 - misses);
+            self.metrics.on_icache(icache.0 - hits, icache.1 - misses);
             self.flushed_icache = icache;
         }
         let superops = (self.shard.superop_hits, self.shard.superop_misses);
         if superops != self.flushed_superops {
             let (hits, misses) = self.flushed_superops;
-            self.obs.on_superops(superops.0 - hits, superops.1 - misses);
+            self.metrics
+                .on_superops(superops.0 - hits, superops.1 - misses);
             self.flushed_superops = superops;
         }
     }

@@ -42,6 +42,7 @@ use std::sync::Arc;
 use crate::sync::{protocol, AtomicU32, AtomicU64, Mutex, MutexGuard, Ordering};
 
 use dacce_callgraph::{CallSiteId, FunctionId};
+use dacce_obs::JournalWriter;
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{ContextPath, CostModel, ThreadId};
 
@@ -50,7 +51,7 @@ use crate::context::{EncodedContext, SpawnLink};
 use crate::decode::DecodeError;
 use crate::dispatch::CompiledDispatch;
 use crate::lineage::EncodingLineage;
-use crate::observe::{ObsWriter, Observability};
+use crate::observe::Observability;
 use crate::patch::EdgeAction;
 use crate::profile::HotContextProfile;
 use crate::shared::{EncodingSnapshot, ResolvedSite, SharedState};
@@ -74,7 +75,7 @@ struct SlotState {
     /// The snapshot the thread executes against. Outside a locked slow
     /// path, `st.ts == snap.ts`.
     snap: Arc<EncodingSnapshot>,
-    writer: ObsWriter,
+    writer: JournalWriter,
 }
 
 /// One registered thread's slot. The mutex is per-thread: uncontended in
@@ -195,7 +196,7 @@ impl TrackerInner {
         let n = self.slow_locks.fetch_add(1, Ordering::Relaxed);
         if sh.config.fault.poisons_acquisition(n) {
             sh.stats.degraded.lock_poisonings += 1;
-            sh.obs.on_lock_poison();
+            sh.obs.metrics().lock_poisonings.inc();
             true
         } else {
             false
@@ -253,8 +254,7 @@ impl Tracker {
         }
     }
 
-    /// The observability handle (event journal + metrics registry). With
-    /// the `obs` feature disabled this is an inert placeholder.
+    /// The observability handle (event journal + metrics registry).
     pub fn observability(&self) -> &Observability {
         &self.inner.obs
     }
@@ -441,7 +441,7 @@ impl Tracker {
             state: Mutex::new(SlotState {
                 st: ThreadState::new(tid, root, spawn, &sh),
                 snap,
-                writer: self.inner.obs.writer(tid.raw()),
+                writer: self.inner.obs.journal().writer(tid.raw()),
             }),
         });
         self.inner.registry.lock().push(Arc::clone(&slot));
@@ -555,12 +555,9 @@ impl Tracker {
 
     /// Forces a flight-recorder dump now with the given reason. The first
     /// capture wins: a later degradation will not overwrite a forced dump
-    /// (nor vice versa). Returns `true` when a postmortem exists after the
-    /// call — `false` only with the `obs` feature compiled out.
-    pub fn force_postmortem(&self, reason: &str) -> bool {
-        let mut sh = self.inner.shared.lock();
-        sh.capture_postmortem(reason);
-        sh.postmortem.is_some()
+    /// (nor vice versa).
+    pub fn force_postmortem(&self, reason: &str) {
+        self.inner.shared.lock().capture_postmortem(reason);
     }
 }
 
@@ -732,7 +729,7 @@ impl ThreadHandle {
                                     || !(obs_on
                                         || l.st.ctx.cc.spill_armed()
                                         || (peak > l.st.ctx.cc.max_depth()
-                                            && peak as u32 >= l.writer.watermark()));
+                                            && peak as u32 >= l.writer.overflow_watermark()));
                                 if admit {
                                     let len = so.window.len();
                                     let st = &mut l.st;
@@ -1280,8 +1277,7 @@ mod tests {
         }
         let heat = || tracker.with_shared(|sh| sh.ring.len());
         let profile = tracker.profiler_profile();
-        // The sampler only fires with the `obs` feature.
-        assert_eq!(profile.total() > 0, cfg!(feature = "obs"));
+        assert!(profile.total() > 0);
         assert_eq!(heat(), 0);
         tracker.stats();
         assert_eq!(heat(), 1);

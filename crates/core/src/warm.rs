@@ -18,6 +18,7 @@ use std::sync::Arc;
 use dacce_callgraph::analysis::classify_back_edges;
 use dacce_callgraph::encode::{encode_graph, EncodeOptions};
 use dacce_callgraph::{CallSiteId, Dispatch, FunctionId, TimeStamp};
+use dacce_obs::EventKind;
 
 use crate::shared::SharedState;
 
@@ -188,12 +189,13 @@ impl SharedState {
                 max_id: self.current.view.max_id,
             };
             self.obs
+                .metrics()
                 .on_warm_start(report.seeded_edges as u64, report.pruned_edges as u64);
-            self.obs_writer.warm_seed(
-                report.seeded_edges as u32,
-                report.pruned_edges as u32,
-                self.current.view.max_id,
-            );
+            self.obs_writer.emit(EventKind::WarmSeed {
+                seeded: report.seeded_edges as u32,
+                pruned: report.pruned_edges as u32,
+                max_id: self.current.view.max_id,
+            });
             self.warm_fingerprint = Some((fingerprint, report));
             return report;
         }

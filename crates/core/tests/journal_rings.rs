@@ -3,8 +3,6 @@
 //! its first recorded event, and the journal of a run replays to the
 //! tracker's own `DacceStats`.
 
-#![cfg(feature = "obs")]
-
 use dacce::config::DacceConfig;
 use dacce::tracker::{ThreadHandle, Tracker};
 use dacce_callgraph::{CallSiteId, FunctionId};
@@ -45,7 +43,7 @@ fn rings_follow_recording_threads_and_replay_to_stats() {
     assert_eq!(journal.ring_count(), 0);
     assert_eq!(tracker.stats().traps, 0);
 
-    tracker.observability().set_journaling(true);
+    journal.set_enabled(true);
     let late = tracker.register_spawned_thread(main_fn, &main, spawn_site);
     let drivers = [&main, &spawned[3], &spawned[500], &late];
     for (i, th) in drivers.iter().enumerate() {
@@ -59,7 +57,7 @@ fn rings_follow_recording_threads_and_replay_to_stats() {
         drive(th, sites, f, 2);
     }
 
-    let batch = tracker.observability().drain_journal();
+    let batch = journal.drain();
     assert_eq!(batch.dropped, 0);
     assert!(batch.dropped_by_thread.is_empty());
     let agg = JournalAggregates::replay_batch(&batch);

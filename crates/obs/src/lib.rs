@@ -1,7 +1,7 @@
 //! Runtime observability for the DACCE reproduction.
 //!
-//! Three pieces, designed so the encoded fast path pays at most one
-//! relaxed atomic load when observability is compiled in but idle:
+//! Four pieces, designed so the encoded fast path pays at most one
+//! relaxed atomic load while the journal is idle:
 //!
 //! - **Event journal** ([`Journal`]): typed lifecycle events
 //!   ([`EventKind`]) recorded into per-writer, fixed-capacity, lock-free
@@ -21,11 +21,11 @@
 //!   budget-bounded [`Sampler`] behind `Sample` events, the re-encode
 //!   [`SpanTimeline`] with its pause histogram, and collapsed-stack
 //!   [`FlameGraph`] export with lineage-keyed fleet merge.
-//! - The `dacce` core crate wires both into the engine behind its `obs`
-//!   feature; the `dacce-top` binary renders them live (`--fleet` for the
-//!   multi-tenant view).
+//! - The `dacce` core crate wires them into the engine unconditionally
+//!   (the journal starts runtime-disabled); the `dacce-top` binary renders
+//!   them live (`--fleet` for the multi-tenant view).
 //!
-//! This crate is dependency-free and contains no `unsafe`.
+//! This crate depends only on `dacce-sync` and contains no `unsafe`.
 
 #![forbid(unsafe_code)]
 

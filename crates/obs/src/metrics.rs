@@ -8,6 +8,8 @@
 //! which covers the full `u64` range in 65 buckets — good enough for
 //! latencies, costs and depths that span orders of magnitude.
 
+use std::time::Duration;
+
 use dacce_sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 
 const COUNTER_SHARDS: usize = 8;
@@ -87,6 +89,13 @@ impl Default for Histogram {
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Histogram(n={})", self.count.load(Ordering::Relaxed))
+    }
+}
+
+/// Adds `n` to `counter`, skipping the atomic when there is nothing to add.
+fn add_nonzero(counter: &Counter, n: u64) {
+    if n != 0 {
+        counter.add(n);
     }
 }
 
@@ -344,6 +353,56 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    /// Counts one handled trap and its wall-clock latency.
+    pub fn on_trap(&self, took: Duration) {
+        self.traps.inc();
+        self.trap_ns
+            .observe(u64::try_from(took.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// Counts one re-encode attempt costing `cost` units; `applied` is
+    /// false for an aborted one.
+    pub fn on_reencode(&self, applied: bool, cost: u64) {
+        self.reencodes.inc();
+        self.reencode_cost.observe(cost);
+        if !applied {
+            self.reencode_aborts.inc();
+        }
+    }
+
+    /// Counts one context sample of ccStack depth `cc_depth` and id `id`.
+    pub fn on_sample(&self, cc_depth: u32, id: u64) {
+        self.samples.inc();
+        self.cc_depth.observe(u64::from(cc_depth));
+        self.sampled_ids.observe(id);
+    }
+
+    /// Counts one continuous-profiler sample standing for `weight` events.
+    pub fn on_profiler_sample(&self, cc_depth: u32, id: u64, weight: u64) {
+        self.profiler_samples.inc();
+        self.profiler_sample_weight.add(weight);
+        self.cc_depth.observe(u64::from(cc_depth));
+        self.sampled_ids.observe(id);
+    }
+
+    /// Counts the edges a warm start seeded and pruned.
+    pub fn on_warm_start(&self, seeded: u64, pruned: u64) {
+        self.warm_seeded_edges.add(seeded);
+        self.warm_pruned_edges.add(pruned);
+    }
+
+    /// Folds a batch of per-thread inline-cache probe outcomes in.
+    pub fn on_icache(&self, hits: u64, misses: u64) {
+        add_nonzero(&self.icache_hits, hits);
+        add_nonzero(&self.icache_misses, misses);
+    }
+
+    /// Folds a batch of per-thread superop probe outcomes in.
+    pub fn on_superops(&self, hits: u64, misses: u64) {
+        add_nonzero(&self.superop_hits, hits);
+        add_nonzero(&self.superop_misses, misses);
+    }
+
     /// Records the compiled dispatch table's shape: `occupied` allocated
     /// slots over a `span`-wide site-id index range (gauges, last wins).
     pub fn record_dispatch(&self, occupied: u64, span: u64) {

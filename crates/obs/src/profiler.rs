@@ -390,9 +390,9 @@ impl FlameGraph {
         }
     }
 
-    /// Adds one stack (root first) with the given weight. Frame names are
-    /// sanitised: `;`, whitespace and control characters become `_` so
-    /// the collapsed text format stays parseable.
+    /// Adds one stack (root first) with the given weight, saturating at
+    /// `u64::MAX`. Frame names are sanitised: `;`, whitespace and control
+    /// characters become `_` so the collapsed text format stays parseable.
     pub fn add<S: AsRef<str>>(&mut self, frames: &[S], weight: u64) {
         if frames.is_empty() || weight == 0 {
             return;
@@ -402,13 +402,16 @@ impl FlameGraph {
             .map(|f| sanitise_frame(f.as_ref()))
             .collect::<Vec<_>>()
             .join(";");
-        *self.folds.entry(key).or_insert(0) += weight;
+        let w = self.folds.entry(key).or_insert(0);
+        *w = w.saturating_add(weight);
     }
 
-    /// Total weight across all stacks.
+    /// Total weight across all stacks, saturating at `u64::MAX` (only a
+    /// graph built by [`FlameGraph::add`] can get there: parsing and
+    /// merging refuse totals past it).
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.folds.values().sum()
+        self.folds.values().fold(0, |sum, &w| sum.saturating_add(w))
     }
 
     /// Number of distinct stacks.
@@ -431,13 +434,23 @@ impl FlameGraph {
     /// Merges another graph's stacks into this one. The lineage tag is
     /// kept when equal and zeroed when the graphs disagree (a mixed
     /// merge no longer content-addresses one encoding history).
-    pub fn merge(&mut self, other: &FlameGraph) {
+    ///
+    /// # Errors
+    /// Returns a description, leaving `self` unchanged, when the merged
+    /// total weight would exceed `u64::MAX`.
+    pub fn merge(&mut self, other: &FlameGraph) -> Result<(), String> {
+        // Every stack's weight is at most its graph's total, so a merged
+        // total that fits means no per-stack sum can overflow either.
+        if self.total().checked_add(other.total()).is_none() {
+            return Err(String::from("merged flame weights exceed u64::MAX"));
+        }
         if self.lineage != other.lineage {
             self.lineage = 0;
         }
         for (k, &w) in &other.folds {
             *self.folds.entry(k.clone()).or_insert(0) += w;
         }
+        Ok(())
     }
 
     /// Renders the graph in the collapsed-stack text format understood
@@ -482,7 +495,8 @@ impl FlameGraph {
     /// [`FlameGraph::to_collapsed`].
     ///
     /// # Errors
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, or of the
+    /// first line that takes the file's total weight past `u64::MAX`.
     pub fn parse(text: &str) -> Result<FlameGraph, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or("empty flame file")?;
@@ -492,6 +506,7 @@ impl FlameGraph {
         let lineage = u64::from_str_radix(lineage_hex.trim(), 16)
             .map_err(|_| format!("bad lineage hex `{lineage_hex}`"))?;
         let mut graph = FlameGraph::new(lineage);
+        let mut total = 0u64;
         for line in lines {
             if line.starts_with('#') {
                 continue;
@@ -506,6 +521,10 @@ impl FlameGraph {
             if stack.is_empty() {
                 return Err(format!("empty stack in flame line: {line}"));
             }
+            // The total bounds every stack's sum, so checking it suffices.
+            total = total
+                .checked_add(weight)
+                .ok_or_else(|| format!("total weight exceeds u64::MAX at flame line: {line}"))?;
             *graph.folds.entry(stack.to_string()).or_insert(0) += weight;
         }
         Ok(graph)
@@ -527,18 +546,22 @@ fn sanitise_frame(name: &str) -> String {
 /// Fleet-wide merge: groups graphs by lineage hash and merges each
 /// group, returning one graph per distinct lineage, ascending by hash.
 /// Shared-lineage tenants therefore aggregate under one key.
-#[must_use]
-pub fn merge_by_lineage(graphs: impl IntoIterator<Item = FlameGraph>) -> Vec<FlameGraph> {
+///
+/// # Errors
+/// Returns a description when a group's total weight exceeds `u64::MAX`.
+pub fn merge_by_lineage(
+    graphs: impl IntoIterator<Item = FlameGraph>,
+) -> Result<Vec<FlameGraph>, String> {
     let mut by_lineage: BTreeMap<u64, FlameGraph> = BTreeMap::new();
     for g in graphs {
         match by_lineage.get_mut(&g.lineage) {
-            Some(acc) => acc.merge(&g),
+            Some(acc) => acc.merge(&g)?,
             None => {
                 by_lineage.insert(g.lineage, g);
             }
         }
     }
-    by_lineage.into_values().collect()
+    Ok(by_lineage.into_values().collect())
 }
 
 #[cfg(test)]
@@ -707,6 +730,50 @@ mod tests {
         assert!(g.to_json().contains("\"total\":56"));
         assert!(FlameGraph::parse("").is_err());
         assert!(FlameGraph::parse("no header\nmain 1").is_err());
+        // Weight sums past u64::MAX are errors, for one stack or across
+        // stacks; a total of exactly u64::MAX still parses.
+        let header = "# dacce-flame v1 lineage=0000000000000001\n";
+        let max = u64::MAX;
+        assert!(FlameGraph::parse(&format!("{header}m;a {max}\nm;a 1\n")).is_err());
+        assert!(FlameGraph::parse(&format!("{header}m;a {max}\nm;b 1\n")).is_err());
+        let full = FlameGraph::parse(&format!("{header}m;a {}\nm;b 1\n", max - 1));
+        assert_eq!(full.map(|g| g.total()), Ok(max));
+        // Stacks added past u64::MAX saturate instead of wrapping.
+        let mut sat = FlameGraph::new(0);
+        sat.add(&["m", "a"], max);
+        sat.add(&["m", "a"], 1);
+        sat.add(&["m", "b"], max);
+        assert_eq!(sat.total(), max);
+    }
+
+    /// Every truncation, single-byte deletion and single-byte replacement
+    /// of a rendered flame file parses or fails with a description, and
+    /// merging any mutant that parses with the original or the previous
+    /// such mutant finishes either way.
+    #[test]
+    fn every_single_byte_mutation_is_a_typed_error() {
+        let mut g = FlameGraph::new(0x00c0_ffee_dead_beef);
+        g.add(&["main", "run", "step"], 40);
+        g.add(&["main", "parse"], 12);
+        g.add(&["main", "io"], u64::MAX / 2);
+        let text = g.to_collapsed();
+        let mut previous = g.clone();
+        let mut check = |mutant: String| {
+            if let Ok(parsed) = FlameGraph::parse(&mutant) {
+                let _ = previous.clone().merge(&parsed);
+                let _ = g.clone().merge(&parsed);
+                let _ = parsed.clone().merge(&g);
+                let _ = (parsed.total(), parsed.to_json(), parsed.to_collapsed());
+                previous = parsed;
+            }
+        };
+        for i in 0..text.len() {
+            check(text[..i].to_string());
+            check(format!("{}{}", &text[..i], &text[i + 1..]));
+            for c in ["é", "9", ";", " ", "\n", "#", "-", "18446744073709551616"] {
+                check(format!("{}{c}{}", &text[..i], &text[i + 1..]));
+            }
+        }
     }
 
     #[test]
@@ -718,7 +785,7 @@ mod tests {
         b.add(&["m", "y"], 2);
         let mut c = FlameGraph::new(2);
         c.add(&["m"], 1);
-        let merged = merge_by_lineage([a, b, c]);
+        let merged = merge_by_lineage([a, b, c]).expect("totals fit");
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].lineage, 1);
         assert_eq!(merged[0].total(), 14);
@@ -729,8 +796,18 @@ mod tests {
         assert_eq!(merged[1].lineage, 2);
         // Cross-lineage merge drops the content address.
         let mut mixed = merged[0].clone();
-        mixed.merge(&merged[1]);
+        mixed.merge(&merged[1]).expect("totals fit");
         assert_eq!(mixed.lineage, 0);
         assert_eq!(mixed.total(), 15);
+        // A merge past u64::MAX is refused and leaves the graph as it was.
+        let mut big = FlameGraph::new(1);
+        big.add(&["m", "x"], u64::MAX - 1);
+        let before = big.clone();
+        assert!(big.merge(&merged[0]).is_err());
+        assert_eq!(big, before);
+        let mut other = FlameGraph::new(1);
+        other.add(&["m", "y"], 2);
+        assert!(big.merge(&other).is_err());
+        assert!(merge_by_lineage([before, other]).is_err());
     }
 }

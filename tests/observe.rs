@@ -22,7 +22,7 @@ fn run_journaled(spec: &BenchSpec, scale: f64) -> DacceRuntime {
     let program = program_of(spec);
     let icfg = interp_config(spec, &cfg);
     let mut rt = DacceRuntime::new(cfg.dacce.clone(), cfg.cost.clone());
-    rt.observability().set_journaling(true);
+    rt.observability().journal().set_enabled(true);
     let report = Interpreter::new(&program, icfg).run(&mut rt);
     assert_eq!(report.mismatches, 0, "workload must still validate");
     rt
@@ -41,7 +41,7 @@ fn journal_roundtrips_and_replays_to_engine_stats() {
     let stats = rt.stats();
     assert!(stats.reencodes > 0, "adaptive workload must re-encode");
 
-    let batch = rt.observability().drain_journal();
+    let batch = rt.observability().journal().drain();
     assert_eq!(batch.dropped, 0, "ring must be large enough for this run");
     assert!(!batch.events.is_empty());
 
@@ -75,7 +75,7 @@ fn journal_roundtrips_and_replays_to_engine_stats() {
 #[test]
 fn reencode_events_carry_generation_and_cost() {
     let rt = run_journaled(&bzip2(), 0.05);
-    let batch = rt.observability().drain_journal();
+    let batch = rt.observability().journal().drain();
     let ends: Vec<_> = batch
         .events
         .iter()
@@ -115,7 +115,7 @@ fn journaling_off_keeps_metrics_but_no_events() {
     let _ = Interpreter::new(&program, icfg).run(&mut rt);
     let stats = rt.stats();
 
-    let batch = rt.observability().drain_journal();
+    let batch = rt.observability().journal().drain();
     assert!(batch.events.is_empty(), "journaling defaults to off");
     assert_eq!(batch.dropped, 0);
 
@@ -152,11 +152,11 @@ fn drain_is_incremental_across_phases() {
     let program = program_of(&spec);
     let icfg = interp_config(&spec, &cfg);
     let mut rt = DacceRuntime::new(cfg.dacce.clone(), cfg.cost.clone());
-    rt.observability().set_journaling(true);
+    rt.observability().journal().set_enabled(true);
     let _ = Interpreter::new(&program, icfg).run(&mut rt);
 
-    let first = rt.observability().drain_journal();
-    let second = rt.observability().drain_journal();
+    let first = rt.observability().journal().drain();
+    let second = rt.observability().journal().drain();
     assert!(!first.events.is_empty());
     assert!(
         second.events.is_empty(),

@@ -95,7 +95,7 @@ fn concurrent_journal_drains_never_duplicate_events() {
         ..DacceConfig::default()
     });
     let obs = tracker.observability().clone();
-    obs.set_journaling(true);
+    obs.journal().set_enabled(true);
     let main_fn = tracker.define_function("main");
     let fns: Vec<FunctionId> = (0..4)
         .map(|i| tracker.define_function(&format!("f{i}")))
@@ -118,7 +118,7 @@ fn concurrent_journal_drains_never_duplicate_events() {
         }
         // Drain concurrently with the writers.
         for _ in 0..50 {
-            seen.extend(obs.drain_journal().events.iter().map(|e| e.seq));
+            seen.extend(obs.journal().drain().events.iter().map(|e| e.seq));
             std::thread::yield_now();
         }
         for w in workers {
@@ -126,12 +126,12 @@ fn concurrent_journal_drains_never_duplicate_events() {
         }
     })
     .unwrap();
-    seen.extend(obs.drain_journal().events.iter().map(|e| e.seq));
+    seen.extend(obs.journal().drain().events.iter().map(|e| e.seq));
 
     // Every drained record is distinct — overlapping drains never hand the
     // same event out twice.
     let unique: HashSet<u64> = seen.iter().copied().collect();
     assert_eq!(unique.len(), seen.len(), "duplicate seq in drained stream");
     // And nothing is left behind once everything stopped.
-    assert!(obs.drain_journal().events.is_empty());
+    assert!(obs.journal().drain().events.is_empty());
 }
