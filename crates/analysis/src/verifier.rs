@@ -101,7 +101,11 @@ pub fn verify_engine(engine: &DacceEngine) -> Vec<Diagnostic> {
 /// * every latest-dictionary edge has a compiled record for its
 ///   `(site, callee)` pair — non-back edges must be compiled
 ///   `Encoded { delta }` with `delta` equal to the edge's encoding, back
-///   edges must be compiled with a ccStack action;
+///   edges must be compiled with a ccStack action. When the export records
+///   slot refusals (`degraded … slotfail` above 0), an edge whose site has
+///   no record at all is exempt: an injected slot cap starved that site,
+///   which then traps on every call — sound, and accepted by the runtime's
+///   own check;
 /// * every compiled `Encoded` record corresponds to a latest-dictionary
 ///   non-back edge with the same encoding (stale deltas from an earlier
 ///   generation are the bug this rule exists to catch). Extra ccStack
@@ -176,10 +180,14 @@ pub fn verify_dispatch(decoder: &OfflineDecoder) -> Vec<Diagnostic> {
 
     // Edge-for-edge agreement with the latest (current-generation)
     // dictionary.
+    let slot_starved = decoder.degraded().slot_failures > 0;
     let mut edge_of: HashMap<(CallSiteId, FunctionId), &DictEdge> = HashMap::new();
     for e in latest.edges() {
         edge_of.insert((e.site, e.callee), e);
         let Some(&action) = compiled.get(&(e.site, e.callee)) else {
+            if slot_starved && !slot_of.contains_key(&e.site) {
+                continue;
+            }
             out.push(err(
                 format!(
                     "dictionary edge {} --{}--> {} has no compiled dispatch record",
@@ -1271,6 +1279,90 @@ mod tests {
             "run must actually degrade"
         );
         text
+    }
+
+    /// An export of a run whose dispatch-slot cap starved some sites: the
+    /// latest dictionary has edges at sites without any record.
+    fn slot_starved_engine_text() -> String {
+        use dacce::{export_state, DacceConfig, FaultPlan};
+        use dacce_program::runtime::CallDispatch;
+        use dacce_program::{CostModel, ThreadId};
+        let cfg = DacceConfig {
+            edge_threshold: 4,
+            min_events_between_reencodes: 1,
+            fault: FaultPlan {
+                dispatch_slot_cap: Some(2),
+                ..FaultPlan::default()
+            },
+            ..DacceConfig::default()
+        };
+        let mut e = DacceEngine::new(cfg, CostModel::default());
+        e.attach_main(f(0));
+        e.thread_start(ThreadId::MAIN, f(0), None);
+        for round in 0..2 {
+            for i in 0..4u32 {
+                let dispatch = if i == 3 {
+                    CallDispatch::Indirect
+                } else {
+                    CallDispatch::Direct
+                };
+                let callee = f(i + 1 + round * u32::from(i == 3));
+                let _ = e.call(ThreadId::MAIN, s(i), f(0), callee, dispatch, false);
+                let _ = e.ret(ThreadId::MAIN, s(i), f(0), callee);
+            }
+        }
+        let text = export_state(&e);
+        assert!(e.stats().reencodes >= 1, "run must re-encode");
+        assert!(
+            e.stats().degraded.slot_failures > 0,
+            "cap must starve sites"
+        );
+        text
+    }
+
+    #[test]
+    fn slot_starved_export_is_clean() {
+        let decoder = dacce::import(&slot_starved_engine_text()).expect("imports");
+        let records: std::collections::HashSet<CallSiteId> =
+            decoder.dispatch().iter().map(|r| r.site).collect();
+        let latest = decoder.dicts().latest().unwrap();
+        assert!(
+            latest.edges().iter().any(|e| !records.contains(&e.site)),
+            "some dictionary edge must sit at a starved site"
+        );
+        let diags = verify_dispatch(&decoder);
+        assert!(diags.is_empty(), "unexpected findings: {diags:?}");
+    }
+
+    #[test]
+    fn slot_starved_export_still_checks_compiled_sites() {
+        // Retarget one compiled record: its dictionary edge now lacks a
+        // record although the site has one, which no cap explains.
+        let text = slot_starved_engine_text();
+        let mut done = false;
+        let corrupted: String = text
+            .lines()
+            .map(|l| {
+                if !done && l.starts_with("dispatch") && l.contains("enc:") {
+                    done = true;
+                    let mut parts: Vec<&str> = l.split(' ').collect();
+                    parts[4] = "4000";
+                    parts.join(" ")
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert!(done, "export must contain an encoded dispatch record");
+        let decoder = dacce::import(&corrupted).expect("still imports");
+        let diags = verify_dispatch(&decoder);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.message.contains("has no compiled dispatch record")),
+            "missing record at a compiled site must be reported: {diags:?}"
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! dense. On random graphs (cycles, several roots, indirect sites with many
 //! targets, heat with ties) both must agree on the back flags, DFS finish
 //! order and reachability, the topological order, every `numCC` and edge
-//! encoding, `maxID`, overflow, every compiled site patch and the
-//! conversion count, and `resolve` for every `(site, callee)` pair.
+//! encoding, `maxID`, overflow, the conversion count, and `resolve` for
+//! every `(site, callee)` pair against the reference site's code.
 //!
 //! `PROPTEST_CASES` sets the number of cases.
 
@@ -27,9 +27,8 @@ use dacce_callgraph::{CallGraph, CallSiteId, Dispatch, EdgeId, FunctionId};
 use dacce_program::CostModel;
 
 use crate::config::{CompressionMode, DacceConfig};
-use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch, SiteState};
-use crate::shared::SharedState;
-use crate::verify::lookup_in;
+use crate::patch::{EdgeAction, IndirectPatch};
+use crate::shared::{ResolvedSite, SharedState};
 
 fn f(i: u32) -> FunctionId {
     FunctionId::new(i)
@@ -170,6 +169,42 @@ fn reference_encode(graph: &CallGraph, heat: &HashMap<EdgeId, u64>) -> Reference
         num_cc,
         edge_encoding,
     }
+}
+
+/// One site's generated code as the reference install builds it.
+#[derive(Clone, Debug)]
+struct SiteState {
+    tc_wrap: bool,
+    patch: SitePatch,
+}
+
+/// A reference site's dispatch: one target, or an indirect site's chain.
+#[derive(Clone, Debug)]
+enum SitePatch {
+    Direct(FunctionId, EdgeAction),
+    Indirect(IndirectPatch),
+}
+
+/// What `state`'s code does for a call to `callee`, charged like the
+/// runtime's dispatch; `None` when it traps.
+fn lookup(state: &SiteState, cost: &CostModel, callee: FunctionId) -> Option<ResolvedSite> {
+    let (action, dispatch_cost) = match &state.patch {
+        SitePatch::Direct(target, action) => (*target == callee).then_some((*action, 0))?,
+        SitePatch::Indirect(p) => {
+            let (action, cmps, hashed) = p.lookup(callee)?;
+            let cost = if hashed {
+                cost.hash_lookup
+            } else {
+                u64::from(cmps) * cost.compare
+            };
+            (action, cost)
+        }
+    };
+    Some(ResolvedSite {
+        action,
+        dispatch_cost,
+        tc_wrap: state.tc_wrap,
+    })
 }
 
 /// The re-encode's site-patch install, grouping edges per site in a hash
@@ -347,25 +382,21 @@ fn check_graph(
         old,
     );
     assert_eq!(conversions, want_conversions);
-    assert_eq!(sh.current.patches.len(), sites.len());
-    let mut want_patches = PatchTable::new();
-    for (&site, state) in &sites {
-        assert_eq!(sh.current.patches.get(site), Some(state), "site {site}");
-        *want_patches.site_mut(site) = state.clone();
-    }
-    // Every (site, callee) pair resolves identically through the compiled
-    // table, and slots ascend with site ids allocated in this install.
+    // Every (site, callee) pair resolves through the table like the
+    // reference site's code, and only the reference's sites have records.
     let view = &sh.current.view;
     let probes: Vec<FunctionId> = g.nodes().iter().copied().chain([f(u32::MAX - 1)]).collect();
-    for (site, _) in want_patches.iter() {
+    for (&site, state) in &sites {
         for &callee in &probes {
             assert_eq!(
                 view.resolve(site, callee),
-                lookup_in(&want_patches, &view.cost, site, callee),
+                lookup(state, &view.cost, callee),
                 "({site}, {callee})"
             );
         }
     }
+    let compiled: HashSet<CallSiteId> = view.dispatch.iter_compiled().map(|(s, ..)| s).collect();
+    assert_eq!(compiled, sites.keys().copied().collect());
     sites
 }
 

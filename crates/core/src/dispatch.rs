@@ -1,34 +1,43 @@
-//! Dense, slot-indexed dispatch tables — the flattened fast path.
+//! The dispatch table: the one record of what every call site's generated
+//! code runs.
 //!
-//! The logical patch table ([`crate::patch::PatchTable`]) hashes
-//! `CallSiteId -> SiteState`, which means every already-encoded call pays a
-//! SipHash probe. This module compiles that table into flat vectors so the
+//! DACCE patches each call site in place (§3): the code at a site *is* its
+//! state. This module holds that code as data, slot-indexed so the
 //! steady-state `resolve()` is two bounds-checked array indexes:
 //!
 //! * `slots[site.index()]` maps the (dense) call-site id space to compact
-//!   `u32` slots. A slot is allocated the first time a site is compiled
-//!   (trap-time discovery or a re-encoding rebuild) and is **stable across
-//!   generations** — re-encodings recompile the records in place, so
+//!   `u32` slots. A slot is allocated the first time a site is patched
+//!   (trap-time discovery or a re-encoding) and is **stable across
+//!   generations** — a re-encoding rewrites the records in place, so
 //!   per-thread structures keyed by slot (the indirect-call inline cache)
 //!   stay meaningful.
 //! * `sites[slot]` holds one [`CompiledSite`] record: the dispatch kind,
-//!   the resolved action for monomorphic sites, and the TcStack-wrap flag,
-//!   packed into one cache-friendly record.
+//!   the action for monomorphic sites, and the TcStack-wrap flag, packed
+//!   into one cache-friendly record.
 //! * `poly[index]` stores the compare chain / hash table of polymorphic
 //!   (indirect) sites out of line, so the common monomorphic record stays
 //!   small.
 //!
-//! Like the patch table, the compiled table is copy-on-write `Arc`s: the
-//! slow path recompiles affected records under the shared lock (cloning a
-//! vector only when a published snapshot still shares it) and snapshots
-//! hand read-only clones to reader threads in O(1).
+//! The trap handler patches one record ([`DispatchTable::patch`]); a
+//! re-encoding writes every record of a fresh table
+//! ([`DispatchTable::regenerated`], [`DispatchTable::put`]). A site the
+//! injected slot cap refuses a slot keeps a lock-only *starved* record
+//! that `resolve` never sees — it traps on every call — but that the trap
+//! handler, the re-encoding and the triggers read and patch like any
+//! other.
+//!
+//! Every part is a copy-on-write `Arc`: the slow path patches records
+//! under the shared lock (cloning a vector only when a published snapshot
+//! still shares it) and snapshots hand read-only clones to reader threads
+//! in O(1).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_program::CostModel;
 
-use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch, SiteState};
+use crate::patch::{EdgeAction, IndirectPatch};
 use crate::shared::ResolvedSite;
 
 /// Sentinel for an unallocated slot. `NO_SLOT as usize` is far beyond any
@@ -74,53 +83,37 @@ impl CompiledSite {
     };
 }
 
-/// The compiled, slot-indexed view of the patch table.
+/// What one trap-time patch left at its site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Patched {
+    /// The site's TcStack-wrap flag after the patch.
+    pub(crate) tc_wrap: bool,
+    /// Known targets at the site (1 for a monomorphic site).
+    pub(crate) targets: u32,
+    /// The patch converted an indirect site's compare chain to a hash.
+    pub(crate) converted: bool,
+}
+
+/// The slot-indexed table of every call site's generated code.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DispatchTable {
     /// `site.index() -> slot` ([`NO_SLOT`] when unallocated).
     slots: Arc<Vec<u32>>,
     /// `slot -> compiled record`.
     sites: Arc<Vec<CompiledSite>>,
-    /// Out-of-line dispatch state of polymorphic sites.
+    /// Out-of-line dispatch state of polymorphic sites (starved ones too).
     poly: Arc<Vec<IndirectPatch>>,
     /// Injected slot-allocation cap (fault injection); `None` = unbounded.
     slot_cap: Option<u32>,
-    /// Allocation requests the cap refused. A refused site stays
-    /// un-compiled and traps on every call — sound, just slow.
+    /// Allocation requests the cap refused, one per touch of a starved
+    /// site.
     slot_failures: u64,
-}
-
-/// Compiles one site's logical patch state; `poly_index` places an
-/// indirect site's patch in the poly table and returns its index.
-fn compile(state: &SiteState, poly_index: impl FnOnce(&IndirectPatch) -> u32) -> CompiledSite {
-    let dispatch = match &state.patch {
-        SitePatch::Trap => CompiledDispatch::Trap,
-        SitePatch::Direct(target, action) => CompiledDispatch::Mono {
-            target: *target,
-            action: *action,
-        },
-        SitePatch::Indirect(p) => CompiledDispatch::Poly {
-            index: poly_index(p),
-        },
-    };
-    CompiledSite {
-        dispatch,
-        tc_wrap: state.tc_wrap,
-    }
-}
-
-/// Appends `p` to the poly table and returns its index.
-fn push_poly(poly: &mut Vec<IndirectPatch>, p: &IndirectPatch) -> u32 {
-    poly.push(p.clone());
-    u32::try_from(poly.len() - 1).expect("poly count fits in u32")
+    /// Records of the sites the cap refused a slot. `resolve` never reads
+    /// them, so such a site traps on every call — sound, just slow.
+    starved: Arc<HashMap<CallSiteId, CompiledSite>>,
 }
 
 impl DispatchTable {
-    /// Creates an empty table.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Arms the injected slot-allocation cap.
     pub(crate) fn set_slot_cap(&mut self, cap: Option<u32>) {
         self.slot_cap = cap;
@@ -131,89 +124,162 @@ impl DispatchTable {
         self.slot_failures
     }
 
-    /// The slot assigned to `site`, allocating one on first touch. Clones
-    /// the underlying vectors iff a snapshot still shares them. `None`
-    /// when the injected cap refused the allocation — the site then has
-    /// no compiled record and keeps trapping.
-    fn ensure_slot(&mut self, site: CallSiteId) -> Option<u32> {
+    /// `site`'s record for patching, next to the poly table: its slot's
+    /// record (a trap record in a new slot on first touch), or its starved
+    /// record when the cap refuses it a slot (each refusal counts). Clones
+    /// a vector iff a snapshot still shares it.
+    fn record_mut(
+        &mut self,
+        site: CallSiteId,
+    ) -> (&mut CompiledSite, &mut Arc<Vec<IndirectPatch>>) {
         let idx = site.index();
-        if self.slots.get(idx).copied().unwrap_or(NO_SLOT) == NO_SLOT {
-            if let Some(cap) = self.slot_cap {
-                if self.sites.len() as u64 >= u64::from(cap) {
-                    self.slot_failures += 1;
-                    return None;
-                }
+        let mut slot = self.slots.get(idx).copied().unwrap_or(NO_SLOT);
+        if slot == NO_SLOT {
+            if self
+                .slot_cap
+                .is_some_and(|cap| self.sites.len() as u64 >= u64::from(cap))
+            {
+                self.slot_failures += 1;
+                let starved = Arc::make_mut(&mut self.starved);
+                return (
+                    starved.entry(site).or_insert(CompiledSite::TRAP),
+                    &mut self.poly,
+                );
             }
-        }
-        let slots = Arc::make_mut(&mut self.slots);
-        if idx >= slots.len() {
-            slots.resize(idx + 1, NO_SLOT);
-        }
-        if slots[idx] == NO_SLOT {
+            // A site starved under an adopted table's cap keeps its record.
+            let mut rec = CompiledSite::TRAP;
+            if self.starved.contains_key(&site) {
+                rec = Arc::make_mut(&mut self.starved)
+                    .remove(&site)
+                    .unwrap_or(rec);
+            }
             let sites = Arc::make_mut(&mut self.sites);
-            let slot = u32::try_from(sites.len()).expect("slot count fits in u32");
-            sites.push(CompiledSite::TRAP);
-            slots[idx] = slot;
-        }
-        Some(slots[idx])
-    }
-
-    /// Recompiles one site's record from its logical patch state. Called
-    /// from the trap slow path after the patch table changed; keeps the
-    /// compiled table in lock step without a full rebuild. Returns
-    /// `false` when the injected slot cap refused the site a record.
-    pub(crate) fn sync_site(&mut self, site: CallSiteId, state: &SiteState) -> bool {
-        let Some(slot) = self.ensure_slot(site) else {
-            return false;
-        };
-        let slot = slot as usize;
-        let old = self.sites[slot].dispatch;
-        let compiled = compile(state, |p| {
-            // Reuse the slot's existing poly entry when it has one; a site
-            // flipping from Mono to Poly allocates a fresh one (any orphan
-            // is reclaimed by the next full rebuild).
-            let poly = Arc::make_mut(&mut self.poly);
-            match old {
-                CompiledDispatch::Poly { index } => {
-                    poly[index as usize] = p.clone();
-                    index
-                }
-                _ => push_poly(poly, p),
-            }
-        });
-        Arc::make_mut(&mut self.sites)[slot] = compiled;
-        true
-    }
-
-    /// Recompiles the whole table from the logical patch table (after a
-    /// re-encoding or warm start regenerated every site). Existing slot
-    /// assignments are preserved — slots are stable across generations —
-    /// sites without a slot get one in ascending site order, and orphaned
-    /// poly entries are dropped.
-    pub(crate) fn rebuild(&mut self, patches: &PatchTable) {
-        let mut slots: Vec<u32> = self.slots.as_ref().clone();
-        let mut sites: Vec<CompiledSite> = vec![CompiledSite::TRAP; self.sites.len()];
-        let mut poly: Vec<IndirectPatch> = Vec::new();
-        for (site, state) in patches.iter() {
-            let idx = site.index();
+            slot = u32::try_from(sites.len()).expect("slot count fits in u32");
+            sites.push(rec);
+            let slots = Arc::make_mut(&mut self.slots);
             if idx >= slots.len() {
                 slots.resize(idx + 1, NO_SLOT);
             }
-            if slots[idx] == NO_SLOT {
-                if let Some(cap) = self.slot_cap {
-                    if sites.len() as u64 >= u64::from(cap) {
-                        self.slot_failures += 1;
-                        continue;
-                    }
-                }
-                slots[idx] = u32::try_from(sites.len()).expect("slot count fits in u32");
-                sites.push(CompiledSite::TRAP);
-            }
-            sites[slots[idx] as usize] = compile(state, |p| push_poly(&mut poly, p));
+            slots[idx] = slot;
         }
-        self.slots = Arc::new(slots);
-        self.sites = Arc::new(sites);
-        self.poly = Arc::new(poly);
+        (
+            &mut Arc::make_mut(&mut self.sites)[slot as usize],
+            &mut self.poly,
+        )
+    }
+
+    /// The trap handler's patch (§3): `site` now runs `action` for
+    /// `callee`, directly or — for an `indirect` site — as one more target
+    /// of its compare chain (a hash table past `inline_max` targets).
+    /// `tc_wrap` only ever sets the site's wrap flag.
+    pub(crate) fn patch(
+        &mut self,
+        site: CallSiteId,
+        callee: FunctionId,
+        action: EdgeAction,
+        indirect: bool,
+        tc_wrap: bool,
+        inline_max: usize,
+    ) -> Patched {
+        let (rec, poly) = self.record_mut(site);
+        rec.tc_wrap |= tc_wrap;
+        let mut out = Patched {
+            tc_wrap: rec.tc_wrap,
+            targets: 1,
+            converted: false,
+        };
+        if indirect {
+            let poly = Arc::make_mut(poly);
+            let index = match rec.dispatch {
+                CompiledDispatch::Poly { index } => index,
+                // A site turning polymorphic takes a fresh entry; the next
+                // re-encoding drops any orphan.
+                _ => push_poly(poly, IndirectPatch::default()),
+            };
+            let p = &mut poly[index as usize];
+            let before = p.hashed.is_some();
+            p.add_target(callee, action, inline_max);
+            out.converted = !before && p.hashed.is_some();
+            out.targets = p.target_count() as u32;
+            rec.dispatch = CompiledDispatch::Poly { index };
+        } else {
+            rec.dispatch = CompiledDispatch::Mono {
+                target: callee,
+                action,
+            };
+        }
+        out
+    }
+
+    /// Sets the TcStack-wrap flag of `site` if it has a record.
+    pub(crate) fn wrap(&mut self, site: CallSiteId) {
+        if self.record(site).is_some() {
+            self.record_mut(site).0.tc_wrap = true;
+        }
+    }
+
+    /// A table for a re-encoding to fill with [`Self::put`]: the same
+    /// slots, cap and refusal count, every slot back to a trap record, and
+    /// no poly or starved records (orphaned poly entries are dropped).
+    pub(crate) fn regenerated(&self) -> Self {
+        DispatchTable {
+            sites: Arc::new(vec![CompiledSite::TRAP; self.sites.len()]),
+            poly: Arc::default(),
+            starved: Arc::default(),
+            ..self.clone()
+        }
+    }
+
+    /// Moves `p` into the poly table; the returned dispatch refers to it.
+    pub(crate) fn push_poly(&mut self, p: IndirectPatch) -> CompiledDispatch {
+        CompiledDispatch::Poly {
+            index: push_poly(Arc::make_mut(&mut self.poly), p),
+        }
+    }
+
+    /// Writes `site`'s record. Sites without a slot get one in call order
+    /// (a re-encoding puts in ascending site order), unless the cap
+    /// starves them.
+    pub(crate) fn put(&mut self, site: CallSiteId, record: CompiledSite) {
+        let idx = site.index();
+        if idx >= self.slots.len() {
+            // The slot vector spans every site written, starved ones too.
+            Arc::make_mut(&mut self.slots).resize(idx + 1, NO_SLOT);
+        }
+        *self.record_mut(site).0 = record;
+    }
+
+    /// `site`'s record, starved or not: what its generated code runs.
+    fn record(&self, site: CallSiteId) -> Option<CompiledSite> {
+        self.entry(site)
+            .map(|(_, cs)| cs)
+            .or_else(|| self.starved.get(&site).copied())
+    }
+
+    /// The action `site` runs for `callee`, starved sites included; `None`
+    /// when it traps to discover `callee`.
+    pub(crate) fn action(&self, site: CallSiteId, callee: FunctionId) -> Option<EdgeAction> {
+        match self.record(site)?.dispatch {
+            CompiledDispatch::Trap => None,
+            CompiledDispatch::Mono { target, action } => (target == callee).then_some(action),
+            CompiledDispatch::Poly { index } => {
+                self.poly[index as usize].lookup(callee).map(|(a, _, _)| a)
+            }
+        }
+    }
+
+    /// True when `site` dispatches through a hash table, starved sites
+    /// included.
+    pub(crate) fn hashes(&self, site: CallSiteId) -> bool {
+        matches!(
+            self.record(site).map(|r| r.dispatch),
+            Some(CompiledDispatch::Poly { index }) if self.poly[index as usize].hashed.is_some()
+        )
+    }
+
+    /// The sites the cap starved of a slot.
+    pub(crate) fn starved(&self) -> impl Iterator<Item = CallSiteId> + '_ {
+        self.starved.keys().copied()
     }
 
     /// The compiled record of `site` plus its slot, or `None` when the
@@ -304,6 +370,12 @@ impl DispatchTable {
     }
 }
 
+/// Appends `p` to the poly table and returns its index.
+fn push_poly(poly: &mut Vec<IndirectPatch>, p: IndirectPatch) -> u32 {
+    poly.push(p);
+    u32::try_from(poly.len() - 1).expect("poly count fits in u32")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,16 +390,33 @@ mod tests {
         CostModel::default()
     }
 
-    fn direct_state(target: FunctionId, action: EdgeAction) -> SiteState {
-        SiteState {
-            tc_wrap: false,
-            patch: SitePatch::Direct(target, action),
+    /// A trap-time patch of a direct site.
+    fn direct(t: &mut DispatchTable, site: u32, target: u32, action: EdgeAction) -> Patched {
+        t.patch(s(site), f(target), action, false, false, 4)
+    }
+
+    /// A re-encoding of `t` writing one monomorphic record per entry.
+    fn regenerate(t: &DispatchTable, records: &[(u32, u32, EdgeAction)]) -> DispatchTable {
+        let mut next = t.regenerated();
+        for &(site, target, action) in records {
+            let dispatch = CompiledDispatch::Mono {
+                target: f(target),
+                action,
+            };
+            next.put(
+                s(site),
+                CompiledSite {
+                    dispatch,
+                    tc_wrap: false,
+                },
+            );
         }
+        next
     }
 
     #[test]
     fn unknown_sites_resolve_to_none() {
-        let t = DispatchTable::new();
+        let t = DispatchTable::default();
         assert!(t.resolve(s(3), f(1), &cost()).is_none());
         assert!(t.entry(s(3)).is_none());
         assert_eq!(t.occupancy(), (0, 0));
@@ -335,8 +424,9 @@ mod tests {
 
     #[test]
     fn mono_site_resolves_with_zero_dispatch_cost() {
-        let mut t = DispatchTable::new();
-        t.sync_site(s(5), &direct_state(f(2), EdgeAction::Encoded { delta: 7 }));
+        let mut t = DispatchTable::default();
+        let patched = direct(&mut t, 5, 2, EdgeAction::Encoded { delta: 7 });
+        assert_eq!(patched.targets, 1);
         let r = t.resolve(s(5), f(2), &cost()).unwrap();
         assert_eq!(r.action, EdgeAction::Encoded { delta: 7 });
         assert_eq!(r.dispatch_cost, 0);
@@ -349,19 +439,22 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_stable_across_rebuilds() {
-        let mut t = DispatchTable::new();
-        t.sync_site(s(9), &direct_state(f(1), EdgeAction::Unencoded));
-        t.sync_site(s(2), &direct_state(f(4), EdgeAction::Unencoded));
+    fn slots_are_stable_across_regenerations() {
+        let mut t = DispatchTable::default();
+        direct(&mut t, 9, 1, EdgeAction::Unencoded);
+        direct(&mut t, 2, 4, EdgeAction::Unencoded);
         let slot9 = t.entry(s(9)).unwrap().0;
         let slot2 = t.entry(s(2)).unwrap().0;
         assert_ne!(slot9, slot2);
 
-        let mut patches = PatchTable::new();
-        patches.site_mut(s(9)).patch = SitePatch::Direct(f(1), EdgeAction::Encoded { delta: 3 });
-        patches.site_mut(s(2)).patch = SitePatch::Direct(f(4), EdgeAction::Encoded { delta: 1 });
-        t.rebuild(&patches);
-        assert_eq!(t.entry(s(9)).unwrap().0, slot9, "slot survives rebuild");
+        let t = regenerate(
+            &t,
+            &[
+                (2, 4, EdgeAction::Encoded { delta: 1 }),
+                (9, 1, EdgeAction::Encoded { delta: 3 }),
+            ],
+        );
+        assert_eq!(t.entry(s(9)).unwrap().0, slot9, "slot survives");
         assert_eq!(t.entry(s(2)).unwrap().0, slot2);
         let r = t.resolve(s(9), f(1), &cost()).unwrap();
         assert_eq!(r.action, EdgeAction::Encoded { delta: 3 });
@@ -369,15 +462,11 @@ mod tests {
 
     #[test]
     fn poly_sites_charge_chain_and_hash_costs() {
-        let mut p = IndirectPatch::default();
-        p.add_target(f(1), EdgeAction::Encoded { delta: 0 }, 4);
-        p.add_target(f(2), EdgeAction::Encoded { delta: 5 }, 4);
-        let state = SiteState {
-            tc_wrap: true,
-            patch: SitePatch::Indirect(p),
-        };
-        let mut t = DispatchTable::new();
-        t.sync_site(s(0), &state);
+        let mut t = DispatchTable::default();
+        t.patch(s(0), f(1), EdgeAction::Encoded { delta: 0 }, true, true, 4);
+        let patched = t.patch(s(0), f(2), EdgeAction::Encoded { delta: 5 }, true, false, 4);
+        assert_eq!(patched.targets, 2);
+        assert!(patched.tc_wrap, "the wrap flag only ever sets");
         let r = t.resolve(s(0), f(2), &cost()).unwrap();
         assert_eq!(r.action, EdgeAction::Encoded { delta: 5 });
         assert_eq!(r.dispatch_cost, 2 * cost().compare);
@@ -387,103 +476,123 @@ mod tests {
             "unknown target traps"
         );
 
-        // Past the inline threshold the chain converts to a hash.
-        let mut p = IndirectPatch::default();
-        for i in 0..5 {
-            p.add_target(f(i), EdgeAction::Unencoded, 3);
-        }
-        t.sync_site(
-            s(0),
-            &SiteState {
-                tc_wrap: false,
-                patch: SitePatch::Indirect(p),
-            },
-        );
-        let r = t.resolve(s(0), f(4), &cost()).unwrap();
+        // Past the inline threshold the chain converts to a hash, once.
+        let converted: Vec<bool> = (0..5)
+            .map(|i| {
+                t.patch(s(1), f(i), EdgeAction::Unencoded, true, false, 3)
+                    .converted
+            })
+            .collect();
+        assert_eq!(converted, [false, false, false, true, false]);
+        assert!(t.hashes(s(1)) && !t.hashes(s(0)));
+        let r = t.resolve(s(1), f(4), &cost()).unwrap();
         assert_eq!(r.dispatch_cost, cost().hash_lookup);
     }
 
     #[test]
-    fn sync_reuses_poly_entry_and_rebuild_drops_orphans() {
-        let mut p = IndirectPatch::default();
-        p.add_target(f(1), EdgeAction::Unencoded, 4);
-        let mut t = DispatchTable::new();
-        t.sync_site(
-            s(0),
-            &SiteState {
-                tc_wrap: false,
-                patch: SitePatch::Indirect(p.clone()),
-            },
-        );
+    fn patch_reuses_poly_entry_and_regeneration_drops_orphans() {
+        let mut t = DispatchTable::default();
+        t.patch(s(0), f(1), EdgeAction::Unencoded, true, false, 4);
         let (_, cs) = t.entry(s(0)).unwrap();
         let CompiledDispatch::Poly { index } = cs.dispatch else {
             panic!("expected poly record");
         };
-        // A second sync with more targets reuses the same entry.
-        p.add_target(f(2), EdgeAction::Unencoded, 4);
-        t.sync_site(
-            s(0),
-            &SiteState {
-                tc_wrap: false,
-                patch: SitePatch::Indirect(p),
-            },
-        );
+        // A second target joins the same entry.
+        t.patch(s(0), f(2), EdgeAction::Unencoded, true, false, 4);
         let (_, cs) = t.entry(s(0)).unwrap();
         assert_eq!(cs.dispatch, CompiledDispatch::Poly { index });
         assert_eq!(t.poly_patch(index).target_count(), 2);
 
-        // Flipping to direct leaves an orphan; a rebuild reclaims it.
-        t.sync_site(s(0), &direct_state(f(1), EdgeAction::Unencoded));
-        let mut patches = PatchTable::new();
-        patches.site_mut(s(0)).patch = SitePatch::Direct(f(1), EdgeAction::Unencoded);
-        t.rebuild(&patches);
-        assert_eq!(t.poly.len(), 0, "rebuild drops orphaned poly entries");
+        // Flipping to direct leaves an orphan; a re-encoding drops it.
+        direct(&mut t, 0, 1, EdgeAction::Unencoded);
+        assert_eq!(t.poly.len(), 1);
+        let t = regenerate(&t, &[(0, 1, EdgeAction::Unencoded)]);
+        assert_eq!(t.poly.len(), 0, "regeneration drops orphaned poly entries");
     }
 
     #[test]
     fn copy_on_write_isolates_snapshots() {
-        let mut t = DispatchTable::new();
-        t.sync_site(s(1), &direct_state(f(1), EdgeAction::Encoded { delta: 2 }));
+        let mut t = DispatchTable::default();
+        direct(&mut t, 1, 1, EdgeAction::Encoded { delta: 2 });
         let snapshot = t.clone();
-        t.sync_site(s(1), &direct_state(f(1), EdgeAction::Encoded { delta: 9 }));
-        t.sync_site(s(7), &direct_state(f(3), EdgeAction::Unencoded));
+        direct(&mut t, 1, 1, EdgeAction::Encoded { delta: 9 });
+        direct(&mut t, 7, 3, EdgeAction::Unencoded);
+        t.wrap(s(1));
         let r = snapshot.resolve(s(1), f(1), &cost()).unwrap();
         assert_eq!(r.action, EdgeAction::Encoded { delta: 2 });
+        assert!(!r.tc_wrap);
         assert!(snapshot.entry(s(7)).is_none());
+        assert!(t.resolve(s(1), f(1), &cost()).unwrap().tc_wrap);
     }
 
     #[test]
-    fn slot_cap_starves_late_sites_but_keeps_early_ones() {
-        let mut t = DispatchTable::new();
+    fn wrap_touches_only_sites_with_records() {
+        let mut t = DispatchTable::default();
+        t.wrap(s(3));
+        assert!(t.entry(s(3)).is_none(), "wrap never allocates");
+        assert_eq!(t.occupancy(), (0, 0));
+    }
+
+    #[test]
+    fn slot_cap_starves_late_sites_but_keeps_patching_them() {
+        let mut t = DispatchTable::default();
         t.set_slot_cap(Some(2));
-        assert!(t.sync_site(s(0), &direct_state(f(1), EdgeAction::Unencoded)));
-        assert!(t.sync_site(s(1), &direct_state(f(2), EdgeAction::Unencoded)));
-        // Third distinct site is refused a slot; re-syncing an existing
-        // site still works.
-        assert!(!t.sync_site(s(2), &direct_state(f(3), EdgeAction::Unencoded)));
-        assert!(t.sync_site(s(0), &direct_state(f(1), EdgeAction::Encoded { delta: 4 })));
+        direct(&mut t, 0, 1, EdgeAction::Unencoded);
+        direct(&mut t, 1, 2, EdgeAction::Unencoded);
+        // The third distinct site is refused a slot; re-patching an
+        // existing site still works.
+        t.patch(s(2), f(3), EdgeAction::Unencoded, true, false, 1);
+        direct(&mut t, 0, 1, EdgeAction::Encoded { delta: 4 });
         assert_eq!(t.slot_failures(), 1);
-        assert!(t.entry(s(2)).is_none(), "starved site has no record");
+        assert!(t.entry(s(2)).is_none(), "starved site has no slot");
         assert!(t.resolve(s(2), f(3), &cost()).is_none(), "starved = trap");
         let r = t.resolve(s(0), f(1), &cost()).unwrap();
         assert_eq!(r.action, EdgeAction::Encoded { delta: 4 });
 
-        // A rebuild preserves the starvation and counts refusals.
-        let mut patches = PatchTable::new();
-        patches.site_mut(s(0)).patch = SitePatch::Direct(f(1), EdgeAction::Encoded { delta: 9 });
-        patches.site_mut(s(1)).patch = SitePatch::Direct(f(2), EdgeAction::Unencoded);
-        patches.site_mut(s(2)).patch = SitePatch::Direct(f(3), EdgeAction::Unencoded);
-        t.rebuild(&patches);
-        assert!(t.entry(s(2)).is_none());
-        assert_eq!(t.slot_failures(), 2);
-        assert_eq!(t.occupancy().0, 2);
+        // Its starved record keeps every patch: each touch is a refusal.
+        let patched = t.patch(s(2), f(4), EdgeAction::Unencoded, true, true, 1);
+        assert_eq!((patched.targets, patched.tc_wrap), (2, true));
+        assert!(patched.converted && t.hashes(s(2)));
+        t.wrap(s(2));
+        assert_eq!(t.slot_failures(), 3);
+        assert_eq!(t.action(s(2), f(4)), Some(EdgeAction::Unencoded));
+        assert_eq!(t.starved().collect::<Vec<_>>(), [s(2)]);
+
+        // A re-encoding keeps the starvation, counts the refusal and
+        // still sizes the slot vector to the starved site.
+        let t = regenerate(
+            &t,
+            &[
+                (0, 1, EdgeAction::Encoded { delta: 9 }),
+                (1, 2, EdgeAction::Unencoded),
+                (5, 3, EdgeAction::Encoded { delta: 1 }),
+            ],
+        );
+        assert!(t.entry(s(5)).is_none());
+        assert_eq!(t.slot_failures(), 4);
+        assert_eq!(t.occupancy(), (2, 6));
+        assert_eq!(t.starved().collect::<Vec<_>>(), [s(5)]);
+        assert_eq!(t.action(s(5), f(3)), Some(EdgeAction::Encoded { delta: 1 }));
+    }
+
+    #[test]
+    fn lifting_the_cap_moves_a_starved_record_into_a_slot() {
+        let mut t = DispatchTable::default();
+        t.set_slot_cap(Some(0));
+        t.patch(s(4), f(1), EdgeAction::Unencoded, false, true, 4);
+        assert!(t.entry(s(4)).is_none());
+        t.set_slot_cap(None);
+        t.wrap(s(4));
+        let r = t.resolve(s(4), f(1), &cost()).unwrap();
+        assert_eq!((r.action, r.tc_wrap), (EdgeAction::Unencoded, true));
+        assert_eq!(t.starved().count(), 0);
     }
 
     #[test]
     fn iter_compiled_walks_sites_in_order() {
-        let mut t = DispatchTable::new();
-        t.sync_site(s(4), &direct_state(f(1), EdgeAction::Unencoded));
-        t.sync_site(s(1), &direct_state(f(2), EdgeAction::Unencoded));
+        let mut t = DispatchTable::default();
+        direct(&mut t, 4, 1, EdgeAction::Unencoded);
+        direct(&mut t, 1, 2, EdgeAction::Unencoded);
         let sites: Vec<CallSiteId> = t.iter_compiled().map(|(site, _, _)| site).collect();
         assert_eq!(sites, vec![s(1), s(4)]);
     }

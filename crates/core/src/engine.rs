@@ -7,8 +7,8 @@
 //!
 //! * [`crate::shared::SharedState`] — everything global: the current
 //!   encoding `Generation` (the dynamically growing call
-//!   graph, the per-site patch states — the "generated code" — and the
-//!   versioned decode dictionaries), trigger state and statistics.
+//!   graph, the dispatch table — the "generated code" of every call site —
+//!   and the versioned decode dictionaries), trigger state and statistics.
 //! * [`crate::thread::ThreadState`] — the step core: one thread's encoding
 //!   context plus the bookkeeping around every call, return, sample and
 //!   migration, executed over a read-only encoding view.

@@ -39,8 +39,8 @@ pub(crate) struct EncodingView {
     /// Every dictionary recorded up to `ts`: a context built in an older
     /// generation decodes (and migrates) under its own dictionary.
     pub(crate) dicts: DictStore,
-    /// The patch table compiled into dense slot-indexed vectors; the only
-    /// thing the hot-path `resolve` reads.
+    /// Every call site's generated code, in dense slot-indexed vectors;
+    /// the only thing the hot-path `resolve` reads.
     pub(crate) dispatch: DispatchTable,
     /// The call-site owner table (for decoding).
     pub(crate) site_owner: Arc<HashMap<CallSiteId, FunctionId>>,
@@ -184,7 +184,7 @@ pub(crate) fn exec_ret(
 }
 
 /// Rebuilds one thread's encoding state by replaying its decoded path
-/// under `view`'s patch states — each step is the before-call
+/// under `view`'s dispatch table — each step is the before-call
 /// instrumentation of its edge. Physical frames are recognised by matching
 /// the old shadow stack (tail steps are never physical; a call site is
 /// statically either a tail call or not, so the match is unambiguous).

@@ -10,8 +10,8 @@
 //!
 //! ## Architecture
 //!
-//! * [`engine::DacceEngine`] — the core: dynamic call graph, per-site patch
-//!   states (the "generated code"), per-thread contexts, versioned decode
+//! * [`engine::DacceEngine`] — the core: dynamic call graph, dispatch table
+//!   (the "generated code"), per-thread contexts, versioned decode
 //!   dictionaries, the runtime handler (§3) and adaptive re-encoding (§4).
 //! * [`decode`] — Algorithm 1, including compressed-recursion expansion and
 //!   thread-spawn chaining.

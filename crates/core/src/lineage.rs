@@ -3,8 +3,8 @@
 //!
 //! A fleet of tenants running identical programs should not each pay for
 //! graph discovery and re-encoding. An [`EncodingLineage`] owns one
-//! encoding `Generation` — graph, dictionaries, patches, compiled
-//! dispatch table — outside any single engine, keyed by a content hash
+//! encoding `Generation` — graph, dictionaries, dispatch table —
+//! outside any single engine, keyed by a content hash
 //! over the program's function/edge definition stream. Tenants *attach*
 //! (adopting the generation as one value, O(1) thanks to `Arc`-backed
 //! innards), *adopt* newer generations published by whichever attached

@@ -1,15 +1,15 @@
-//! Per-call-site patch states.
+//! The instrumentation patched into call sites.
 //!
 //! DACCE is built on dynamic binary instrumentation: every call site starts
 //! as a trap into the runtime handler and is progressively patched with the
-//! cheapest instrumentation its role allows (§3). This module models the
-//! generated code as data: a [`SiteState`] describes exactly which operations
-//! execute before and after the call instruction at one site.
+//! cheapest instrumentation its role allows (§3). An [`EdgeAction`] is what
+//! the generated code does around one call edge; an [`IndirectPatch`] is
+//! an indirect site's target dispatch. The dispatch table
+//! (`crate::dispatch`) holds every site's patched code.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use dacce_callgraph::{CallSiteId, FunctionId};
+use dacce_callgraph::FunctionId;
 
 /// What the generated code does for one concrete call edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,121 +101,6 @@ impl IndirectPatch {
     }
 }
 
-/// Dispatch portion of a site's generated code.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SitePatch {
-    /// Never executed: the call instruction is replaced by a trap into the
-    /// runtime handler.
-    Trap,
-    /// Direct (or PLT-resolved) call with a single known target.
-    Direct(FunctionId, EdgeAction),
-    /// Indirect call with runtime target dispatch.
-    Indirect(IndirectPatch),
-}
-
-/// Full instrumentation state of one call site.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SiteState {
-    /// §5.2: save the encoding context absolutely before the call and
-    /// restore it after, because the callee contains tail calls.
-    pub tc_wrap: bool,
-    /// The dispatch/action code.
-    pub patch: SitePatch,
-}
-
-impl SiteState {
-    /// The initial state of every site.
-    pub fn trap() -> Self {
-        SiteState {
-            tc_wrap: false,
-            patch: SitePatch::Trap,
-        }
-    }
-}
-
-impl Default for SiteState {
-    fn default() -> Self {
-        Self::trap()
-    }
-}
-
-/// Copy-on-write table of every call site's instrumentation state, indexed
-/// densely by call-site id like the compiled dispatch table (call-site ids
-/// are allocated densely by the runtime).
-///
-/// The table is the logical half of the "generated code": the slow path
-/// mutates it under the engine lock (via [`Arc::make_mut`], cloning only
-/// when another generation — an encoding lineage — still references the
-/// old version).
-#[derive(Clone, Debug, Default)]
-pub struct PatchTable {
-    sites: Arc<Vec<Option<SiteState>>>,
-}
-
-impl PatchTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The state of `site`, if it ever trapped.
-    #[inline]
-    pub fn get(&self, site: CallSiteId) -> Option<&SiteState> {
-        self.sites.get(site.index()).and_then(Option::as_ref)
-    }
-
-    /// Mutable access to `site`'s state, inserting the initial trap state
-    /// on first touch. Clones the underlying table iff another generation
-    /// still shares it.
-    pub fn site_mut(&mut self, site: CallSiteId) -> &mut SiteState {
-        let idx = site.index();
-        let sites = Arc::make_mut(&mut self.sites);
-        if idx >= sites.len() {
-            sites.resize_with(idx + 1, || None);
-        }
-        sites[idx].get_or_insert_with(SiteState::trap)
-    }
-
-    /// Mutable access to `site`'s state only if it already exists (never
-    /// inserts). Clones the underlying table iff another generation still
-    /// shares it.
-    pub fn existing_mut(&mut self, site: CallSiteId) -> Option<&mut SiteState> {
-        self.get(site)?;
-        Arc::make_mut(&mut self.sites)[site.index()].as_mut()
-    }
-
-    /// Replaces the whole table with `sites[i]` for call site `i` (used
-    /// when a re-encoding regenerates every site's code).
-    pub fn replace_all(&mut self, sites: Vec<Option<SiteState>>) {
-        self.sites = Arc::new(sites);
-    }
-
-    /// Iterates over all known sites in ascending site order.
-    pub fn iter(&self) -> impl Iterator<Item = (CallSiteId, &SiteState)> {
-        self.sites
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (CallSiteId::new(i as u32), s)))
-    }
-
-    /// Number of sites that have trapped at least once.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// True when no site has trapped yet.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
-
-    /// True when no other table shares this one's sites, so the next
-    /// mutation patches in place instead of copying.
-    #[cfg(test)]
-    pub(crate) fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.sites) == 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,31 +144,5 @@ mod tests {
         // New targets go straight to the hash.
         p.add_target(f(9), EdgeAction::Unencoded, 3);
         assert_eq!(p.target_count(), 6);
-    }
-
-    #[test]
-    fn site_state_defaults_to_trap() {
-        let s = SiteState::default();
-        assert!(!s.tc_wrap);
-        assert!(matches!(s.patch, SitePatch::Trap));
-    }
-
-    #[test]
-    fn patch_table_copy_on_write() {
-        let site = CallSiteId::new(7);
-        let mut table = PatchTable::new();
-        assert!(table.is_empty());
-        table.site_mut(site).patch = SitePatch::Direct(f(1), EdgeAction::Encoded { delta: 2 });
-        let snapshot = table.clone();
-        // Mutating after a snapshot was taken must not leak into it.
-        table.site_mut(site).patch = SitePatch::Trap;
-        table.site_mut(CallSiteId::new(8)).tc_wrap = true;
-        assert!(matches!(
-            snapshot.get(site).unwrap().patch,
-            SitePatch::Direct(_, _)
-        ));
-        assert!(snapshot.get(CallSiteId::new(8)).is_none());
-        assert_eq!(table.len(), 2);
-        assert_eq!(snapshot.len(), 1);
     }
 }

@@ -15,10 +15,9 @@
 //! publishes it under an epoch counter. Reader threads keep a cached
 //! `Arc<EncodingSnapshot>` and revalidate it with a single atomic epoch
 //! load per event — see `DESIGN.md`, "Concurrency architecture". The
-//! lock-only part (call graph, logical patch table, tail-calling
-//! functions, roots) never leaves the shared lock, so a trap mutates it in
-//! place without copying. An encoding lineage stores and hands out whole
-//! generations.
+//! lock-only part (call graph, tail-calling functions, roots) never leaves
+//! the shared lock, so a trap mutates it in place without copying. An
+//! encoding lineage stores and hands out whole generations.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -36,11 +35,11 @@ use dacce_program::CostModel;
 
 use crate::config::{CompressionMode, DacceConfig};
 use crate::context::EncodedContext;
-use crate::dispatch::DispatchTable;
+use crate::dispatch::{CompiledDispatch, CompiledSite, DispatchTable, Patched};
 use crate::fastpath::EncodingView;
 use crate::lineage::{EncodingLineage, LineageState};
 use crate::observe::{Observability, RUNTIME_TID};
-use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch, SiteState};
+use crate::patch::{EdgeAction, IndirectPatch};
 use crate::profile::HotContextProfile;
 use crate::stats::{DacceStats, ProgressPoint};
 use crate::superop::{SuperOpTable, WindowOp};
@@ -79,9 +78,6 @@ pub(crate) struct Generation {
     /// lineage: attaching is `Arc::clone`, the first local mutation after
     /// attach pays one deep clone (`Arc::make_mut`).
     pub(crate) graph: Arc<CallGraph>,
-    /// The logical patch table; `view.dispatch` is its compiled form, kept
-    /// in lock step by every mutation path.
-    pub(crate) patches: PatchTable,
     pub(crate) tail_fns: HashSet<FunctionId>,
     pub(crate) roots: Vec<FunctionId>,
 }
@@ -101,54 +97,13 @@ impl Generation {
     /// per-thread frame retrofit is the caller's job).
     fn wrap_caller_sites(&mut self, tail_fn: FunctionId) {
         for &eid in self.graph.incoming(tail_fn) {
-            let site = self.graph.edge(eid).site;
-            if let Some(state) = self.patches.existing_mut(site) {
-                state.tc_wrap = true;
-                self.view.dispatch.sync_site(site, state);
-            }
+            self.view.dispatch.wrap(self.graph.edge(eid).site);
         }
     }
 
-    /// Patches `site` for the newly trapped `callee` and recompiles its
-    /// dispatch record. A new edge stays unencoded until the next
-    /// re-encoding (§3: "that edge is not encoded until the next
-    /// re-encoding process"). Returns the site's state and whether an
-    /// indirect site just converted to hashing.
-    fn patch_site(
-        &mut self,
-        site: CallSiteId,
-        callee: FunctionId,
-        dispatch: CallDispatch,
-        config: &DacceConfig,
-    ) -> (&SiteState, bool) {
-        let action = EdgeAction::Unencoded;
-        let tc_wrap = config.handle_tail_calls && self.tail_fns.contains(&callee);
-        let state = self.patches.site_mut(site);
-        state.tc_wrap |= tc_wrap;
-        let mut converted = false;
-        match dispatch {
-            CallDispatch::Direct | CallDispatch::Plt => {
-                state.patch = SitePatch::Direct(callee, action);
-            }
-            CallDispatch::Indirect => {
-                if !matches!(state.patch, SitePatch::Indirect(_)) {
-                    state.patch = SitePatch::Indirect(IndirectPatch::default());
-                }
-                let SitePatch::Indirect(p) = &mut state.patch else {
-                    unreachable!("patched indirect above")
-                };
-                let before = p.hashed.is_some();
-                p.add_target(callee, action, config.indirect_inline_max);
-                converted = !before && p.hashed.is_some();
-            }
-        }
-        self.view.dispatch.sync_site(site, state);
-        (state, converted)
-    }
-
-    /// Freezes `enc`'s dictionary under the next `gTimeStamp` and
-    /// regenerates every site patch, and the compiled dispatch table, from
-    /// it. Returns how many indirect sites newly converted to hashing.
+    /// Freezes `enc`'s dictionary under the next `gTimeStamp` and writes
+    /// every site's dispatch record afresh from it. Returns how many
+    /// indirect sites newly converted to hashing.
     ///
     /// One pass over the graph's edges, grouped by site with a counting
     /// sort in ascending site order; `heat` is indexed by edge id.
@@ -209,10 +164,10 @@ impl Generation {
             *at += 1;
         }
 
+        let mut table = self.view.dispatch.regenerated();
         let mut conversions = 0;
-        let mut rebuilt: Vec<Option<SiteState>> = vec![None; span];
         let mut ordered: Vec<(u64, EdgeId)> = Vec::new();
-        for (idx, slot) in rebuilt.iter_mut().enumerate() {
+        for idx in 0..span {
             let eids = &by_site[start[idx] as usize..start[idx + 1] as usize];
             let Some(&first) = eids.first() else {
                 continue;
@@ -224,7 +179,8 @@ impl Generation {
                 .iter()
                 .any(|&eid| tail[graph.edge(eid).callee_local as usize]);
 
-            let patch = if indirect {
+            let site = CallSiteId::new(idx as u32);
+            let dispatch = if indirect {
                 // Order known targets hottest-first for the compare chain.
                 ordered.clear();
                 ordered.extend(eids.iter().map(|&eid| (heat_of(eid), eid)));
@@ -235,27 +191,22 @@ impl Generation {
                     let action = action_for(eid, e.back);
                     p.add_target(e.callee, action, config.indirect_inline_max);
                 }
-                if p.hashed.is_some() {
-                    // Conversion accounting only when the site was inline
-                    // before (or new).
-                    let was_hashed = matches!(
-                        self.patches.get(CallSiteId::new(idx as u32)).map(|s| &s.patch),
-                        Some(SitePatch::Indirect(old)) if old.hashed.is_some()
-                    );
-                    if !was_hashed {
-                        conversions += 1;
-                    }
+                // Conversion accounting only when the site was inline
+                // before (or new).
+                if p.hashed.is_some() && !self.view.dispatch.hashes(site) {
+                    conversions += 1;
                 }
-                SitePatch::Indirect(p)
+                table.push_poly(p)
             } else {
                 let e = graph.edge(first);
-                SitePatch::Direct(e.callee, action_for(first, e.back))
+                CompiledDispatch::Mono {
+                    target: e.callee,
+                    action: action_for(first, e.back),
+                }
             };
-
-            *slot = Some(SiteState { tc_wrap, patch });
+            table.put(site, CompiledSite { dispatch, tc_wrap });
         }
-        self.patches.replace_all(rebuilt);
-        self.view.dispatch.rebuild(&self.patches);
+        self.view.dispatch = table;
         conversions
     }
 
@@ -388,7 +339,7 @@ impl SharedState {
             overflow_watermark: config.journal_overflow_watermark,
         });
         let obs_writer = obs.journal().writer(RUNTIME_TID);
-        let mut dispatch = DispatchTable::new();
+        let mut dispatch = DispatchTable::default();
         dispatch.set_slot_cap(config.fault.dispatch_slot_cap);
         let view = EncodingView {
             ts: TimeStamp::ZERO,
@@ -404,7 +355,6 @@ impl SharedState {
             current: Generation {
                 view,
                 graph: Arc::new(CallGraph::new()),
-                patches: PatchTable::new(),
                 tail_fns: HashSet::new(),
                 roots: Vec::new(),
             },
@@ -565,14 +515,21 @@ impl SharedState {
                 None
             };
 
-        let (state, converted) = self
-            .current
-            .patch_site(site, callee, dispatch, &self.config);
-        let tc_wrap = state.tc_wrap;
-        let targets = match &state.patch {
-            SitePatch::Indirect(p) => p.target_count() as u32,
-            _ => 1,
-        };
+        // A new edge stays unencoded until the next re-encoding (§3: "that
+        // edge is not encoded until the next re-encoding process").
+        let wrap = self.config.handle_tail_calls && self.current.tail_fns.contains(&callee);
+        let Patched {
+            tc_wrap,
+            targets,
+            converted,
+        } = self.current.view.dispatch.patch(
+            site,
+            callee,
+            EdgeAction::Unencoded,
+            dispatch == CallDispatch::Indirect,
+            wrap,
+            self.config.indirect_inline_max,
+        );
         if converted {
             self.stats.hash_conversions += 1;
         }
@@ -771,15 +728,9 @@ impl SharedState {
                 if heat < self.config.compression_min_heat {
                     continue;
                 }
-                if let Some(state) = self.current.patches.get(e.site) {
-                    let action = match &state.patch {
-                        SitePatch::Direct(t, a) if *t == e.callee => Some(*a),
-                        SitePatch::Indirect(p) => p.lookup(e.callee).map(|(a, _, _)| a),
-                        _ => None,
-                    };
-                    if action == Some(EdgeAction::Unencoded) {
-                        return true;
-                    }
+                let action = self.current.view.dispatch.action(e.site, e.callee);
+                if action == Some(EdgeAction::Unencoded) {
+                    return true;
                 }
             }
         }
@@ -822,7 +773,7 @@ impl SharedState {
 
     /// The shared core of the re-encoding procedure (§4): derives heat,
     /// re-classifies back edges, re-encodes the grown graph, freezes a new
-    /// dictionary under `gTimeStamp + 1` and regenerates every site patch.
+    /// dictionary under `gTimeStamp + 1` and rewrites every dispatch record.
     ///
     /// Thread-state regeneration is the caller's job: afterwards, migrate
     /// live contexts from the old generation's dictionary, which stays in
@@ -1128,7 +1079,7 @@ impl SharedState {
 /// part at one publication epoch: everything a thread needs to execute
 /// call/return instrumentation over already-encoded edges — and to decode
 /// or migrate its own context — without touching any shared lock. The
-/// call graph and the logical patch table stay behind the shared lock.
+/// call graph stays behind the shared lock.
 #[derive(Clone, Debug)]
 pub(crate) struct EncodingSnapshot {
     /// Publication epoch this snapshot was built at.

@@ -102,7 +102,7 @@ struct Frame {
 
 #[derive(Debug)]
 struct TrackerInner {
-    /// The shared half: call graph, patch states, dictionaries, triggers.
+    /// The shared half: call graph, dispatch table, dictionaries, triggers.
     /// Locked only on trap, re-encode evaluation, registration and drains.
     shared: Mutex<SharedState>,
     /// The latest published snapshot. Readers reach for it only when the
@@ -205,7 +205,7 @@ impl TrackerInner {
 }
 
 /// A process-wide calling-context tracker. Cheap to clone handles out of.
-/// The call graph, patch states and dictionaries are shared; per-thread
+/// The call graph, dispatch table and dictionaries are shared; per-thread
 /// encoding state lives in the [`ThreadHandle`]s, and call/return over
 /// already-encoded edges never touches the shared lock.
 #[derive(Clone, Debug)]
@@ -1284,10 +1284,9 @@ mod tests {
     }
 
     #[test]
-    fn published_snapshots_share_neither_the_graph_nor_the_patch_table() {
-        // Traps patch the graph and the patch table in place under the
-        // shared lock. A snapshot that shared either would turn every trap
-        // into a deep copy of it.
+    fn published_snapshots_do_not_share_the_graph() {
+        // Traps grow the graph in place under the shared lock. A snapshot
+        // that shared it would turn every trap into a deep copy of it.
         let tracker = Tracker::new();
         let main_fn = tracker.define_function("main");
         // Registered first, this thread keeps its snapshot from before the
@@ -1303,7 +1302,6 @@ mod tests {
         tracker.with_shared(|sh| {
             assert!(sh.lineage.is_none());
             assert_eq!(Arc::strong_count(&sh.current.graph), 1);
-            assert!(sh.current.patches.is_unique());
         });
     }
 

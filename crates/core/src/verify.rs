@@ -7,21 +7,19 @@
 //! [`crate::Tracker`] reuses the same checks over its shared state and
 //! every live thread slot via `Tracker::check_invariants`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use dacce_callgraph::{CallSiteId, DecodeDict, FunctionId};
-use dacce_program::CostModel;
+use dacce_callgraph::{CallSiteId, DecodeDict, DictEdge, FunctionId};
 
 use crate::decode::decode_thread;
 use crate::engine::DacceEngine;
-use crate::patch::{PatchTable, SitePatch};
-use crate::shared::{Generation, ResolvedSite, SharedState};
+use crate::patch::EdgeAction;
+use crate::shared::{Generation, SharedState};
 use crate::thread::ThreadCtx;
 
 /// Shared-state invariants: dictionaries in lock step with `gTimeStamp`,
-/// `maxID` agreement, every graph edge patched with a consistent owner,
-/// and the compiled dispatch table agreeing with the logical patch table
-/// for every `(site, callee)` pair.
+/// `maxID` agreement, every graph edge with a consistent owner, and the
+/// dispatch table agreeing with the facts it is compiled from.
 pub(crate) fn check_shared(sh: &SharedState) -> Result<(), String> {
     let g = &sh.current;
     let view = &g.view;
@@ -45,138 +43,107 @@ pub(crate) fn check_shared(sh: &SharedState) -> Result<(), String> {
         ));
     }
 
-    // 3: graph edges vs patch states and owners.
+    // 3: every graph edge's site is owned by the edge's caller.
     for (_, e) in g.graph.edges() {
-        let state = g
-            .patches
-            .get(e.site)
-            .ok_or_else(|| format!("edge {e:?} has no site state"))?;
-        if matches!(state.patch, SitePatch::Trap) {
-            return Err(format!("executed site {} still patched as trap", e.site));
-        }
-        match view.site_owner.get(&e.site) {
-            Some(&owner) if owner == e.caller => {}
-            Some(&owner) => {
-                return Err(format!(
-                    "site {} owner {owner} disagrees with edge caller {}",
-                    e.site, e.caller
-                ))
-            }
-            None => return Err(format!("site {} has no recorded owner", e.site)),
+        let owner = view.site_owner.get(&e.site);
+        if owner != Some(&e.caller) {
+            return Err(format!(
+                "site {} owner {owner:?} disagrees with edge caller {}",
+                e.site, e.caller
+            ));
         }
     }
 
-    // 4: the compiled dispatch table is the flattening of the patch table.
-    check_dispatch(g)?;
+    // 4: the dispatch table runs what the graph and dictionary say.
+    check_dispatch(g, latest)?;
 
     // 5: degraded-state bookkeeping is arithmetically consistent.
     check_degraded(sh)
 }
 
-/// Exhaustively cross-checks the flat dispatch table against the logical
-/// patch table: every patched site must have a compiled record whose
-/// `resolve` agrees with [`lookup_in`] for every node of the call graph
-/// (including unknown-target traps), compiled slots must be unique, and no
-/// record may exist for an unpatched site.
+/// Holds the dispatch table to the facts it is compiled from: the call
+/// graph, the latest dictionary `latest` and the tail-calling functions.
 ///
-/// Degraded encodings are accepted: with an injected dispatch-slot cap a
-/// patched site may legitimately have *no* compiled record (it was starved
-/// and traps on every call). Such sites are exempt from the per-callee
-/// equivalence check — trapping is always sound — but must be fully
-/// accounted for by the table's refusal counter.
-fn check_dispatch(g: &Generation) -> Result<(), String> {
+/// * every graph edge resolves at its site: to `Encoded { En(e) }` when
+///   the edge is in `latest`, to a ccStack action when it is a back edge
+///   there, and to `Unencoded` when it was discovered since;
+/// * a site wraps iff one of its edges calls a tail-calling function, and
+///   a callee the graph never saw traps;
+/// * only sites with graph edges have records, and slots are unique.
+///
+/// A site the injected dispatch-slot cap starved has no slot and traps on
+/// every call — always sound — so it is exempt from the per-edge checks,
+/// but the table's refusal counter must cover it.
+fn check_dispatch(g: &Generation, latest: &DecodeDict) -> Result<(), String> {
     let view = &g.view;
-    let mut nodes: Vec<FunctionId> = g.graph.nodes().to_vec();
-    // Probe an id the graph has never seen so unknown-callee traps are
-    // covered too.
-    nodes.push(FunctionId::new(u32::MAX - 1));
-    let mut compiled = 0usize;
-    let mut seen_slots = std::collections::HashSet::new();
-    for (site, slot, _) in view.dispatch.iter_compiled() {
-        if g.patches.get(site).is_none() {
-            return Err(format!(
-                "dispatch table has a record for unpatched site {site}"
-            ));
-        }
-        if !seen_slots.insert(slot) {
-            return Err(format!("dispatch slot {slot} assigned to {site} twice"));
-        }
-        compiled += 1;
-    }
-    let mut starved = 0usize;
-    for (site, _) in g.patches.iter() {
-        if !view.dispatch.iter_compiled().any(|(s, _, _)| s == site) {
-            if view.dispatch.slot_failures() == 0 {
-                return Err(format!("patched site {site} has no compiled record"));
-            }
-            // Starved by the injected slot cap: permanently traps.
-            starved += 1;
+    let table = &view.dispatch;
+    let dict: HashMap<(CallSiteId, FunctionId), &DictEdge> = latest
+        .edges()
+        .iter()
+        .map(|e| ((e.site, e.callee), e))
+        .collect();
+    let starved: HashSet<CallSiteId> = table.starved().collect();
+    // Sites with graph edges, and whether one of them calls a tail function.
+    let mut wraps: HashMap<CallSiteId, bool> = HashMap::new();
+    for (_, e) in g.graph.edges() {
+        *wraps.entry(e.site).or_default() |= g.tail_fns.contains(&e.callee);
+        if starved.contains(&e.site) {
             continue;
         }
-        for &callee in &nodes {
-            let flat = view.resolve(site, callee);
-            let logical = lookup_in(&g.patches, &view.cost, site, callee);
-            if flat != logical {
-                return Err(format!(
-                    "dispatch disagreement at ({site}, {callee}): \
-                     flat {flat:?} != logical {logical:?}"
-                ));
-            }
+        let action = view.resolve(e.site, e.callee).map(|r| r.action);
+        let ok = match (dict.get(&(e.site, e.callee)), action) {
+            (_, None) => false,
+            (Some(d), Some(a)) if d.back => a.uses_ccstack(),
+            (Some(d), Some(a)) => a == EdgeAction::Encoded { delta: d.encoding },
+            (None, Some(a)) => a == EdgeAction::Unencoded,
+        };
+        if !ok {
+            return Err(format!(
+                "edge {} --{}--> {} runs {action:?}, not what dictionary {} says",
+                e.caller,
+                e.site,
+                e.callee,
+                latest.timestamp()
+            ));
         }
     }
-    if compiled + starved != g.patches.len() {
+    // An id the graph has never seen must trap everywhere.
+    let unknown = FunctionId::new(u32::MAX - 1);
+    let mut slots = HashSet::new();
+    for (site, slot, cs) in table.iter_compiled() {
+        if wraps.get(&site) != Some(&cs.tc_wrap) {
+            return Err(format!(
+                "site {site} wraps: {}, but its graph edges call a tail function: {:?}",
+                cs.tc_wrap,
+                wraps.get(&site)
+            ));
+        }
+        if let Some(r) = view.resolve(site, unknown) {
+            return Err(format!("unknown callee resolves at {site}: {r:?}"));
+        }
+        if !slots.insert(slot) {
+            return Err(format!("dispatch slot {slot} assigned to {site} twice"));
+        }
+    }
+    if let Some(site) = starved.iter().find(|s| !wraps.contains_key(s)) {
+        return Err(format!("starved site {site} has no graph edge"));
+    }
+    if slots.len() + starved.len() != wraps.len() {
         return Err(format!(
-            "{compiled} compiled + {starved} starved records != {} patched sites",
-            g.patches.len()
+            "{} compiled + {} starved records != {} sites with graph edges",
+            slots.len(),
+            starved.len(),
+            wraps.len()
         ));
     }
-    if starved > 0 && view.dispatch.slot_failures() < starved as u64 {
+    if table.slot_failures() < starved.len() as u64 {
         return Err(format!(
-            "{starved} starved sites but only {} recorded slot refusals",
-            view.dispatch.slot_failures()
+            "{} starved sites but only {} recorded slot refusals",
+            starved.len(),
+            table.slot_failures()
         ));
     }
     Ok(())
-}
-
-/// The logical patch table's resolution of `(site, callee)`: the reference
-/// [`check_dispatch`] holds the compiled dispatch table to, probe by probe.
-pub(crate) fn lookup_in(
-    patches: &PatchTable,
-    cost: &CostModel,
-    site: CallSiteId,
-    callee: FunctionId,
-) -> Option<ResolvedSite> {
-    let state = patches.get(site)?;
-    match &state.patch {
-        SitePatch::Trap => None,
-        SitePatch::Direct(target, action) => {
-            if *target == callee {
-                Some(ResolvedSite {
-                    action: *action,
-                    dispatch_cost: 0,
-                    tc_wrap: state.tc_wrap,
-                })
-            } else {
-                None
-            }
-        }
-        SitePatch::Indirect(p) => match p.lookup(callee) {
-            Some((action, cmps, hashed)) => {
-                let dispatch_cost = if hashed {
-                    cost.hash_lookup
-                } else {
-                    u64::from(cmps) * cost.compare
-                };
-                Some(ResolvedSite {
-                    action,
-                    dispatch_cost,
-                    tc_wrap: state.tc_wrap,
-                })
-            }
-            None => None,
-        },
-    }
 }
 
 /// Degraded-state arithmetic: demoted nodes must exist in the call graph,
@@ -285,8 +252,9 @@ impl DacceEngine {
     /// 1. one decode dictionary per timestamp, in lock step with
     ///    `gTimeStamp`;
     /// 2. the latest dictionary's `maxID` equals the live `maxID`;
-    /// 3. every graph edge's site has a patch state and a recorded owner
-    ///    function equal to the edge's caller;
+    /// 3. every graph edge's site has a recorded owner function equal to
+    ///    the edge's caller, and the dispatch table runs what the graph,
+    ///    the latest dictionary and the tail-calling functions say;
     /// 4. per thread: the shadow stack is monotone (saved ccStack lengths
     ///    never exceed the current depth and never decrease upward), and
     ///    the thread's current context decodes to a path rooted at the

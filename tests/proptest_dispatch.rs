@@ -1,16 +1,23 @@
-//! Property tests for the flattened dispatch path: for arbitrary call
-//! histories the compiled flat table must resolve every `(site, callee)`
-//! pair exactly like the logical hash-map patch table, across re-encoding
-//! generation bumps. The exhaustive cross-check itself lives in the
-//! engine (`check_invariants` walks every patched site against every
-//! graph node plus an unknown-callee probe); these tests drive the state
-//! into as many shapes as possible and invoke it mid-run, so transient
-//! disagreement between a patch mutation and its dispatch sync cannot
-//! hide behind a final-state-only check.
+//! Property tests for the dispatch table: for arbitrary call histories
+//! every site must run what the call graph and the latest dictionary say,
+//! across re-encoding generation bumps. Two independent checks hold the
+//! table to the dictionary: the engine's own (`check_invariants` resolves
+//! every graph edge against the dictionary, the tail-calling functions and
+//! an unknown-callee probe) and the offline `dacce-lint --dispatch` rule
+//! over an export of the same state. These tests drive the state into as
+//! many shapes as possible — slot-starved sites included — and check it
+//! mid-run, so a transiently wrong patch cannot hide behind a
+//! final-state-only check.
+//!
+//! `PROPTEST_CASES` sets the number of cases per property.
 
 use proptest::prelude::*;
 
-use dacce::{CompressionMode, DacceConfig, DacceRuntime, Tracker};
+use dacce::{
+    export_state, export_tracker_state, import, CompressionMode, DacceConfig, DacceRuntime,
+    FaultPlan, Tracker,
+};
+use dacce_analyze::verifier::verify_dispatch;
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_program::model::TargetChoice;
 use dacce_program::{CostModel, InterpConfig, Interpreter, Program, ProgramBuilder};
@@ -53,15 +60,42 @@ fn shape_strategy() -> impl Strategy<Value = Vec<Vec<(bool, u8)>>> {
     )
 }
 
+/// No cap, or an injected dispatch-slot cap small enough that later sites
+/// starve (no slot, a trap on every call).
+fn slot_cap_strategy() -> impl Strategy<Value = Option<u32>> {
+    prop_oneof![Just(None), (0u32..6).prop_map(Some)]
+}
+
 /// Eager triggers: every trap may fire a re-encoding, so the walk keeps
-/// crossing generations and the dispatch table keeps being rebuilt.
-fn eager_tracker() -> Tracker {
+/// crossing generations and the dispatch table keeps being rewritten.
+fn eager_tracker(slot_cap: Option<u32>) -> Tracker {
     Tracker::with_config(DacceConfig {
         edge_threshold: 1,
         min_events_between_reencodes: 1,
         reencode_backoff: 1.0,
+        fault: FaultPlan {
+            dispatch_slot_cap: slot_cap,
+            ..FaultPlan::default()
+        },
         ..DacceConfig::default()
     })
+}
+
+/// Cases per property: `PROPTEST_CASES` when set, else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The offline dispatch rule's findings on an export of `text`.
+fn lint_findings(text: &str) -> Vec<String> {
+    let decoder = import(text).expect("export imports");
+    verify_dispatch(&decoder)
+        .into_iter()
+        .map(|d| d.message)
+        .collect()
 }
 
 const MAX_DEPTH: usize = 24;
@@ -69,19 +103,20 @@ const CHECK_EVERY: usize = 16;
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 48,
+        cases: cases(48),
         ..ProptestConfig::default()
     })]
 
-    /// Flat-table resolution ≡ logical hash-map lookup for every
-    /// `(site, callee)` pair, re-checked throughout a random call walk
-    /// that forces at least one generation bump.
+    /// Every site runs what the graph and the latest dictionary say,
+    /// re-checked throughout a random call walk that forces at least one
+    /// generation bump.
     #[test]
-    fn flat_dispatch_matches_logical_across_generations(
+    fn dispatch_table_matches_dictionary_across_generations(
         shape in shape_strategy(),
         steps in prop::collection::vec(step_strategy(), 30..150),
+        slot_cap in slot_cap_strategy(),
     ) {
-        let tracker = eager_tracker();
+        let tracker = eager_tracker(slot_cap);
         let fns: Vec<FunctionId> = (0..shape.len())
             .map(|i| tracker.define_function(&format!("f{i}")))
             .collect();
@@ -145,6 +180,8 @@ proptest! {
                     "mid-walk dispatch disagreement: {:?}",
                     tracker.check_invariants()
                 );
+                let findings = lint_findings(&export_tracker_state(&tracker));
+                prop_assert!(findings.is_empty(), "mid-walk lint findings: {:?}", findings);
             }
         }
         while let Some((g, caller)) = stack.pop() {
@@ -158,6 +195,8 @@ proptest! {
             "final dispatch disagreement: {:?}",
             tracker.check_invariants()
         );
+        let findings = lint_findings(&export_tracker_state(&tracker));
+        prop_assert!(findings.is_empty(), "final lint findings: {:?}", findings);
         let stats = tracker.stats();
         prop_assert!(stats.reencodes >= 1);
         prop_assert_eq!(stats.decode_errors, 0);
@@ -172,6 +211,7 @@ struct OpSpec {
     prob: f32,
     repeat: u16,
     indirect: bool,
+    tail: bool,
 }
 
 fn op_strategy(functions: usize) -> impl Strategy<Value = OpSpec> {
@@ -180,12 +220,14 @@ fn op_strategy(functions: usize) -> impl Strategy<Value = OpSpec> {
         0.05f32..=1.0,
         1u16..3,
         prop::bool::weighted(0.3),
+        prop::bool::weighted(0.15),
     )
-        .prop_map(|(callee, prob, repeat, indirect)| OpSpec {
+        .prop_map(|(callee, prob, repeat, indirect, tail)| OpSpec {
             callee,
             prob,
             repeat,
             indirect,
+            tail,
         })
 }
 
@@ -197,12 +239,21 @@ fn build(functions: usize, bodies: &[Vec<OpSpec>]) -> Program {
     let table = b.table(fns.clone());
     for (i, ops) in bodies.iter().enumerate() {
         let mut body = b.body(fns[i]).work(3);
-        for op in ops {
+        for op in ops.iter().filter(|o| !o.tail) {
             if op.indirect {
                 body = body.indirect(table, TargetChoice::Uniform, [op.prob, op.prob], op.repeat);
             } else {
                 body = body.call_rep(fns[op.callee], [op.prob, op.prob], op.repeat);
             }
+        }
+        // A tail call comes last and makes its callers' sites wrap their
+        // frames (§5.2); main never tail-calls (see `proptest_roundtrip`).
+        if let Some(op) = ops.iter().find(|o| o.tail && i != 0) {
+            body = if op.indirect {
+                body.tail_indirect(table, TargetChoice::Uniform, [op.prob, op.prob])
+            } else {
+                body.tail(fns[op.callee], [op.prob, op.prob])
+            };
         }
         body.done();
     }
@@ -211,15 +262,15 @@ fn build(functions: usize, bodies: &[Vec<OpSpec>]) -> Program {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 24,
+        cases: cases(24),
         ..ProptestConfig::default()
     })]
 
-    /// The same equivalence holds for interpreter-driven programs across
-    /// every compression mode — compression changes the actions the
-    /// compiled records must carry, not just their deltas.
+    /// The same agreement holds for interpreter-driven programs with tail
+    /// calls across every compression mode — compression changes the
+    /// actions the compiled records must carry, not just their deltas.
     #[test]
-    fn flat_dispatch_matches_logical_for_programs(
+    fn dispatch_table_matches_dictionary_for_programs(
         spec in (3usize..9).prop_flat_map(|functions| {
             prop::collection::vec(
                 prop::collection::vec(op_strategy(functions), 0..4),
@@ -259,6 +310,8 @@ proptest! {
             "dispatch disagreement: {:?}",
             rt.engine().check_invariants()
         );
+        let findings = lint_findings(&export_state(rt.engine()));
+        prop_assert!(findings.is_empty(), "lint findings: {:?}", findings);
         prop_assert_eq!(rt.stats().decode_errors, 0);
     }
 }
