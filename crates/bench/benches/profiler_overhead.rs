@@ -150,7 +150,7 @@ fn main() {
         assert_eq!(p_off.tracker.stats().decode_errors, 0);
         assert_eq!(p_on.tracker.stats().decode_errors, 0);
         // The enabled run must actually have sampled something.
-        assert!(p_on.tracker.stats().profiler_samples > 0);
+        assert!(p_on.tracker.observability().snapshot().profiler_samples > 0);
 
         println!(
             "{threads:>8} {off:>14.2} {on:>14.2} {:>9.3}",

@@ -681,8 +681,8 @@ fn finish_json(
         stats.overflow_aborts,
         stats.samples,
         stats.decode_errors,
-        stats.profiler_samples,
-        stats.profiler_sample_weight,
+        snap.profiler_samples,
+        snap.profiler_sample_weight,
         events.len(),
         snap.journal_dropped,
         journal.ring_count(),

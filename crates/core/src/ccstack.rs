@@ -214,9 +214,10 @@ impl CcStack {
         self.spilled
     }
 
-    /// Watermark shedding events performed (each sheds a batch).
-    pub fn spill_events(&self) -> u64 {
-        self.spill_events
+    /// Watermark shedding events performed since the previous take (each
+    /// sheds a batch); the count restarts at zero.
+    pub fn take_spill_events(&mut self) -> u64 {
+        std::mem::take(&mut self.spill_events)
     }
 
     /// Greatest number of entries ever resident in the spill region.
@@ -364,7 +365,8 @@ mod tests {
         // Every entry is still present (soundness), but the resident
         // region was shed to the watermark at least once.
         assert_eq!(st.depth(), 10);
-        assert!(st.spill_events() > 0);
+        assert!(st.take_spill_events() > 0);
+        assert_eq!(st.take_spill_events(), 0);
         assert!(st.spilled() > 0);
         assert!(st.spilled_peak() >= st.spilled());
         assert!(st.depth() - st.spilled() <= 4);

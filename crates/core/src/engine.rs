@@ -177,7 +177,7 @@ impl DacceEngine {
     /// counters.
     pub fn thread_exit(&mut self, tid: ThreadId) {
         if let Some(mut st) = self.threads.remove(&tid) {
-            st.flush_spills(&mut self.shared);
+            st.drain(&mut self.shared);
             st.fold_into(&mut self.shared.stats);
         }
     }
@@ -341,12 +341,14 @@ impl DacceEngine {
         r
     }
 
-    /// The engine statistics (live ccStack/TcStack counters folded in).
+    /// The engine statistics (live ccStack/TcStack counters folded in;
+    /// every call drains its thread, so the registry's counts are whole).
     pub fn stats(&self) -> DacceStats {
         let mut s = self.shared.stats.clone();
         for st in self.threads.values() {
             st.fold_into(&mut s);
         }
+        s.read_registry(self.shared.obs.metrics());
         s
     }
 

@@ -1,8 +1,8 @@
 //! Observability glue: the engine's handle on `dacce-obs`.
 //!
 //! [`Observability`] bundles an event [`Journal`] and a [`MetricsRegistry`]
-//! behind `Arc`s. Metrics are always collected (slow-path or sample-rate
-//! updates through the registry's counters and `on_*` hooks). Journaling
+//! behind `Arc`s. Metrics are always collected, into the registry: the one
+//! store of the runtime's counts (see `DESIGN.md`). Journaling
 //! starts disabled and is toggled at runtime; every fast-path emission
 //! site checks its [`dacce_obs::JournalWriter`]'s enable flag (one relaxed
 //! load) before it builds an event.
@@ -28,7 +28,7 @@ pub struct Observability {
 
 impl Observability {
     /// Creates a handle with explicit journal parameters. Journaling
-    /// starts disabled; metrics are always collected (slow-path only).
+    /// starts disabled; metrics are always collected.
     #[must_use]
     pub fn with_config(config: JournalConfig) -> Self {
         Observability {

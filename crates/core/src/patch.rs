@@ -86,11 +86,17 @@ impl IndirectPatch {
         )
     }
 
-    /// Registers a newly discovered target with the given action, keeping it
-    /// in the hash table when one exists or appending to the chain.
+    /// Registers a target with the given action, keeping it in the hash
+    /// table when one exists or appending to the chain. A target already
+    /// held (a slot-starved site traps on every call) has its action
+    /// updated in place.
     pub fn add_target(&mut self, target: FunctionId, action: EdgeAction, inline_max: usize) {
         if let Some(h) = &mut self.hashed {
             h.insert(target, action);
+            return;
+        }
+        if let Some(known) = self.inline.iter_mut().find(|(t, _)| *t == target) {
+            known.1 = action;
             return;
         }
         self.inline.push((target, action));

@@ -41,7 +41,7 @@ use crate::lineage::{EncodingLineage, LineageState};
 use crate::observe::{Observability, RUNTIME_TID};
 use crate::patch::{EdgeAction, IndirectPatch};
 use crate::profile::HotContextProfile;
-use crate::stats::{DacceStats, ProgressPoint};
+use crate::stats::{DacceStats, DegradedState, ProgressPoint};
 use crate::superop::{SuperOpTable, WindowOp};
 use crate::warm::WarmStartReport;
 
@@ -295,6 +295,8 @@ pub(crate) struct SharedState {
     /// The flight-recorder dump captured at the first degradation trigger
     /// (degraded entry, re-encode abort, or a forced dump); first wins.
     pub(crate) postmortem: Option<String>,
+    /// Lock-only statistics; the counts the registry stores stay zero here
+    /// ([`DacceStats::read_registry`] fills them into every view).
     pub(crate) stats: DacceStats,
     /// Monotone publication counter; bumped whenever a snapshot observable
     /// by fast paths (patches, dictionaries, `maxID`) changed.
@@ -466,7 +468,6 @@ impl SharedState {
             return (r, None);
         }
         let started = Instant::now();
-        self.stats.traps += 1;
         // Copy the owner table (shared with published snapshots) only when
         // this trap records a new owner, not for every new target of a
         // known site.
@@ -501,7 +502,6 @@ impl SharedState {
         // sub-path push, all decodable through `[maxID+1, 2*maxID+1]`).
         if self.stats.degraded.active {
             self.stats.degraded.note_trap_node(callee.raw());
-            self.stats.degraded.degraded_traps += 1;
             self.obs.metrics().degraded_traps.inc();
         }
 
@@ -630,24 +630,28 @@ impl SharedState {
             reason,
             self.current.view.ts.raw(),
             self.current.view.max_id,
-            &self.stats.degraded,
+            &self.degraded(),
         ));
     }
 
+    /// The degraded state: the lock-only facts kept here plus the counts
+    /// the registry stores.
+    pub(crate) fn degraded(&self) -> DegradedState {
+        let mut d = self.stats.degraded.clone();
+        d.read_registry(self.obs.metrics());
+        d
+    }
+
     /// Bookkeeping after the dispatch table changed: the superop table
-    /// recompiles at the next snapshot, and the table's slot refusals
-    /// (delta-based) and occupancy are mirrored into
-    /// [`crate::stats::DegradedState`] and the obs metrics.
+    /// recompiles at the next snapshot, and the table's occupancy and slot
+    /// refusals are recorded as registry gauges.
     fn dispatch_changed(&mut self) {
         self.superops_dirty = true;
-        let total = self.current.view.dispatch.slot_failures();
-        let prev = self.stats.degraded.slot_failures;
-        if total > prev {
-            self.obs.metrics().slot_failures.add(total - prev);
-            self.stats.degraded.slot_failures = total;
-        }
-        let (occupied, span) = self.current.view.dispatch.occupancy();
-        self.obs.metrics().record_dispatch(occupied, span);
+        let dispatch = &self.current.view.dispatch;
+        let (occupied, span) = dispatch.occupancy();
+        self.obs
+            .metrics()
+            .record_dispatch(occupied, span, dispatch.slot_failures());
     }
 
     /// Switches the instance into permanent degraded mode: the current
@@ -782,8 +786,6 @@ impl SharedState {
     pub(crate) fn reencode_core(&mut self) -> (ReencodeOutcome, u64) {
         let cost =
             self.current.graph.edge_count() as u64 * self.current.view.cost.reencode_per_edge;
-        self.stats.reencodes += 1;
-        self.stats.reencode_cost += cost;
         self.obs_writer.emit(EventKind::ReencodeBegin {
             generation: self.current.view.ts.raw(),
         });
@@ -822,7 +824,6 @@ impl SharedState {
         let injected_abort =
             self.config.fault.aborts_generation(target_gen) && self.fired_aborts.insert(target_gen);
         if exhausted || injected_abort {
-            self.stats.overflow_aborts += 1;
             if exhausted {
                 // A 64-bit-overflowing dynamic graph cannot be re-encoded;
                 // keep the old encoding, stop trying for good (Table 1
@@ -835,7 +836,6 @@ impl SharedState {
                 // pushed and `gTimeStamp` never advanced. Re-arm the
                 // trigger with one extra (capped) backoff step so the
                 // retry is exponential, not immediate.
-                self.stats.degraded.reencode_retries += 1;
                 self.obs.metrics().reencode_retries.inc();
                 let next = (self.cur_min_events as f64 * self.config.reencode_backoff) as u64;
                 self.cur_min_events = next.min(self.config.reencode_interval_cap);
@@ -909,7 +909,6 @@ impl SharedState {
         }
         if let Some(lineage) = &self.lineage {
             self.diverged = true;
-            self.stats.lineage_divergences += 1;
             lineage.note_divergence();
             self.obs.metrics().lineage_divergences.inc();
         }
@@ -994,7 +993,6 @@ impl SharedState {
             return false;
         }
         self.adopt_lineage_state(&state);
-        self.stats.lineage_adoptions += 1;
         self.obs.metrics().lineage_adoptions.inc();
         true
     }
@@ -1020,7 +1018,6 @@ impl SharedState {
             let state = guard.clone();
             drop(guard);
             self.adopt_lineage_state(&state);
-            self.stats.lineage_adoptions += 1;
             self.obs.metrics().lineage_adoptions.inc();
             return (true, 0);
         }
@@ -1028,7 +1025,6 @@ impl SharedState {
         let applied = matches!(outcome, ReencodeOutcome::Applied);
         if applied && !self.diverged {
             self.lineage_gen = lineage.publish_into(&mut guard, self.export_lineage_state());
-            self.stats.lineage_publishes += 1;
             self.obs.metrics().lineage_publishes.inc();
         }
         (applied, cost)
@@ -1041,13 +1037,11 @@ impl SharedState {
     /// table is recompiled here — compile-on-republish — so a published
     /// snapshot can never carry superops folded under a stale encoding.
     pub(crate) fn snapshot(&mut self) -> EncodingSnapshot {
-        self.stats.superop_republishes += 1;
         self.obs.metrics().superop_republishes.inc();
         if self.superops_dirty {
             self.superops_dirty = false;
             let dropped = self.superops.len();
             if dropped > 0 {
-                self.stats.superop_invalidations += dropped as u64;
                 self.obs.metrics().superop_invalidations.add(dropped as u64);
             }
             let table = if self.config.superops_enabled && !self.superop_candidates.is_empty() {
@@ -1061,7 +1055,6 @@ impl SharedState {
             } else {
                 SuperOpTable::default()
             };
-            self.stats.superop_compiled = table.len() as u64;
             self.obs
                 .metrics()
                 .record_superops(table.len() as u64, self.superop_candidates.len() as u64);

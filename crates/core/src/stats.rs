@@ -1,4 +1,11 @@
 //! Engine statistics backing Table 1 and Figures 9/10 of the paper.
+//!
+//! [`DacceStats`] is a view built on demand: lock-only facts from the
+//! shared state and per-thread [`StatsShard`]s, plus every count the
+//! [`MetricsRegistry`] stores (its only record), read by
+//! [`DacceStats::read_registry`].
+
+use dacce_obs::MetricsRegistry;
 
 /// One point of the Figure 9 time series: graph size and `maxID` right
 /// after a re-encoding.
@@ -65,6 +72,15 @@ impl DegradedState {
             || self.batch_errors > 0
     }
 
+    /// Copies the counts the registry stores into the view.
+    pub(crate) fn read_registry(&mut self, m: &MetricsRegistry) {
+        self.degraded_traps = m.degraded_traps.get();
+        self.reencode_retries = m.reencode_retries.get();
+        self.cc_spill_events = m.cc_spills.get();
+        self.lock_poisonings = m.lock_poisonings.get();
+        self.slot_failures = m.slot_failures();
+    }
+
     /// Records `node` as demoted to trap-everything (keeps the list
     /// sorted and deduplicated).
     pub fn note_trap_node(&mut self, node: u32) {
@@ -91,10 +107,6 @@ pub struct DacceStats {
     pub tcstack_ops: u64,
     /// Samples recorded.
     pub samples: u64,
-    /// Continuous-profiler samples captured (deterministic stride).
-    pub profiler_samples: u64,
-    /// Total weight of profiler samples — the call events they stand for.
-    pub profiler_sample_weight: u64,
     /// Samples per observed ccStack depth: `cc_depths[d]` samples saw
     /// depth `d` (Figure 10 raw data). Bounded by the deepest sample, not
     /// by the sample count.
@@ -127,22 +139,6 @@ pub struct DacceStats {
     /// Call/return events covered by superop hits (the events the
     /// per-event loop never had to execute).
     pub superop_events: u64,
-    /// Superops compiled into the latest published snapshot (gauge).
-    pub superop_compiled: u64,
-    /// Compiled superops dropped because the dispatch state moved (the
-    /// epoch-invalidation rule; each recompile counts the table it
-    /// replaced).
-    pub superop_invalidations: u64,
-    /// Snapshot publications (the denominator of
-    /// invalidations-per-republish).
-    pub superop_republishes: u64,
-    /// Shared-lineage generations adopted instead of re-encoding locally
-    /// (fleet tenants attached to a shared encoding).
-    pub lineage_adoptions: u64,
-    /// Locally applied re-encodings published into the shared lineage.
-    pub lineage_publishes: u64,
-    /// 1 once this instance diverged (copy-on-write) off its lineage.
-    pub lineage_divergences: u64,
     /// Degradation bookkeeping (all-zero on a healthy run).
     pub degraded: DegradedState,
 }
@@ -163,18 +159,27 @@ impl DacceStats {
         sum as f64 / n as f64
     }
 
-    /// Folds one thread's shard into the aggregate (stats drain).
+    /// Copies every count the registry stores into the view (traps and
+    /// re-encodes are histogram counts, the re-encode cost a sum).
+    pub(crate) fn read_registry(&mut self, m: &MetricsRegistry) {
+        self.traps = m.trap_ns.count();
+        self.reencodes = m.reencode_cost.count();
+        self.reencode_cost = m.reencode_cost.sum();
+        self.overflow_aborts = m.reencode_aborts.get();
+        self.samples = m.samples.get();
+        self.icache_hits = m.icache_hits.get();
+        self.icache_misses = m.icache_misses.get();
+        self.superop_hits = m.superop_hits.get();
+        self.superop_misses = m.superop_misses.get();
+        self.degraded.read_registry(m);
+    }
+
+    /// Folds one thread's shard into the aggregate (stats drain). Its
+    /// hit/miss tallies (tracker-only) are not read: drains flush them.
     pub fn absorb_shard(&mut self, shard: &StatsShard) {
         self.calls += shard.calls;
-        self.samples += shard.samples;
-        self.profiler_samples += shard.profiler_samples;
-        self.profiler_sample_weight += shard.profiler_sample_weight;
         self.compress_hits += shard.compress_hits;
         self.decode_errors += shard.decode_errors;
-        self.icache_hits += shard.icache_hits;
-        self.icache_misses += shard.icache_misses;
-        self.superop_hits += shard.superop_hits;
-        self.superop_misses += shard.superop_misses;
         self.superop_events += shard.superop_events;
         self.degraded.batch_errors += shard.batch_errors;
         if self.cc_depths.len() < shard.cc_depths.len() {
@@ -191,28 +196,23 @@ impl DacceStats {
 /// The concurrent tracker's fast paths never touch shared counters: each
 /// thread accumulates into its own shard (behind its own uncontended slot
 /// lock) and the aggregate is assembled only when someone drains stats,
-/// via [`DacceStats::absorb_shard`].
+/// via [`DacceStats::absorb_shard`]. Its hit/miss tallies are pending
+/// registry counts: a flush moves them into the registry.
 #[derive(Clone, Debug, Default)]
 pub struct StatsShard {
     /// Dynamic call events executed by this thread.
     pub calls: u64,
-    /// Samples this thread recorded.
-    pub samples: u64,
-    /// Continuous-profiler samples this thread captured.
-    pub profiler_samples: u64,
-    /// Total weight of this thread's profiler samples.
-    pub profiler_sample_weight: u64,
     /// Compressed-recursion hits on this thread's ccStack.
     pub compress_hits: u64,
     /// Lazy-migration decodes that failed (must stay 0).
     pub decode_errors: u64,
-    /// Indirect-call inline-cache hits on this thread.
+    /// Inline-cache hits not yet flushed to the registry.
     pub icache_hits: u64,
-    /// Indirect-call inline-cache misses on this thread.
+    /// Inline-cache misses not yet flushed to the registry.
     pub icache_misses: u64,
-    /// Superop windows this thread executed as memoized net effects.
+    /// Superop hits not yet flushed to the registry.
     pub superop_hits: u64,
-    /// Superop probes this thread fell back to the per-event loop on.
+    /// Superop misses not yet flushed to the registry.
     pub superop_misses: u64,
     /// Events covered by this thread's superop hits.
     pub superop_events: u64,

@@ -211,12 +211,8 @@ pub(crate) struct ThreadState {
     /// Continuous-profiler sampler (deterministic stride with per-thread
     /// jitter phase: seeded `profiler_seed ^ tid`).
     pub(crate) sampler: Sampler,
-    // Totals already published to shared state: ccStack ops, inline-cache
-    // and superop (hits, misses), spill events.
+    /// ccStack ops already published to the shared trigger state.
     flushed_cc_ops: u64,
-    flushed_icache: (u64, u64),
-    flushed_superops: (u64, u64),
-    flushed_spill_events: u64,
     /// Recent samples and weighted profiler samples awaiting a drain into
     /// the shared rings (circular).
     pending_samples: Vec<EncodedContext>,
@@ -250,9 +246,6 @@ impl ThreadState {
             batch_events: 0,
             sampler: Sampler::new(config.profiler_stride, seed, config.profiler_budget),
             flushed_cc_ops: 0,
-            flushed_icache: (0, 0),
-            flushed_superops: (0, 0),
-            flushed_spill_events: 0,
             pending_samples: Vec::new(),
             pending_pos: 0,
             pending_profiler: Vec::new(),
@@ -329,8 +322,6 @@ impl ThreadState {
         };
         let snap = self.context();
         let depth = snap.cc_depth() as u32;
-        self.shard.profiler_samples += 1;
-        self.shard.profiler_sample_weight += weight;
         self.metrics.on_profiler_sample(depth, snap.id, weight);
         if obs_on {
             let sample = EventKind::Sample {
@@ -370,7 +361,6 @@ impl ThreadState {
     /// the shared heat ring).
     pub(crate) fn sample(&mut self) -> EncodedContext {
         let snap = self.context();
-        self.shard.samples += 1;
         self.shard.note_cc_depth(snap.cc_depth());
         self.metrics.on_sample(snap.cc_depth() as u32, snap.id);
         push_circular(
@@ -426,23 +416,22 @@ impl ThreadState {
         check_thread(dict, &view.site_owner, view.max_id, &label, &self.ctx)
     }
 
-    /// Whether either sample backlog holds samples to drain.
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.pending_samples.is_empty() || self.has_pending_profile()
-    }
-
-    /// Whether the profiler backlog holds samples to drain.
-    pub(crate) fn has_pending_profile(&self) -> bool {
-        !self.pending_profiler.is_empty()
-    }
-
-    /// Drains both sample backlogs into the shared rings.
+    /// Drains both sample backlogs into the shared rings, the hit/miss
+    /// tallies and spill events into the registry, and the spill-region
+    /// peak into the shared degraded state.
     pub(crate) fn drain(&mut self, sh: &mut SharedState) {
         for s in self.pending_samples.drain(..) {
             sh.push_ring(s);
         }
         self.pending_pos = 0;
         self.drain_profile(sh);
+        self.flush_obs();
+        let spills = self.ctx.cc.take_spill_events();
+        if spills > 0 {
+            self.metrics.cc_spills.add(spills);
+            let peak = &mut sh.stats.degraded.cc_spilled_peak;
+            *peak = (*peak).max(self.ctx.cc.spilled_peak() as u64);
+        }
     }
 
     /// Drains only the profiler backlog into the shared profiler ring. The
@@ -453,21 +442,6 @@ impl ThreadState {
             sh.push_profiler_ring(s);
         }
         self.pending_profiler_pos = 0;
-    }
-
-    /// Publishes ccStack spill activity into the shared degraded-state
-    /// counters and metrics.
-    pub(crate) fn flush_spills(&mut self, sh: &mut SharedState) {
-        let spills = self.ctx.cc.spill_events();
-        let d = spills.saturating_sub(self.flushed_spill_events);
-        if d > 0 {
-            let degraded = &mut sh.stats.degraded;
-            degraded.cc_spill_events += d;
-            let peak = self.ctx.cc.spilled_peak() as u64;
-            degraded.cc_spilled_peak = degraded.cc_spilled_peak.max(peak);
-            sh.obs.metrics().cc_spills.add(d);
-            self.flushed_spill_events = spills;
-        }
     }
 
     /// Publishes the ccStack operations executed since the previous call
@@ -482,35 +456,25 @@ impl ThreadState {
         self.flushed_cc_ops = now;
     }
 
-    /// Publishes the inline-cache and superop hit/miss deltas to the
-    /// metrics.
+    /// Moves the shard's inline-cache and superop hit/miss tallies into
+    /// the registry.
     pub(crate) fn flush_obs(&mut self) {
-        let icache = (self.shard.icache_hits, self.shard.icache_misses);
-        if icache != self.flushed_icache {
-            let (hits, misses) = self.flushed_icache;
-            self.metrics.on_icache(icache.0 - hits, icache.1 - misses);
-            self.flushed_icache = icache;
-        }
-        let superops = (self.shard.superop_hits, self.shard.superop_misses);
-        if superops != self.flushed_superops {
-            let (hits, misses) = self.flushed_superops;
-            self.metrics
-                .on_superops(superops.0 - hits, superops.1 - misses);
-            self.flushed_superops = superops;
-        }
+        let s = &mut self.shard;
+        let take = std::mem::take;
+        self.metrics
+            .on_icache(take(&mut s.icache_hits), take(&mut s.icache_misses));
+        self.metrics
+            .on_superops(take(&mut s.superop_hits), take(&mut s.superop_misses));
     }
 
-    /// Folds the shard and the live ccStack/TcStack counters into `out`
-    /// (spills already published by [`Self::flush_spills`] are not
-    /// counted twice).
+    /// Folds the shard and the live ccStack/TcStack counters into `out`.
     pub(crate) fn fold_into(&self, out: &mut DacceStats) {
         let cc = &self.ctx.cc;
         out.absorb_shard(&self.shard);
         out.ccstack_ops += cc.ops();
         out.tcstack_ops += self.ctx.tc_ops;
-        let degraded = &mut out.degraded;
-        degraded.cc_spill_events += cc.spill_events().saturating_sub(self.flushed_spill_events);
-        degraded.cc_spilled_peak = degraded.cc_spilled_peak.max(cc.spilled_peak() as u64);
+        let peak = &mut out.degraded.cc_spilled_peak;
+        *peak = (*peak).max(cc.spilled_peak() as u64);
     }
 }
 

@@ -195,7 +195,6 @@ impl TrackerInner {
     fn note_slow_lock(&self, sh: &mut SharedState) -> bool {
         let n = self.slow_locks.fetch_add(1, Ordering::Relaxed);
         if sh.config.fault.poisons_acquisition(n) {
-            sh.stats.degraded.lock_poisonings += 1;
             sh.obs.metrics().lock_poisonings.inc();
             true
         } else {
@@ -512,7 +511,8 @@ impl Tracker {
     }
 
     /// Tracker statistics: the shared counters plus every thread's local
-    /// shard and live ccStack/TcStack operation counts.
+    /// shard and live ccStack/TcStack operation counts. Every thread is
+    /// drained first, so the counts read from the registry are whole.
     pub fn stats(&self) -> DacceStats {
         let slots: Vec<Arc<ThreadSlot>> = self.inner.registry.lock().clone();
         let mut out = {
@@ -522,12 +522,10 @@ impl Tracker {
         };
         for slot in slots {
             let mut l = slot.state.lock();
-            if l.st.has_pending() {
-                l.st.drain(&mut self.inner.shared.lock());
-            }
-            l.st.flush_obs();
+            l.st.drain(&mut self.inner.shared.lock());
             l.st.fold_into(&mut out);
         }
+        out.read_registry(self.inner.obs.metrics());
         out
     }
 
@@ -539,9 +537,7 @@ impl Tracker {
         let slots: Vec<Arc<ThreadSlot>> = self.inner.registry.lock().clone();
         for slot in slots {
             let mut l = slot.state.lock();
-            if l.st.has_pending_profile() {
-                l.st.drain_profile(&mut self.inner.shared.lock());
-            }
+            l.st.drain_profile(&mut self.inner.shared.lock());
         }
         self.inner.shared.lock().profiler_profile()
     }
@@ -1119,8 +1115,6 @@ impl SlotState {
             self.st.batch_events = 0;
         }
         self.st.publish_cc_ops(&inner.ccops_total);
-        self.st.flush_spills(sh);
-        self.st.flush_obs();
         self.st.drain(sh);
     }
 

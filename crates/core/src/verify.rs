@@ -151,7 +151,7 @@ fn check_dispatch(g: &Generation, latest: &DecodeDict) -> Result<(), String> {
 /// demoted by a trap, and degradation is monotone with the overflow
 /// switch).
 pub(crate) fn check_degraded(sh: &SharedState) -> Result<(), String> {
-    let d = &sh.stats.degraded;
+    let d = &sh.degraded();
     if d.active && !sh.reencode_overflowed {
         return Err("degraded mode active but re-encoding still enabled".to_string());
     }

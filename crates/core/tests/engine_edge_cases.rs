@@ -1,7 +1,8 @@
 //! Edge-case integration tests of the engine driven directly by events.
 
-use dacce::{CompressionMode, DacceConfig, DacceEngine};
+use dacce::{CompressionMode, DacceConfig, DacceEngine, FaultPlan};
 use dacce_callgraph::{CallSiteId, FunctionId};
+use dacce_obs::EventKind;
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{CostModel, ThreadId};
 
@@ -292,4 +293,45 @@ fn ccstack_rate_triggers_reencode() {
     );
     let _ = e.ret(ThreadId::MAIN, s(0), f(0), f(1));
     e.check_invariants().unwrap();
+}
+
+/// A slot-starved indirect site traps on every call. Re-patching a target
+/// the site already holds updates it in place: the compare chain never
+/// grows, so the site neither converts to hashing nor reports phantom
+/// targets.
+#[test]
+fn starved_indirect_site_keeps_one_target() {
+    let mut e = engine(DacceConfig {
+        fault: FaultPlan {
+            dispatch_slot_cap: Some(0),
+            ..FaultPlan::default()
+        },
+        ..DacceConfig::no_reencoding()
+    });
+    let journal = e.observability().journal().clone();
+    journal.set_enabled(true);
+    for _ in 0..20 {
+        e.call(
+            ThreadId::MAIN,
+            s(0),
+            f(0),
+            f(1),
+            CallDispatch::Indirect,
+            false,
+        );
+        e.ret(ThreadId::MAIN, s(0), f(0), f(1));
+    }
+    let stats = e.stats();
+    assert_eq!(stats.traps, 20, "a starved site traps on every call");
+    assert_eq!(stats.hash_conversions, 0);
+    let targets: Vec<u32> = journal
+        .drain()
+        .events
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            EventKind::SitePatched { targets, .. } => Some(targets),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(targets, vec![1; 20]);
 }

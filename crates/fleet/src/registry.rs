@@ -229,9 +229,8 @@ impl Fleet {
         self.tracker(id).is_some_and(|t| t.request_reencode())
     }
 
-    /// Aggregate fleet statistics. Drains each tenant's tracker stats, so
-    /// the call is heavier than a counter read — intended for dashboards
-    /// and tests, not per-op paths.
+    /// Aggregate fleet statistics, read from each tenant's metrics
+    /// registry — intended for dashboards and tests, not per-op paths.
     #[must_use]
     pub fn fleet_stats(&self) -> FleetStats {
         let tenants = self.tenants();
@@ -243,9 +242,9 @@ impl Fleet {
             ..FleetStats::default()
         };
         for (_, _, tracker) in &tenants {
-            let stats = tracker.stats();
-            out.adoptions += stats.lineage_adoptions;
-            out.publishes += stats.lineage_publishes;
+            let metrics = tracker.observability().metrics();
+            out.adoptions += metrics.lineage_adoptions.get();
+            out.publishes += metrics.lineage_publishes.get();
             if tracker.diverged() {
                 out.diverged += 1;
             }

@@ -168,7 +168,7 @@ fn divergence_is_copy_on_write_and_private() {
         assert_eq!(tb.format_path(&path), "main -> leaf1 -> private");
     }
     assert!(tb.diverged());
-    assert_eq!(tb.stats().lineage_divergences, 1);
+    assert_eq!(tb.observability().snapshot().lineage_divergences, 1);
     tb.check_invariants().unwrap();
 
     let ta = fleet.tracker(a).unwrap();
@@ -278,7 +278,11 @@ fn fault_degradation_stays_per_tenant() {
         let stats = tracker.stats();
         assert_eq!(stats.traps, 0, "sibling {id} must stay zero-trap");
         assert!(!stats.degraded.any(), "sibling {id} must not degrade");
-        assert_eq!(stats.lineage_adoptions, 0, "nothing was published to adopt");
+        assert_eq!(
+            tracker.observability().snapshot().lineage_adoptions,
+            0,
+            "nothing was published to adopt"
+        );
         tracker.check_invariants().unwrap();
     }
     assert_eq!(fleet.fleet_stats().publishes, 0);

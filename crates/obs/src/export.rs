@@ -374,15 +374,17 @@ fn prom_histogram(s: &mut String, name: &str, help: &str, h: &HistogramSnapshot)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use crate::metrics::{GenerationInfo, MetricsRegistry};
 
     fn populated() -> MetricsSnapshot {
         let reg = MetricsRegistry::default();
-        reg.traps.add(12);
         reg.edges_discovered.add(10);
-        reg.reencodes.add(2);
-        reg.trap_ns.observe(1500);
-        reg.trap_ns.observe(900);
+        reg.on_reencode(true, 20);
+        reg.on_reencode(true, 33);
+        reg.on_trap(Duration::from_nanos(1500));
+        reg.on_trap(Duration::from_nanos(900));
         reg.cc_depth.observe(4);
         reg.superop_hits.add(3);
         reg.superop_misses.add(1);
@@ -414,7 +416,8 @@ mod tests {
             "unbalanced braces in: {json}"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"traps\": 12"));
+        assert!(json.contains("\"traps\": 2"));
+        assert!(json.contains("\"reencodes\": 2"));
         assert!(json.contains("\"generation\": 2"));
         assert!(json.contains("\"trap_ns\""));
         // Both trap_ns observations land in log2 buckets bounded by 1023
@@ -433,7 +436,7 @@ mod tests {
     #[test]
     fn prometheus_contains_series_and_labels() {
         let text = populated().to_prometheus();
-        assert!(text.contains("dacce_traps_total 12"));
+        assert!(text.contains("dacce_traps_total 2"));
         assert!(text.contains("dacce_dictionaries 2"));
         assert!(text.contains("dacce_superop_hits_total 3"));
         assert!(text.contains("dacce_superop_misses_total 1"));

@@ -1,12 +1,15 @@
 //! Metrics registry: sharded counters, log₂-bucketed histograms, and the
 //! per-generation dictionary table.
 //!
-//! Counters are striped across cache-line-padded shards (the same idea as
-//! the engine's per-thread `StatsShard` drain, but wait-free and global);
+//! The registry is the runtime's one store of every count it keeps: the
+//! engine's `DacceStats` reads traps, re-encodes, samples, inline-cache and
+//! superop tallies and the degraded counters back from here instead of
+//! keeping copies. Counters are striped across cache-line-padded shards;
 //! each thread hashes to a shard via a thread-local index, so concurrent
-//! increments rarely contend. Histograms bucket by `floor(log2(v)) + 1`,
-//! which covers the full `u64` range in 65 buckets — good enough for
-//! latencies, costs and depths that span orders of magnitude.
+//! increments rarely contend and a read never takes a lock. Histograms
+//! bucket by `floor(log2(v)) + 1`, which covers the full `u64` range in 65
+//! buckets — good enough for latencies, costs and depths that span orders
+//! of magnitude.
 
 use std::time::Duration;
 
@@ -105,6 +108,18 @@ fn bucket_index(value: u64) -> usize {
 }
 
 impl Histogram {
+    /// Number of observations.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of observed values.
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// Records one observation.
     pub fn observe(&self, value: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -282,14 +297,10 @@ impl IdHeadroom {
 /// The registry of runtime health metrics, shared via `Arc`.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    /// Cold-start traps handled.
-    pub traps: Counter,
     /// New call edges added to the dynamic graph.
     pub edges_discovered: Counter,
     /// Call sites (re)patched.
     pub sites_patched: Counter,
-    /// Re-encode attempts (applied or aborted).
-    pub reencodes: Counter,
     /// Re-encode attempts aborted on overflow.
     pub reencode_aborts: Counter,
     /// Threads lazily migrated across generations.
@@ -328,17 +339,17 @@ pub struct MetricsRegistry {
     pub cc_spills: Counter,
     /// Slow-path lock acquisitions that recovered from poisoning.
     pub lock_poisonings: Counter,
-    /// Dispatch-slot allocations refused by an injected cap.
-    pub slot_failures: Counter,
     /// Shared-lineage generations adopted instead of re-encoding locally.
     pub lineage_adoptions: Counter,
     /// Locally applied re-encodings published into a shared lineage.
     pub lineage_publishes: Counter,
     /// Tenants diverged (copy-on-write) off their shared lineage.
     pub lineage_divergences: Counter,
-    /// Trap-handling latency in nanoseconds.
+    /// Trap-handling latency in nanoseconds; its count is the number of
+    /// cold-start traps handled.
     pub trap_ns: Histogram,
-    /// Abstract cost per re-encode attempt.
+    /// Abstract cost per re-encode attempt; its count is the number of
+    /// attempts (applied or aborted), its sum their total cost.
     pub reencode_cost: Histogram,
     /// ccStack depth at sample points.
     pub cc_depth: Histogram,
@@ -347,6 +358,7 @@ pub struct MetricsRegistry {
     max_id: AtomicU64,
     dispatch_slots: AtomicU64,
     dispatch_span: AtomicU64,
+    slot_failures: AtomicU64,
     superop_compiled: AtomicU64,
     superop_candidates: AtomicU64,
     generations: Mutex<Vec<GenerationInfo>>,
@@ -355,7 +367,6 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Counts one handled trap and its wall-clock latency.
     pub fn on_trap(&self, took: Duration) {
-        self.traps.inc();
         self.trap_ns
             .observe(u64::try_from(took.as_nanos()).unwrap_or(u64::MAX));
     }
@@ -363,7 +374,6 @@ impl MetricsRegistry {
     /// Counts one re-encode attempt costing `cost` units; `applied` is
     /// false for an aborted one.
     pub fn on_reencode(&self, applied: bool, cost: u64) {
-        self.reencodes.inc();
         self.reencode_cost.observe(cost);
         if !applied {
             self.reencode_aborts.inc();
@@ -404,10 +414,18 @@ impl MetricsRegistry {
     }
 
     /// Records the compiled dispatch table's shape: `occupied` allocated
-    /// slots over a `span`-wide site-id index range (gauges, last wins).
-    pub fn record_dispatch(&self, occupied: u64, span: u64) {
+    /// slots over a `span`-wide site-id index range, and the `refused`
+    /// slot allocations the table counted (gauges, last wins).
+    pub fn record_dispatch(&self, occupied: u64, span: u64, refused: u64) {
         self.dispatch_slots.store(occupied, Ordering::Relaxed);
         self.dispatch_span.store(span, Ordering::Relaxed);
+        self.slot_failures.store(refused, Ordering::Relaxed);
+    }
+
+    /// Dispatch-slot allocations refused by an injected cap (gauge).
+    #[must_use]
+    pub fn slot_failures(&self) -> u64 {
+        self.slot_failures.load(Ordering::Relaxed)
     }
 
     /// Records the superop table's shape: `compiled` superops published
@@ -437,11 +455,13 @@ impl MetricsRegistry {
     /// Takes a point-in-time copy of every metric.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let trap_ns = self.trap_ns.snapshot();
+        let reencode_cost = self.reencode_cost.snapshot();
         MetricsSnapshot {
-            traps: self.traps.get(),
+            traps: trap_ns.count,
             edges_discovered: self.edges_discovered.get(),
             sites_patched: self.sites_patched.get(),
-            reencodes: self.reencodes.get(),
+            reencodes: reencode_cost.count,
             reencode_aborts: self.reencode_aborts.get(),
             migrations: self.migrations.get(),
             cc_overflows: self.cc_overflows.get(),
@@ -462,14 +482,14 @@ impl MetricsRegistry {
             reencode_retries: self.reencode_retries.get(),
             cc_spills: self.cc_spills.get(),
             lock_poisonings: self.lock_poisonings.get(),
-            slot_failures: self.slot_failures.get(),
+            slot_failures: self.slot_failures(),
             lineage_adoptions: self.lineage_adoptions.get(),
             lineage_publishes: self.lineage_publishes.get(),
             lineage_divergences: self.lineage_divergences.get(),
             dispatch_slots: self.dispatch_slots.load(Ordering::Relaxed),
             dispatch_span: self.dispatch_span.load(Ordering::Relaxed),
-            trap_ns: self.trap_ns.snapshot(),
-            reencode_cost: self.reencode_cost.snapshot(),
+            trap_ns,
+            reencode_cost,
             cc_depth: self.cc_depth.snapshot(),
             sampled_ids: self.sampled_ids.snapshot(),
             id_headroom: IdHeadroom::for_max_id(self.max_id.load(Ordering::Relaxed)),

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use dacce::tracker::{BatchOp, ThreadHandle, Tracker};
-use dacce::{DacceConfig, DacceStats, FaultPlan};
+use dacce::{DacceConfig, DacceStats, FaultPlan, Observability};
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_program::ThreadId;
 
@@ -47,6 +47,9 @@ pub struct ChaosReplay {
     pub decode_failures: usize,
     /// Final tracker statistics (including the degraded-state record).
     pub stats: DacceStats,
+    /// The tracker's observability handle: its metrics, which `stats`
+    /// drained every thread into, outlive the tracker.
+    pub obs: Observability,
     /// First invariant violation found after the replay, if any.
     pub invariant_error: Option<String>,
 }
@@ -277,6 +280,7 @@ fn replay_sampled_impl(trace: &WorkloadTrace, config: DacceConfig, superops: boo
         paths,
         decode_failures,
         stats: tracker.stats(),
+        obs: tracker.observability().clone(),
         invariant_error,
     }
 }

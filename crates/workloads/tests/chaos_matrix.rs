@@ -78,6 +78,33 @@ fn fault_matrix_presets_are_sound() {
                 "{}/{name}: post-run invariants violated",
                 spec.name
             );
+            // The stats view reads its counts from the metrics registry:
+            // after the drain, the two must agree on every one of them.
+            let (s, m) = (&out.replay.stats, out.replay.obs.snapshot());
+            let d = &s.degraded;
+            let counts = [
+                ("traps", s.traps, m.traps),
+                ("reencodes", s.reencodes, m.reencodes),
+                ("reencode_cost", s.reencode_cost, m.reencode_cost.sum),
+                ("overflow_aborts", s.overflow_aborts, m.reencode_aborts),
+                ("samples", s.samples, m.samples),
+                ("icache_hits", s.icache_hits, m.icache_hits),
+                ("icache_misses", s.icache_misses, m.icache_misses),
+                ("superop_hits", s.superop_hits, m.superop_hits),
+                ("superop_misses", s.superop_misses, m.superop_misses),
+                ("degraded_traps", d.degraded_traps, m.degraded_traps),
+                ("reencode_retries", d.reencode_retries, m.reencode_retries),
+                ("cc_spill_events", d.cc_spill_events, m.cc_spills),
+                ("lock_poisonings", d.lock_poisonings, m.lock_poisonings),
+                ("slot_failures", d.slot_failures, m.slot_failures),
+            ];
+            for (what, stat, metric) in counts {
+                assert_eq!(
+                    stat, metric,
+                    "{}/{name}: stats and metrics disagree on {what}",
+                    spec.name
+                );
+            }
         }
     }
 }

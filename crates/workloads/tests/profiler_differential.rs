@@ -254,9 +254,9 @@ fn engine_samples_each_thread_on_its_own_stream() {
         let report = run_with(spec, &cfg, &mut rt);
         assert!(rt.samplers.len() > 1, "{}: several threads ran", spec.name);
         assert!(rt.fires > 0, "{}: the shadow sampler fired", spec.name);
-        let stats = rt.inner.stats();
+        let metrics = rt.inner.observe();
         assert_eq!(
-            (stats.profiler_samples, stats.profiler_sample_weight),
+            (metrics.profiler_samples, metrics.profiler_sample_weight),
             (rt.fires, rt.weight),
             "{}: the engine's samples follow the per-thread stream model",
             spec.name

@@ -116,9 +116,9 @@ fn reencode_storm_invalidates_superops_without_corrupting_contexts() {
         let trace = chaos_trace(spec, &cfg);
         let on = check_differential(spec.name, &trace, &storm);
         total_hits += on.stats.superop_hits;
-        total_invalidations += on.stats.superop_invalidations;
+        total_invalidations += on.obs.snapshot().superop_invalidations;
         assert!(
-            on.stats.superop_republishes > 0,
+            on.obs.snapshot().superop_republishes > 0,
             "{}: the storm config must republish with superops installed",
             spec.name
         );
@@ -143,7 +143,8 @@ fn superops_disabled_config_behaves_like_plain_replay() {
     let trace = chaos_trace(&BenchSpec::tiny("superop-off", 43), &cfg);
     let on = check_differential("superop-off", &trace, &off_cfg);
     assert_eq!(
-        on.stats.superop_compiled, 0,
+        on.obs.snapshot().superop_compiled,
+        0,
         "disabled config must compile nothing"
     );
     assert_eq!(

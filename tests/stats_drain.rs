@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use dacce::{DacceConfig, Tracker};
+use dacce::{DacceConfig, FaultPlan, Tracker};
 use dacce_callgraph::{CallSiteId, FunctionId};
 
 const THREADS: usize = 4;
@@ -86,6 +86,36 @@ fn concurrent_stats_drains_are_monotone_and_exact() {
     assert_eq!(s2.samples, s1.samples);
     assert_eq!(tracker.stats().decode_errors, 0);
     tracker.check_invariants().unwrap();
+}
+
+#[test]
+fn live_thread_spills_reach_the_registry() {
+    // A live thread's ccStack spills are flushed by the stats drain, so
+    // the degraded state and the exported metrics report the same count.
+    let tracker = Tracker::with_config(DacceConfig {
+        fault: FaultPlan {
+            cc_spill_limit: Some(6),
+            ..FaultPlan::default()
+        },
+        ..DacceConfig::no_reencoding()
+    });
+    let main_fn = tracker.define_function("main");
+    let nest: Vec<(CallSiteId, FunctionId)> = (0..20)
+        .map(|i| {
+            let f = tracker.define_function(&format!("f{i}"));
+            (tracker.define_call_site(), f)
+        })
+        .collect();
+    let th = tracker.register_thread(main_fn);
+    for _ in 0..5 {
+        let mut guards: Vec<_> = nest.iter().map(|&(s, f)| th.call(s, f)).collect();
+        while let Some(g) = guards.pop() {
+            drop(g);
+        }
+    }
+    let spills = tracker.stats().degraded.cc_spill_events;
+    assert!(spills > 0, "a 20-deep nest over a limit of 6 must spill");
+    assert_eq!(spills, tracker.observability().snapshot().cc_spills);
 }
 
 #[test]
