@@ -16,7 +16,7 @@
 //! | `overflow-budget` | error | `2*maxID+1` and every path sum fit in 64 bits |
 //! | `dispatch-table` | error | the exported compiled dispatch table agrees edge-for-edge with the latest dictionary (opt-in via [`verify_dispatch`] / `dacce-lint --dispatch`) |
 //! | `superop-net-effect` | error | every exported superop re-folds — event-by-event over the compiled dispatch actions — to exactly the net effect it memoizes, and its window passes every compile-time refusal rule (opt-in via [`verify_superops`] / `dacce-lint --superops`) |
-//! | `degraded-state` | error | the exported [`DegradedState`] arithmetic is internally consistent — traps recorded imply degraded mode, the trap counter covers every trap node, spill events and the spilled peak move together (opt-in via [`verify_degraded`] / `dacce-lint --degraded`) |
+//! | `degraded-state` | error | the exported [`dacce::DegradedState`] arithmetic is internally consistent — traps recorded imply degraded mode, the trap counter covers every trap node, spill events and the spilled peak move together (opt-in via [`verify_degraded`] / `dacce-lint --degraded`) |
 //! | `fleet-twin` | error | a shared-lineage tenant's export is identical — dictionaries, owners, compiled dispatch — to a standalone twin of the same program (opt-in via [`verify_fleet_twin`] / `dacce-lint --fleet`) |
 //!
 //! The partition check is the workhorse: if at every node the sorted

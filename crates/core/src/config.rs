@@ -71,9 +71,6 @@ pub struct DacceConfig {
     /// two), allocated when the producer records its first event. The
     /// journal has a runtime enable flag and starts disabled.
     pub journal_ring_capacity: usize,
-    /// ccStack depth at which a new per-thread high-water mark is journaled
-    /// as an overflow event (observability only; no behaviour changes).
-    pub journal_overflow_watermark: u32,
     /// Continuous-profiler base sampling stride in call events (jittered
     /// per thread); 0 disables the profiler entirely. A prime default
     /// avoids phase-locking with power-of-two loop bodies.
@@ -127,7 +124,6 @@ impl Default for DacceConfig {
             sample_ring: 256,
             keep_sample_log: false,
             journal_ring_capacity: 4096,
-            journal_overflow_watermark: 48,
             profiler_stride: 509,
             profiler_seed: 0x5eed,
             profiler_budget: 64,

@@ -5,16 +5,16 @@
 //! layers since the concurrency split (see `DESIGN.md`, "Concurrency
 //! architecture"):
 //!
-//! * [`crate::shared::SharedState`] — everything global: the current
+//! * `SharedState` (`shared.rs`) — everything global: the current
 //!   encoding `Generation` (the dynamically growing call
 //!   graph, the dispatch table — the "generated code" of every call site —
 //!   and the versioned decode dictionaries), trigger state and statistics.
-//! * [`crate::thread::ThreadState`] — the step core: one thread's encoding
+//! * `ThreadState` (`thread.rs`) — the step core: one thread's encoding
 //!   context plus the bookkeeping around every call, return, sample and
 //!   migration, executed over a read-only encoding view.
 //!
 //! `DacceEngine` composes the two behind the original single-threaded API:
-//! it owns the shared state plus every thread's [`ThreadState`] and drives
+//! it owns the shared state plus every thread's `ThreadState` and drives
 //! the step core with the current generation's view. What stays here is
 //! the driver: per-event trigger counting and re-encode timing, the
 //! runtime handler's trap, tail calls and the retrofit of active frames.

@@ -15,15 +15,13 @@
 //! state lock, and the generation counter is bumped inside that critical
 //! section — so the dictionary history observed along one lineage is a
 //! single linear chain and lazily migrating tenants can always decode
-//! old samples against the shared [`DictStore`]. Lock order is
+//! old samples against the shared [`dacce_callgraph::DictStore`]. Lock order is
 //! tenant-shared-state before lineage-state; the lineage lock never
 //! wraps a tenant lock.
 //!
-//! Degraded tenants never publish: only a [`ReencodeOutcome::Applied`]
+//! Degraded tenants never publish: only a `ReencodeOutcome::Applied`
 //! re-encode writes into the lineage, so injected faults (id-space caps,
 //! generation aborts) stay contained to the tenant that hit them.
-//!
-//! [`ReencodeOutcome::Applied`]: crate::shared::ReencodeOutcome
 
 use std::sync::Arc;
 

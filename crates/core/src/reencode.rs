@@ -5,10 +5,10 @@
 //! accessed too frequently. The trigger evaluation and the graph-side core
 //! (heat derivation, back-edge re-classification, encoding, dictionary
 //! freeze under an incremented `gTimeStamp`, site re-patching) live in
-//! [`crate::shared::SharedState`]; this module adds the *thread-state*
+//! `SharedState`; this module adds the *thread-state*
 //! half on top for the engine, which owns every context: once the encoding
 //! moved, every live thread migrates through the step core's one
-//! migration path ([`crate::thread::ThreadState::migrate`]) — decode under
+//! migration path (`ThreadState::migrate`) — decode under
 //! the old generation's dictionary, replay under the new patches — so the
 //! state looks as if the new instrumentation had been in place from the
 //! start (the paper rewrites return addresses on the machine stacks — see

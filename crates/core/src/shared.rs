@@ -338,7 +338,6 @@ impl SharedState {
         let cur_min_events = config.min_events_between_reencodes;
         let obs = Observability::with_config(JournalConfig {
             ring_capacity: config.journal_ring_capacity,
-            overflow_watermark: config.journal_overflow_watermark,
         });
         let obs_writer = obs.journal().writer(RUNTIME_TID);
         let mut dispatch = DispatchTable::default();

@@ -3,7 +3,7 @@
 //! [`DacceStats`] is a view built on demand: lock-only facts from the
 //! shared state and per-thread [`StatsShard`]s, plus every count the
 //! [`MetricsRegistry`] stores (its only record), read by
-//! [`DacceStats::read_registry`].
+//! `DacceStats::read_registry`.
 
 use dacce_obs::MetricsRegistry;
 

@@ -4,9 +4,8 @@
 //! Re-exports [`dacce_sync`]: with the `mc` feature off these names are
 //! direct std / `parking_lot` re-exports (zero cost); with it on they are
 //! hook-instrumented wrappers reporting each operation and its declared
-//! [`Ordering`](dacce_sync::Ordering) to a registered
-//! [`SyncHook`](dacce_sync::SyncHook). The [`protocol`](dacce_sync::protocol)
-//! module names the orderings of every release/acquire pair — the same
+//! [`dacce_sync::Ordering`] to a registered [`dacce_sync::SyncHook`]. The
+//! [`dacce_sync::protocol`] module names the orderings of every release/acquire pair — the same
 //! constants the `dacce-mc` bounded protocol models check.
 
 pub use dacce_sync::*;

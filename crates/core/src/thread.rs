@@ -10,14 +10,14 @@
 //! shadow is free bookkeeping that real instrumentation keeps on the machine
 //! stack itself.
 //!
-//! [`ThreadState`] wraps a [`ThreadCtx`] with everything else one thread
+//! `ThreadState` wraps a [`ThreadCtx`] with everything else one thread
 //! keeps — statistics shard, profiler sampler, sample backlogs — and is the
 //! step core both the engine and the concurrent tracker drive.
 
 use std::sync::Arc;
 
 use dacce_callgraph::{CallSiteId, FunctionId, TimeStamp};
-use dacce_obs::{EventKind, JournalWriter, MetricsRegistry, Sampler};
+use dacce_obs::{EventKind, JournalWriter, MetricsRegistry, Sampler, CC_OVERFLOW_WATERMARK};
 use dacce_program::ThreadId;
 
 use crate::ccstack::CcStack;
@@ -284,7 +284,7 @@ impl ThreadState {
             if obs_on {
                 writer.emit_for(tid, EventKind::CcPush { depth });
             }
-            if deeper && depth >= writer.overflow_watermark() {
+            if deeper && depth >= CC_OVERFLOW_WATERMARK {
                 self.metrics.cc_overflows.inc();
                 writer.emit_for(tid, EventKind::CcOverflow { depth });
             }

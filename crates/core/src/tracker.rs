@@ -8,12 +8,12 @@
 //! Unlike the single-lock seed implementation, the tracker is built on the
 //! shared-state / per-thread split (see `DESIGN.md`, "Concurrency
 //! architecture"): every thread owns its step-core state
-//! ([`ThreadState`], the same one the single-threaded engine drives) in a
+//! (`ThreadState`, the same one the single-threaded engine drives) in a
 //! [`ThreadHandle`] slot and executes call/return instrumentation over
-//! already-encoded edges against a cached, immutable [`EncodingSnapshot`] —
+//! already-encoded edges against a cached, immutable `EncodingSnapshot` —
 //! no shared lock is touched on that path. Guards and
 //! [`ThreadHandle::run_batch`] open and close frames through the same
-//! `open_frame` / `close_frame` pair. The global [`SharedState`] lock is
+//! `open_frame` / `close_frame` pair. The global `SharedState` lock is
 //! taken only when a call site traps (new edge), when a re-encoding is
 //! evaluated or applied, on thread registration, and when statistics are
 //! drained. Re-encoded state reaches the other threads lazily: each one
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use crate::sync::{protocol, AtomicU32, AtomicU64, Mutex, MutexGuard, Ordering};
 
 use dacce_callgraph::{CallSiteId, FunctionId};
-use dacce_obs::JournalWriter;
+use dacce_obs::{JournalWriter, CC_OVERFLOW_WATERMARK};
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{ContextPath, CostModel, ThreadId};
 
@@ -725,7 +725,7 @@ impl ThreadHandle {
                                     || !(obs_on
                                         || l.st.ctx.cc.spill_armed()
                                         || (peak > l.st.ctx.cc.max_depth()
-                                            && peak as u32 >= l.writer.overflow_watermark()));
+                                            && peak as u32 >= CC_OVERFLOW_WATERMARK));
                                 if admit {
                                     let len = so.window.len();
                                     let st = &mut l.st;

@@ -3,7 +3,7 @@
 //! [`Fleet`] maps stable [`TenantId`]s to tracker instances across a fixed
 //! set of shards, so tenant lookup, registration and eviction contend only
 //! per shard. The lineage table — content hash to
-//! [`EncodingLineage`](dacce::EncodingLineage) — is the single shared
+//! [`dacce::EncodingLineage`] — is the single shared
 //! structure: registration consults it to decide between *founding* a new
 //! lineage (first tenant of a program: pays the warm-start encode) and
 //! *attaching* to an existing one (every later tenant: adopts the shared

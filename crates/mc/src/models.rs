@@ -469,7 +469,7 @@ fn ring_drain(ord: &Orderings, recheck: bool) -> Model {
     m
 }
 
-/// The [`ring_drain`] model with the stamp recheck removed — a protocol
+/// The `ring_drain` model with the stamp recheck removed — a protocol
 /// bug (not an ordering mutant) that makes torn consumes reachable. Used
 /// to demonstrate the R3 rule catches dropped obligations.
 #[must_use]

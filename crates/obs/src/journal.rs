@@ -17,21 +17,22 @@ use dacce_sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use crate::event::{EventKind, EventRecord};
 use crate::ring::EventRing;
 
+/// ccStack depth at which a thread's new high-water mark emits
+/// `CcOverflow` (observability only; no behaviour changes).
+pub const CC_OVERFLOW_WATERMARK: u32 = 48;
+
 /// Journal construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct JournalConfig {
     /// Slots per writer ring once its writer records (rounded up to a
     /// power of two, min 8).
     pub ring_capacity: usize,
-    /// ccStack depth at which new high-water marks emit `CcOverflow`.
-    pub overflow_watermark: u32,
 }
 
 impl Default for JournalConfig {
     fn default() -> JournalConfig {
         JournalConfig {
             ring_capacity: 4096,
-            overflow_watermark: 48,
         }
     }
 }
@@ -230,13 +231,6 @@ impl JournalWriter {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.journal.enabled()
-    }
-
-    /// The ccStack depth at which new high-water marks should emit
-    /// `CcOverflow`.
-    #[must_use]
-    pub fn overflow_watermark(&self) -> u32 {
-        self.journal.config.overflow_watermark
     }
 
     /// The thread id stamped on this writer's records.
@@ -448,10 +442,7 @@ mod tests {
 
     #[test]
     fn drops_are_attributed_to_the_overflowing_thread() {
-        let journal = Arc::new(Journal::new(JournalConfig {
-            ring_capacity: 8,
-            ..JournalConfig::default()
-        }));
+        let journal = Arc::new(Journal::new(JournalConfig { ring_capacity: 8 }));
         let quiet = journal.writer(1);
         let noisy = journal.writer(2);
         noisy.emit(EventKind::CcPop { depth: 0 });
@@ -501,7 +492,6 @@ mod tests {
     fn replay_matches_emitted_counts() {
         let journal = Arc::new(Journal::new(JournalConfig {
             ring_capacity: 1 << 14,
-            ..JournalConfig::default()
         }));
         journal.set_enabled(true);
         let writer = journal.writer(0);

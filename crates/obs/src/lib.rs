@@ -40,7 +40,9 @@ pub mod ring;
 
 pub use event::{events_from_json, events_to_json, EventKind, EventRecord};
 pub use fleet::{FleetMember, FleetPump};
-pub use journal::{Journal, JournalAggregates, JournalBatch, JournalConfig, JournalWriter};
+pub use journal::{
+    Journal, JournalAggregates, JournalBatch, JournalConfig, JournalWriter, CC_OVERFLOW_WATERMARK,
+};
 pub use metrics::{
     Counter, GenerationInfo, Histogram, HistogramSnapshot, IdHeadroom, MetricsRegistry,
     MetricsSnapshot,

@@ -1,33 +1,34 @@
-//! Batched tracker drive: record a workload's instrumentation streams,
-//! then replay them through the [`Tracker`] front-end with
-//! [`ThreadHandle::run_batch`] doing the bulk of the work.
+//! Trace recording and the one replay loop over a [`WorkloadTrace`].
+//!
+//! `record` runs a program under a cost-free recorder and keeps each
+//! thread's call/return stream. `replay` drives such a trace onto a
+//! [`Tracker`]: it owns the trace-to-tracker id maps, thread
+//! registration, the call/return pairing, the window split and a shadow
+//! stack of the context each thread is expected to be in, and reports
+//! every step it executes to a [`ReplayVisitor`]. The chaos harness, the
+//! journal recorder, the superop warm pass and the profiler differential
+//! are all visitors of this loop.
 //!
 //! The interpreter delivers call/return events one at a time, which is
 //! the right shape for the per-event engine adapters but wastes the
 //! batched fast path: every op would pay the slot lock, snapshot refresh
-//! and journal gate on its own. This module splits a recorded per-thread
+//! and journal gate on its own. The loop therefore splits a thread's
 //! stream into *balanced windows* — subsequences whose calls all return
-//! within the window — and drives each window with one `run_batch` call.
+//! within the window — and drives them with [`ThreadHandle::run_batch`].
 //! Frames that stay open past the window bound (the deep spine of the
 //! call tree) fall back to RAII guards, so arbitrary traces replay
-//! exactly.
+//! exactly. A window of 0 drives every op through a guard.
 //!
-//! The tracker front-end has no tail-call entry point, so
-//! [`run_tracker_batched`] regenerates the benchmark program with
-//! `tail_fraction = 0`; PLT calls bind to one target and replay as
-//! direct calls.
+//! The tracker front-end has no tail-call entry point, so traces are
+//! recorded tail-free ([`crate::chaos::chaos_trace`]); PLT calls bind to
+//! one target and replay as direct calls.
 
 use std::collections::HashMap;
 
 use dacce::tracker::{BatchOp, ThreadHandle, Tracker};
-use dacce::{DacceConfig, DacceStats};
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_program::runtime::{CallDispatch, CallEvent, ContextRuntime, ReturnEvent, SampleResult};
-use dacce_program::{Interpreter, OracleStack, Program, ThreadId};
-
-use crate::driver::{interp_config, DriverConfig};
-use crate::genprog::generate_program;
-use crate::spec::BenchSpec;
+use dacce_program::{Interpreter, OracleStack, PathStep, Program, ThreadId};
 
 /// One recorded instrumentation op of one thread.
 #[derive(Clone, Copy, Debug)]
@@ -143,351 +144,406 @@ pub(crate) fn record(program: &Program, icfg: dacce_program::InterpConfig) -> Wo
     rec.trace
 }
 
-/// What a batched replay did and produced.
-#[derive(Clone, Debug)]
-pub struct TrackerBatchOutcome {
-    /// Call ops replayed (batched + guard-driven).
-    pub calls: u64,
-    /// Ops (calls and returns) that went through `run_batch` windows.
-    pub batched_ops: u64,
-    /// Ops driven through per-op guards (the deep spine).
-    pub guard_ops: u64,
-    /// Final tracker statistics.
-    pub stats: DacceStats,
+/// For each op, the index of the return closing it: set for calls whose
+/// frame closes within the stream, `usize::MAX` for returns and for calls
+/// still open when the stream ends (an interpreter budget can cut a run
+/// mid-stack). A call at `i` closes within `w` ops iff
+/// `match_ret[i] - i < w`.
+///
+/// # Panics
+///
+/// Panics on a return with no open call (recorded streams are balanced).
+pub(crate) fn matching_returns(ops: &[TraceOp]) -> Vec<usize> {
+    let mut match_ret = vec![usize::MAX; ops.len()];
+    let mut open = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            TraceOp::Call { .. } => open.push(i),
+            TraceOp::Ret => match_ret[open.pop().expect("return matches a call")] = i,
+        }
+    }
+    match_ret
 }
 
-/// Ops folded into one `run_batch` call; windows whose matching return
-/// lies further out than this stay on the guard path.
-const BATCH_WINDOW: usize = 64;
+/// Trace-to-tracker id maps, filled as trace ids first appear. A map
+/// reused across passes replays the later passes over the same ids.
+#[derive(Debug, Default)]
+pub(crate) struct IdMaps {
+    fns: HashMap<FunctionId, FunctionId>,
+    sites: HashMap<CallSiteId, CallSiteId>,
+}
 
-/// Replays `trace` against a fresh [`Tracker`] under `config`, driving
-/// balanced windows of up to `window` ops through [`ThreadHandle::run_batch`]
-/// and the rest through guards. `window = 0` forces the pure guard path
-/// (the differential reference).
-pub fn replay_with_window(
-    trace: &WorkloadTrace,
-    config: DacceConfig,
-    window: usize,
-) -> TrackerBatchOutcome {
-    let tracker = Tracker::with_config(config);
-    let mut fn_map: HashMap<FunctionId, FunctionId> = HashMap::new();
-    let mut site_map: HashMap<CallSiteId, CallSiteId> = HashMap::new();
-    let (batched_ops, guard_ops) = replay_onto(&tracker, trace, window, &mut fn_map, &mut site_map);
-    tracker
-        .check_invariants()
-        .expect("flat dispatch must agree with the logical table after replay");
-    TrackerBatchOutcome {
-        calls: trace.calls(),
-        batched_ops,
-        guard_ops,
-        stats: tracker.stats(),
+impl IdMaps {
+    fn function(&mut self, tracker: &Tracker, f: FunctionId) -> FunctionId {
+        *self
+            .fns
+            .entry(f)
+            .or_insert_with(|| tracker.define_function(&format!("fn{}", f.index())))
+    }
+
+    fn site(&mut self, tracker: &Tracker, s: CallSiteId) -> CallSiteId {
+        *self
+            .sites
+            .entry(s)
+            .or_insert_with(|| tracker.define_call_site())
+    }
+
+    /// Maps each thread's stream into tracker-id [`BatchOp`]s. The maps
+    /// must already cover every id in `trace` (a replay of it ran first),
+    /// so mining sees the exact op sequences `run_batch` sees.
+    pub(crate) fn streams(&self, trace: &WorkloadTrace) -> Vec<Vec<BatchOp>> {
+        trace
+            .threads
+            .iter()
+            .map(|start| {
+                trace.traces[&start.tid]
+                    .iter()
+                    .map(|op| match *op {
+                        TraceOp::Call {
+                            site,
+                            target,
+                            indirect,
+                        } => batch_call(self.sites[&site], self.fns[&target], indirect),
+                        TraceOp::Ret => BatchOp::Ret,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
-/// Replays `trace` onto an existing `tracker`, registering a fresh handle
-/// per recorded thread. The id maps are built lazily as trace ids first
-/// appear and can be reused across passes (a second pass finds them fully
-/// populated and replays over the warmed encoding). Returns
-/// `(batched_ops, guard_ops)`.
-pub(crate) fn replay_onto(
+fn batch_call(site: CallSiteId, target: FunctionId, indirect: bool) -> BatchOp {
+    if indirect {
+        BatchOp::CallIndirect { site, target }
+    } else {
+        BatchOp::Call { site, target }
+    }
+}
+
+/// One step the replay loop executed on a thread, in tracker ids.
+#[derive(Clone, Copy, Debug)]
+pub enum ReplayStep {
+    /// A `run_batch` of queued balanced windows.
+    Batch,
+    /// A guard entered `target` through `site`.
+    Call {
+        /// The call site.
+        site: CallSiteId,
+        /// The callee.
+        target: FunctionId,
+    },
+    /// A guard frame returned. Windows queued before it ran first, in the
+    /// same step.
+    Ret,
+}
+
+/// The caller's side of the replay loop ([`replay_guarded`] and the
+/// crate's windowed replays): per-thread hooks around the steps
+/// the loop executes. Every method defaults to doing nothing.
+pub trait ReplayVisitor {
+    /// `th` was registered for trace thread `tid`, whose stream is `ops`.
+    fn start(&mut self, _tid: ThreadId, _th: &ThreadHandle, _ops: &[TraceOp]) {}
+
+    /// `step` executed. `done` ops of the stream have now run, and
+    /// `expected` is the context the thread must be in: for a spawned
+    /// thread the parent's context at registration, then the spawn site
+    /// and root, then the open frames.
+    fn step(
+        &mut self,
+        _th: &ThreadHandle,
+        _step: ReplayStep,
+        _done: usize,
+        _expected: &[PathStep],
+    ) {
+    }
+
+    /// The stream ended after `done` ops, in context `expected`. Frames
+    /// it left open unwind after this call.
+    fn end(&mut self, _th: &ThreadHandle, _done: usize, _expected: &[PathStep]) {}
+}
+
+impl ReplayVisitor for () {}
+
+/// Replays `trace` onto `tracker`, registering a fresh handle per
+/// recorded thread in start order. Balanced windows of up to `window` ops
+/// run through [`ThreadHandle::run_batch`], everything else through
+/// guards; `window = 0` runs every op through a guard.
+pub(crate) fn replay(
     tracker: &Tracker,
     trace: &WorkloadTrace,
     window: usize,
-    fn_map: &mut HashMap<FunctionId, FunctionId>,
-    site_map: &mut HashMap<CallSiteId, CallSiteId>,
-) -> (u64, u64) {
+    ids: &mut IdMaps,
+    visit: &mut impl ReplayVisitor,
+) {
     let mut handles: HashMap<ThreadId, ThreadHandle> = HashMap::new();
-
-    let mut batched_ops = 0u64;
-    let mut guard_ops = 0u64;
+    // Each thread's root frame and parent. Streams replay one after
+    // another and unwind at their end, so a parent is back at its root
+    // context when its children register: a thread starts in its
+    // ancestors' root frames, outermost first.
+    let mut roots: HashMap<ThreadId, (PathStep, Option<ThreadId>)> = HashMap::new();
+    let mut shadow: Vec<PathStep> = Vec::new();
 
     for &ThreadStart { tid, root, parent } in &trace.threads {
-        let root = *fn_map
-            .entry(root)
-            .or_insert_with(|| tracker.define_function(&format!("fn{}", root.index())));
-        let th = match parent {
-            None => tracker.register_thread(root),
+        let root = ids.function(tracker, root);
+        let (th, site) = match parent {
+            None => (tracker.register_thread(root), None),
             Some((ptid, psite)) => {
-                let psite = *site_map
-                    .entry(psite)
-                    .or_insert_with(|| tracker.define_call_site());
+                let psite = ids.site(tracker, psite);
                 let parent = handles.get(&ptid).expect("parent registered before child");
-                tracker.register_spawned_thread(root, parent, psite)
+                (
+                    tracker.register_spawned_thread(root, parent, psite),
+                    Some(psite),
+                )
             }
         };
+        roots.insert(tid, (PathStep { site, func: root }, parent.map(|p| p.0)));
+        shadow.clear();
+        let mut up = Some(tid);
+        while let Some(t) = up {
+            let (step, parent) = roots[&t];
+            shadow.push(step);
+            up = parent;
+        }
+        shadow.reverse();
         // Park the handle first: guards borrow it, and children registered
         // later need their parent's handle to still be reachable.
         handles.insert(tid, th);
         let th = &handles[&tid];
         let ops = &trace.traces[&tid];
+        visit.start(tid, th, ops);
 
-        // `match_ret[i]` = index of the Ret closing the Call at `i`
-        // (usize::MAX when the trace ends with the frame still open).
-        let mut match_ret = vec![usize::MAX; ops.len()];
-        let mut open = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                TraceOp::Call { .. } => open.push(i),
-                TraceOp::Ret => match_ret[open.pop().expect("return matches a call")] = i,
-            }
-        }
-
-        let mut buf: Vec<BatchOp> = Vec::with_capacity(window.max(1));
+        let match_ret = if window > 0 {
+            matching_returns(ops)
+        } else {
+            Vec::new()
+        };
+        let mut buf: Vec<BatchOp> = Vec::with_capacity(window);
         // Calls queued in `buf` and not yet closed by a queued Ret. A far
         // call or a guard-frame return can only arrive at `buf_depth == 0`
         // (nesting: everything inside a batched window closes within it),
         // so flushing there always hands `run_batch` a balanced sequence.
         let mut buf_depth = 0usize;
         let mut guards = Vec::new();
-        let mut i = 0;
-        while i < ops.len() {
-            match ops[i] {
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
                 TraceOp::Call {
                     site,
                     target,
                     indirect,
                 } => {
-                    let site = *site_map
-                        .entry(site)
-                        .or_insert_with(|| tracker.define_call_site());
-                    let target = *fn_map.entry(target).or_insert_with(|| {
-                        tracker.define_function(&format!("fn{}", target.index()))
-                    });
-                    let j = match_ret[i];
-                    if j != usize::MAX && j - i < window {
-                        // The whole window [i, j] is balanced; queue it
-                        // op-by-op as the cursor passes (inner frames
-                        // close within the window by nesting).
-                        buf.push(if indirect {
-                            BatchOp::CallIndirect { site, target }
-                        } else {
-                            BatchOp::Call { site, target }
-                        });
+                    let site = ids.site(tracker, site);
+                    let target = ids.function(tracker, target);
+                    if window > 0 && match_ret[i] - i < window {
+                        // The whole window [i, match_ret[i]] is balanced;
+                        // queue it op by op as the cursor passes.
+                        buf.push(batch_call(site, target, indirect));
                         buf_depth += 1;
-                        i += 1;
+                        continue;
+                    }
+                    debug_assert_eq!(buf_depth, 0, "far calls only occur between windows");
+                    if flush(th, &mut buf) {
+                        visit.step(th, ReplayStep::Batch, i, &shadow);
+                    }
+                    guards.push(if indirect {
+                        th.call_indirect(site, target)
                     } else {
-                        debug_assert_eq!(buf_depth, 0, "far calls only occur between windows");
-                        if !buf.is_empty() {
-                            batched_ops += buf.len() as u64;
-                            th.run_batch(&buf).expect("replay windows are balanced");
-                            buf.clear();
-                        }
-                        guards.push(if indirect {
-                            th.call_indirect(site, target)
-                        } else {
-                            th.call(site, target)
-                        });
-                        guard_ops += 1;
-                        i += 1;
+                        th.call(site, target)
+                    });
+                    shadow.push(PathStep {
+                        site: Some(site),
+                        func: target,
+                    });
+                    visit.step(th, ReplayStep::Call { site, target }, i + 1, &shadow);
+                }
+                TraceOp::Ret if buf_depth > 0 => {
+                    buf.push(BatchOp::Ret);
+                    buf_depth -= 1;
+                    // A balanced buffer is a complete set of windows;
+                    // flush once it is big enough.
+                    if buf_depth == 0 && buf.len() >= window && flush(th, &mut buf) {
+                        visit.step(th, ReplayStep::Batch, i + 1, &shadow);
                     }
                 }
                 TraceOp::Ret => {
-                    if buf_depth > 0 {
-                        buf.push(BatchOp::Ret);
-                        buf_depth -= 1;
-                        // A balanced buffer is a complete set of windows;
-                        // flush once it is big enough.
-                        if buf_depth == 0 && buf.len() >= window.max(1) {
-                            batched_ops += buf.len() as u64;
-                            th.run_batch(&buf).expect("replay windows are balanced");
-                            buf.clear();
-                        }
-                    } else {
-                        // Closes a guard frame; queued (balanced) windows
-                        // precede it in program order, so flush them first.
-                        if !buf.is_empty() {
-                            batched_ops += buf.len() as u64;
-                            th.run_batch(&buf).expect("replay windows are balanced");
-                            buf.clear();
-                        }
-                        drop(guards.pop().expect("guard for unbatched return"));
-                        guard_ops += 1;
-                    }
-                    i += 1;
+                    // Closes a guard frame; queued windows precede it in
+                    // program order, so they run first.
+                    flush(th, &mut buf);
+                    drop(guards.pop().expect("guard for unbatched return"));
+                    shadow.pop();
+                    visit.step(th, ReplayStep::Ret, i + 1, &shadow);
                 }
             }
         }
         debug_assert_eq!(buf_depth, 0, "queued windows close within the trace");
-        if !buf.is_empty() {
-            batched_ops += buf.len() as u64;
-            th.run_batch(&buf).expect("replay windows are balanced");
-            buf.clear();
+        if flush(th, &mut buf) {
+            visit.step(th, ReplayStep::Batch, ops.len(), &shadow);
         }
-        // The interpreter's budget can cut a run mid-stack; unwind what
-        // stayed open so the thread finishes clean.
-        while let Some(g) = guards.pop() {
-            drop(g);
-            guard_ops += 1;
-        }
-    }
-
-    (batched_ops, guard_ops)
-}
-
-/// Maps each recorded thread's stream into tracker-id [`BatchOp`]s. The
-/// maps must already cover every id in the trace (i.e. a replay pass ran
-/// first) — mining operates on the exact op sequences `run_batch` sees.
-pub(crate) fn mapped_streams(
-    trace: &WorkloadTrace,
-    fn_map: &HashMap<FunctionId, FunctionId>,
-    site_map: &HashMap<CallSiteId, CallSiteId>,
-) -> Vec<Vec<BatchOp>> {
-    trace
-        .threads
-        .iter()
-        .map(|start| {
-            trace.traces[&start.tid]
-                .iter()
-                .map(|op| match *op {
-                    TraceOp::Call {
-                        site,
-                        target,
-                        indirect,
-                    } => {
-                        let site = site_map[&site];
-                        let target = fn_map[&target];
-                        if indirect {
-                            BatchOp::CallIndirect { site, target }
-                        } else {
-                            BatchOp::Call { site, target }
-                        }
-                    }
-                    TraceOp::Ret => BatchOp::Ret,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Records `spec`'s workload (tail-free variant) and replays it through
-/// the batched tracker drive — the workload-scale exercise of
-/// [`ThreadHandle::run_batch`].
-pub fn run_tracker_batched(spec: &BenchSpec, cfg: &DriverConfig) -> TrackerBatchOutcome {
-    let mut spec = spec.clone();
-    spec.tail_fraction = 0.0;
-    let program = generate_program(&spec);
-    let mut icfg = interp_config(&spec, cfg);
-    icfg.sample_every = 0;
-    icfg.validate = false;
-    let trace = record(&program, icfg);
-    replay_with_window(&trace, cfg.dacce.clone(), BATCH_WINDOW)
-}
-
-/// Outcome of the two-pass superop drive.
-#[derive(Clone, Debug)]
-pub struct SuperopReplayOutcome {
-    /// Candidate windows the miner ranked into the install set.
-    pub mined: usize,
-    /// Superops that actually compiled into the published table.
-    pub installed: usize,
-    /// The replay outcome; `stats` covers both passes, superop hit/miss
-    /// counters only the second (superops compile between the passes).
-    pub outcome: TrackerBatchOutcome,
-}
-
-/// Replays `trace` twice on one tracker: a warm pass that discovers sites
-/// and gathers sampled hotness, then — after mining balanced windows from
-/// the mapped streams and installing the ranked candidates — a second
-/// pass in which matching windows execute as memoized superops.
-pub fn replay_superops(
-    trace: &WorkloadTrace,
-    config: DacceConfig,
-    window: usize,
-) -> SuperopReplayOutcome {
-    let max_window = config.superop_max_window.min(window.max(2));
-    let max_table = config.superop_max_table;
-    let tracker = Tracker::with_config(config);
-    let mut fn_map: HashMap<FunctionId, FunctionId> = HashMap::new();
-    let mut site_map: HashMap<CallSiteId, CallSiteId> = HashMap::new();
-    let _ = replay_onto(&tracker, trace, window, &mut fn_map, &mut site_map);
-
-    let hot = crate::superops::leaf_weights(&tracker.profiler_profile());
-    let streams = mapped_streams(trace, &fn_map, &site_map);
-    let refs: Vec<&[BatchOp]> = streams.iter().map(Vec::as_slice).collect();
-    let candidates = crate::superops::mine_windows(&refs, max_window, max_table, |f| {
-        hot.get(&f).copied().unwrap_or(0)
-    });
-    let mined = candidates.len();
-    let installed = tracker.install_superops(&candidates);
-
-    let (batched_ops, guard_ops) = replay_onto(&tracker, trace, window, &mut fn_map, &mut site_map);
-    tracker
-        .check_invariants()
-        .expect("flat dispatch must agree with the logical table after superop replay");
-    SuperopReplayOutcome {
-        mined,
-        installed,
-        outcome: TrackerBatchOutcome {
-            calls: trace.calls(),
-            batched_ops,
-            guard_ops,
-            stats: tracker.stats(),
-        },
+        visit.end(th, ops.len(), &shadow);
+        // Unwind what stayed open (innermost first) so the thread
+        // finishes clean.
+        while guards.pop().is_some() {}
     }
 }
 
-/// Records `spec`'s workload and runs the two-pass superop drive.
-pub fn run_tracker_superops(spec: &BenchSpec, cfg: &DriverConfig) -> SuperopReplayOutcome {
-    let mut spec = spec.clone();
-    spec.tail_fraction = 0.0;
-    let program = generate_program(&spec);
-    let mut icfg = interp_config(&spec, cfg);
-    icfg.sample_every = 0;
-    icfg.validate = false;
-    let trace = record(&program, icfg);
-    replay_superops(&trace, cfg.dacce.clone(), BATCH_WINDOW)
+/// Runs the windows queued in `buf`, if any; returns whether it ran one.
+fn flush(th: &ThreadHandle, buf: &mut Vec<BatchOp>) -> bool {
+    if buf.is_empty() {
+        return false;
+    }
+    th.run_batch(buf).expect("replay windows are balanced");
+    buf.clear();
+    true
+}
+
+/// Replays `trace` onto `tracker` with every op driven through a guard,
+/// reporting each one to `visit`: one call op enters the runtime once,
+/// so per-call samplers tick exactly once per op.
+pub fn replay_guarded(tracker: &Tracker, trace: &WorkloadTrace, visit: &mut impl ReplayVisitor) {
+    replay(tracker, trace, 0, &mut IdMaps::default(), visit);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::chaos_trace;
+    use crate::driver::DriverConfig;
+    use crate::spec::BenchSpec;
+    use crate::superops::install_mined;
+    use dacce::{DacceConfig, DacceStats};
 
-    fn smoke_cfg() -> DriverConfig {
-        DriverConfig {
+    /// The throughput-shaped window: wider than the chaos replay's.
+    const WIDE_WINDOW: usize = 64;
+
+    fn tiny_trace(name: &'static str, seed: u64) -> (WorkloadTrace, DacceConfig) {
+        let cfg = DriverConfig {
             scale: 0.1,
             ..DriverConfig::default()
+        };
+        (chaos_trace(&BenchSpec::tiny(name, seed), &cfg), cfg.dacce)
+    }
+
+    /// Counts the ops each step kind covered, and checks the shadow stack
+    /// against the live context after every guard op.
+    #[derive(Default)]
+    struct Census<'t> {
+        tracker: Option<&'t Tracker>,
+        guard_ops: u64,
+        ops: u64,
+        shadow_checks: u64,
+    }
+
+    impl ReplayVisitor for Census<'_> {
+        fn step(&mut self, th: &ThreadHandle, step: ReplayStep, _: usize, expected: &[PathStep]) {
+            if matches!(step, ReplayStep::Batch) {
+                return;
+            }
+            self.guard_ops += 1;
+            if let Some(tracker) = self.tracker {
+                let path = tracker.decode(&th.sample()).expect("live contexts decode");
+                assert_eq!(
+                    path.0, expected,
+                    "shadow stack diverged from the live context"
+                );
+                self.shadow_checks += 1;
+            }
         }
+
+        fn end(&mut self, _: &ThreadHandle, done: usize, _: &[PathStep]) {
+            self.ops += done as u64;
+        }
+    }
+
+    fn replay_counted(
+        trace: &WorkloadTrace,
+        config: DacceConfig,
+        window: usize,
+    ) -> (Census<'static>, DacceStats) {
+        let tracker = Tracker::with_config(config);
+        let mut census = Census::default();
+        replay(&tracker, trace, window, &mut IdMaps::default(), &mut census);
+        tracker
+            .check_invariants()
+            .expect("flat dispatch must agree with the logical table after replay");
+        (census, tracker.stats())
     }
 
     #[test]
     fn batched_replay_covers_the_workload() {
-        let out = run_tracker_batched(&BenchSpec::tiny("batch-test", 7), &smoke_cfg());
+        let (trace, config) = tiny_trace("batch-test", 7);
+        let (census, stats) = replay_counted(&trace, config, WIDE_WINDOW);
+        let calls = trace.calls();
+        assert!(calls >= 1_000, "tiny spec still runs {calls} calls");
+        assert_eq!(stats.calls, calls, "every recorded call replays");
+        assert_eq!(stats.decode_errors, 0);
+        let batched_ops = census.ops - census.guard_ops;
         assert!(
-            out.calls >= 1_000,
-            "tiny spec still runs {} calls",
-            out.calls
+            batched_ops > census.guard_ops,
+            "leaf churn must dominate: {batched_ops} batched vs {} guard ops",
+            census.guard_ops
         );
-        assert_eq!(out.stats.calls, out.calls, "every recorded call replays");
-        assert_eq!(out.stats.decode_errors, 0);
-        assert!(
-            out.batched_ops > out.guard_ops,
-            "leaf churn must dominate: {} batched vs {} guard ops",
-            out.batched_ops,
-            out.guard_ops
-        );
-        assert!(out.stats.reencodes > 0, "adaptivity still kicks in");
+        assert!(stats.reencodes > 0, "adaptivity still kicks in");
     }
 
     #[test]
-    fn superop_drive_hits_and_agrees_with_plain_replay() {
-        let spec = BenchSpec::tiny("superop-drive", 13);
-        let cfg = smoke_cfg();
-        let mut tail_free = spec.clone();
-        tail_free.tail_fraction = 0.0;
-        let program = generate_program(&tail_free);
-        let mut icfg = interp_config(&tail_free, &cfg);
-        icfg.sample_every = 0;
-        icfg.validate = false;
-        let trace = record(&program, icfg);
+    fn batched_and_guard_replays_agree() {
+        let (trace, config) = tiny_trace("batch-diff", 11);
+        let (batched, b) = replay_counted(&trace, config.clone(), WIDE_WINDOW);
+        let (guarded, g) = replay_counted(&trace, config, 0);
+        assert_eq!(guarded.guard_ops, guarded.ops, "window 0 guards every op");
+        assert_eq!(batched.ops, guarded.ops);
+        assert_eq!(b.calls, g.calls);
+        // Trigger counters flush per batch rather than per op, so the two
+        // drives may re-encode a few events apart — the ccStack traffic
+        // must agree up to that slack, not exactly.
+        let (a, c) = (b.ccstack_ops, g.ccstack_ops);
+        assert!(
+            a.abs_diff(c) * 20 <= a.max(c).max(1),
+            "ccstack traffic diverged: batched {a} vs guarded {c}"
+        );
+        assert_eq!(b.decode_errors, 0);
+        assert_eq!(g.decode_errors, 0);
+    }
 
-        let out = replay_superops(&trace, cfg.dacce.clone(), BATCH_WINDOW);
-        assert!(out.installed > 0, "repeat-heavy trace compiles superops");
-        assert!(out.installed <= out.mined);
-        let s = &out.outcome.stats;
+    #[test]
+    fn shadow_stack_tracks_every_op() {
+        let (trace, config) = tiny_trace("batch-shadow", 17);
+        let tracker = Tracker::with_config(config);
+        let mut census = Census {
+            tracker: Some(&tracker),
+            ..Census::default()
+        };
+        replay_guarded(&tracker, &trace, &mut census);
+        assert!(census.ops >= 1_000);
+        assert_eq!(census.shadow_checks, census.ops, "every op is checked");
+    }
+
+    /// Replays `trace` twice onto one tracker, installing superops mined
+    /// from the first pass before the second. Returns the mined and
+    /// installed counts and the final statistics.
+    fn two_pass(trace: &WorkloadTrace, config: DacceConfig) -> (usize, usize, DacceStats) {
+        let max_window = config.superop_max_window.min(WIDE_WINDOW);
+        let max_table = config.superop_max_table;
+        let tracker = Tracker::with_config(config);
+        let mut ids = IdMaps::default();
+        replay(&tracker, trace, WIDE_WINDOW, &mut ids, &mut ());
+        let streams = ids.streams(trace);
+        let (mined, installed) = install_mined(&tracker, &streams, max_window, max_table);
+        replay(&tracker, trace, WIDE_WINDOW, &mut ids, &mut ());
+        tracker
+            .check_invariants()
+            .expect("flat dispatch must agree with the logical table after superop replay");
+        (mined, installed, tracker.stats())
+    }
+
+    #[test]
+    fn second_pass_hits_superops_and_replays_every_call() {
+        let (trace, config) = tiny_trace("superop-drive", 13);
+        let (mined, installed, s) = two_pass(&trace, config.clone());
+        assert!(installed > 0, "repeat-heavy trace compiles superops");
+        assert!(installed <= mined);
         assert!(
             s.superop_hits > 0,
-            "second pass must hit compiled superops ({} installed)",
-            out.installed
+            "second pass must hit compiled superops ({installed} installed)"
         );
         assert!(s.superop_events >= s.superop_hits * 2, "hits cover windows");
         // Two passes replay every recorded call, whether per-event or
@@ -496,39 +552,13 @@ mod tests {
         assert_eq!(s.decode_errors, 0);
 
         // Disabling superops compiles nothing and never probes.
-        let mut off_cfg = cfg.dacce.clone();
-        off_cfg.superops_enabled = false;
-        let off = replay_superops(&trace, off_cfg, BATCH_WINDOW);
-        assert_eq!(off.installed, 0);
-        assert_eq!(off.outcome.stats.superop_hits, 0);
-        assert_eq!(off.outcome.stats.calls, 2 * trace.calls());
-    }
-
-    #[test]
-    fn batched_and_guard_replays_agree() {
-        let spec = BenchSpec::tiny("batch-diff", 11);
-        let cfg = smoke_cfg();
-        let mut tail_free = spec.clone();
-        tail_free.tail_fraction = 0.0;
-        let program = generate_program(&tail_free);
-        let mut icfg = interp_config(&tail_free, &cfg);
-        icfg.sample_every = 0;
-        icfg.validate = false;
-        let trace = record(&program, icfg);
-
-        let batched = replay_with_window(&trace, cfg.dacce.clone(), BATCH_WINDOW);
-        let guarded = replay_with_window(&trace, cfg.dacce.clone(), 0);
-        assert_eq!(batched.guard_ops + batched.batched_ops, guarded.guard_ops);
-        assert_eq!(batched.stats.calls, guarded.stats.calls);
-        // Trigger counters flush per batch rather than per op, so the two
-        // drives may re-encode a few events apart — the ccStack traffic
-        // must agree up to that slack, not exactly.
-        let (a, b) = (batched.stats.ccstack_ops, guarded.stats.ccstack_ops);
-        assert!(
-            a.abs_diff(b) * 20 <= a.max(b).max(1),
-            "ccstack traffic diverged: batched {a} vs guarded {b}"
-        );
-        assert_eq!(batched.stats.decode_errors, 0);
-        assert_eq!(guarded.stats.decode_errors, 0);
+        let off_cfg = DacceConfig {
+            superops_enabled: false,
+            ..config
+        };
+        let (_, installed, off) = two_pass(&trace, off_cfg);
+        assert_eq!(installed, 0);
+        assert_eq!(off.superop_hits, 0);
+        assert_eq!(off.calls, 2 * trace.calls());
     }
 }

@@ -1,41 +1,38 @@
 //! Deterministic chaos harness: replay a recorded workload trace under an
-//! injected [`FaultPlan`] and differentially check every decoded context
-//! against the fault-free run.
+//! injected [`FaultPlan`] and check every decoded context twice — against
+//! the fault-free run and against the replay's shadow stack.
 //!
 //! Soundness under degradation is the property being tested: whatever
 //! faults fire — maxID exhaustion, ccStack spills, aborted re-encodings,
 //! dispatch-slot starvation, poisoned slow-path locks — the runtime may
 //! get *slower* (more trapping, more ccStack traffic) but never *wrong*.
 //! A context sampled at op N of the trace must decode to exactly the path
-//! the fault-free replay decodes at op N. Everything is seeded: the
-//! program, the interpreter schedule, the recorded trace, the sample
-//! cadence and the fault plan are all pure functions of the spec and the
-//! plan, so a failing run reproduces byte-for-byte.
+//! the fault-free replay decodes at op N, and to the context the trace
+//! says the thread is in there. Everything is seeded: the program, the
+//! interpreter schedule, the recorded trace, the sample cadence and the
+//! fault plan are all pure functions of the spec and the plan, so a
+//! failing run reproduces byte-for-byte.
 //!
-//! The replay reuses the PR 4 batched drive shape: balanced windows go
-//! through [`ThreadHandle::run_batch`], the deep spine through RAII
-//! guards, so the fault paths are exercised under both front-ends.
+//! The replay is the loop of [`crate::batch`] with a 16-op window: balanced windows go through [`ThreadHandle::run_batch`], the
+//! deep spine through RAII guards, so the fault paths are exercised under
+//! both front-ends. This module only adds the sampler that decodes a
+//! context every [`JOURNAL_SAMPLE_EVERY`] ops.
 
-use std::collections::HashMap;
-
-use dacce::tracker::{BatchOp, ThreadHandle, Tracker};
+use dacce::tracker::{ThreadHandle, Tracker};
 use dacce::{DacceConfig, DacceStats, FaultPlan, Observability};
-use dacce_callgraph::{CallSiteId, FunctionId};
-use dacce_program::ThreadId;
+use dacce_program::{PathStep, ThreadId};
 
-use crate::batch::{record, ThreadStart, TraceOp, WorkloadTrace};
+use crate::batch::{record, replay, IdMaps, ReplayStep, ReplayVisitor, TraceOp, WorkloadTrace};
 use crate::driver::{interp_config, DriverConfig};
 use crate::genprog::generate_program;
+use crate::journal::JOURNAL_SAMPLE_EVERY;
 use crate::spec::BenchSpec;
+use crate::superops::install_mined;
 
 /// Ops folded into one `run_batch` window during chaos replay. Smaller
-/// than the throughput drive's window so sample points interleave with
+/// than a throughput drive's window so sample points interleave with
 /// batch boundaries.
-const CHAOS_WINDOW: usize = 16;
-
-/// A context is sampled (and decoded) every this many replayed ops, per
-/// thread. Prime so the cadence drifts across window boundaries.
-const SAMPLE_EVERY: u64 = 127;
+pub(crate) const CHAOS_WINDOW: usize = 16;
 
 /// What one replay of the trace produced.
 #[derive(Clone, Debug)]
@@ -45,6 +42,9 @@ pub struct ChaosReplay {
     pub paths: Vec<String>,
     /// Samples that failed to decode (always 0 for a sound runtime).
     pub decode_failures: usize,
+    /// Decoded samples that differ from the replay's shadow stack (always
+    /// 0 for a sound runtime).
+    pub shadow_mismatches: usize,
     /// Final tracker statistics (including the degraded-state record).
     pub stats: DacceStats,
     /// The tracker's observability handle: its metrics, which `stats`
@@ -72,10 +72,11 @@ pub struct ChaosOutcome {
 
 impl ChaosOutcome {
     /// True when the faulted run decoded every sample to the fault-free
-    /// path and the post-run invariants held.
+    /// path and to the shadow stack, and the post-run invariants held.
     pub fn sound(&self) -> bool {
         self.mismatches == 0
             && self.replay.decode_failures == 0
+            && self.replay.shadow_mismatches == 0
             && self.replay.invariant_error.is_none()
     }
 }
@@ -95,7 +96,8 @@ pub fn chaos_trace(spec: &BenchSpec, cfg: &DriverConfig) -> WorkloadTrace {
 
 /// Replays `trace` under `config` (which carries the fault plan), driving
 /// balanced windows through [`ThreadHandle::run_batch`] and the spine
-/// through guards, sampling and decoding every [`SAMPLE_EVERY`] ops.
+/// through guards, sampling and decoding every [`JOURNAL_SAMPLE_EVERY`]
+/// ops.
 pub fn replay_sampled(trace: &WorkloadTrace, config: DacceConfig) -> ChaosReplay {
     replay_sampled_impl(trace, config, false)
 }
@@ -130,155 +132,67 @@ fn warmup_prefix(trace: &WorkloadTrace) -> WorkloadTrace {
     }
 }
 
+/// Samples and decodes a context every [`JOURNAL_SAMPLE_EVERY`] ops of
+/// each thread, at op counts that depend only on the trace, so the
+/// faulted and fault-free replays sample identical program points.
+struct ChaosSampler<'t> {
+    tracker: &'t Tracker,
+    tid: ThreadId,
+    next_sample: u64,
+    paths: Vec<String>,
+    decode_failures: usize,
+    shadow_mismatches: usize,
+}
+
+impl ReplayVisitor for ChaosSampler<'_> {
+    fn start(&mut self, tid: ThreadId, _: &ThreadHandle, _: &[TraceOp]) {
+        self.tid = tid;
+        self.next_sample = JOURNAL_SAMPLE_EVERY;
+    }
+
+    fn step(&mut self, th: &ThreadHandle, _: ReplayStep, done: usize, expected: &[PathStep]) {
+        while done as u64 >= self.next_sample {
+            self.next_sample += JOURNAL_SAMPLE_EVERY;
+            let tid = self.tid;
+            match self.tracker.decode(&th.sample()) {
+                Ok(path) => {
+                    self.shadow_mismatches += usize::from(path.0 != expected);
+                    let path = self.tracker.format_path(&path);
+                    self.paths.push(format!("{tid}: {path}"));
+                }
+                Err(e) => {
+                    self.decode_failures += 1;
+                    self.paths.push(format!("{tid}: decode-error {e}"));
+                }
+            }
+        }
+    }
+}
+
 fn replay_sampled_impl(trace: &WorkloadTrace, config: DacceConfig, superops: bool) -> ChaosReplay {
     let max_window = config.superop_max_window.min(CHAOS_WINDOW);
     let max_table = config.superop_max_table;
     let tracker = Tracker::with_config(config);
-    let mut fn_map: HashMap<FunctionId, FunctionId> = HashMap::new();
-    let mut site_map: HashMap<CallSiteId, CallSiteId> = HashMap::new();
+    let mut ids = IdMaps::default();
     if superops {
         let warm = warmup_prefix(trace);
-        let _ =
-            crate::batch::replay_onto(&tracker, &warm, CHAOS_WINDOW, &mut fn_map, &mut site_map);
-        let hot = crate::superops::leaf_weights(&tracker.profiler_profile());
-        let streams = crate::batch::mapped_streams(&warm, &fn_map, &site_map);
-        let refs: Vec<&[BatchOp]> = streams.iter().map(Vec::as_slice).collect();
-        let candidates = crate::superops::mine_windows(&refs, max_window, max_table, |f| {
-            hot.get(&f).copied().unwrap_or(0)
-        });
-        let _ = tracker.install_superops(&candidates);
+        replay(&tracker, &warm, CHAOS_WINDOW, &mut ids, &mut ());
+        install_mined(&tracker, &ids.streams(&warm), max_window, max_table);
     }
-    let mut handles: HashMap<ThreadId, ThreadHandle> = HashMap::new();
-    let mut paths = Vec::new();
-    let mut decode_failures = 0usize;
-
-    for &ThreadStart { tid, root, parent } in &trace.threads {
-        let root = *fn_map
-            .entry(root)
-            .or_insert_with(|| tracker.define_function(&format!("fn{}", root.index())));
-        let th = match parent {
-            None => tracker.register_thread(root),
-            Some((ptid, psite)) => {
-                let psite = *site_map
-                    .entry(psite)
-                    .or_insert_with(|| tracker.define_call_site());
-                let parent = handles.get(&ptid).expect("parent registered before child");
-                tracker.register_spawned_thread(root, parent, psite)
-            }
-        };
-        handles.insert(tid, th);
-        let th = &handles[&tid];
-        let ops = &trace.traces[&tid];
-
-        // `match_ret[i]` = index of the Ret closing the Call at `i`.
-        let mut match_ret = vec![usize::MAX; ops.len()];
-        let mut open_idx = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                TraceOp::Call { .. } => open_idx.push(i),
-                TraceOp::Ret => match_ret[open_idx.pop().expect("return matches a call")] = i,
-            }
-        }
-
-        let mut buf: Vec<BatchOp> = Vec::with_capacity(CHAOS_WINDOW);
-        let mut buf_depth = 0usize;
-        let mut guards = Vec::new();
-        let mut done = 0u64;
-        // Samples fire at op counts that depend only on the trace, so the
-        // faulted and fault-free replays sample identical program points.
-        let mut next_sample = SAMPLE_EVERY;
-        let mut sample_due = |done: u64, paths: &mut Vec<String>, decode_failures: &mut usize| {
-            while done >= next_sample {
-                next_sample += SAMPLE_EVERY;
-                let ctx = th.sample();
-                match tracker.decode(&ctx) {
-                    Ok(path) => paths.push(format!("{tid}: {}", tracker.format_path(&path))),
-                    Err(e) => {
-                        *decode_failures += 1;
-                        paths.push(format!("{tid}: decode-error {e}"));
-                    }
-                }
-            }
-        };
-
-        let mut i = 0;
-        while i < ops.len() {
-            match ops[i] {
-                TraceOp::Call {
-                    site,
-                    target,
-                    indirect,
-                } => {
-                    let site = *site_map
-                        .entry(site)
-                        .or_insert_with(|| tracker.define_call_site());
-                    let target = *fn_map.entry(target).or_insert_with(|| {
-                        tracker.define_function(&format!("fn{}", target.index()))
-                    });
-                    let j = match_ret[i];
-                    if j != usize::MAX && j - i < CHAOS_WINDOW {
-                        buf.push(if indirect {
-                            BatchOp::CallIndirect { site, target }
-                        } else {
-                            BatchOp::Call { site, target }
-                        });
-                        buf_depth += 1;
-                    } else {
-                        if !buf.is_empty() {
-                            done += buf.len() as u64;
-                            th.run_batch(&buf).expect("replay windows are balanced");
-                            buf.clear();
-                            sample_due(done, &mut paths, &mut decode_failures);
-                        }
-                        guards.push(if indirect {
-                            th.call_indirect(site, target)
-                        } else {
-                            th.call(site, target)
-                        });
-                        done += 1;
-                        sample_due(done, &mut paths, &mut decode_failures);
-                    }
-                    i += 1;
-                }
-                TraceOp::Ret => {
-                    if buf_depth > 0 {
-                        buf.push(BatchOp::Ret);
-                        buf_depth -= 1;
-                        if buf_depth == 0 && buf.len() >= CHAOS_WINDOW {
-                            done += buf.len() as u64;
-                            th.run_batch(&buf).expect("replay windows are balanced");
-                            buf.clear();
-                            sample_due(done, &mut paths, &mut decode_failures);
-                        }
-                    } else {
-                        if !buf.is_empty() {
-                            done += buf.len() as u64;
-                            th.run_batch(&buf).expect("replay windows are balanced");
-                            buf.clear();
-                        }
-                        drop(guards.pop().expect("guard for unbatched return"));
-                        done += 1;
-                        sample_due(done, &mut paths, &mut decode_failures);
-                    }
-                    i += 1;
-                }
-            }
-        }
-        if !buf.is_empty() {
-            done += buf.len() as u64;
-            th.run_batch(&buf).expect("replay windows are balanced");
-            buf.clear();
-            sample_due(done, &mut paths, &mut decode_failures);
-        }
-        while let Some(g) = guards.pop() {
-            drop(g);
-        }
-    }
-
+    let mut sampler = ChaosSampler {
+        tracker: &tracker,
+        tid: ThreadId::MAIN,
+        next_sample: JOURNAL_SAMPLE_EVERY,
+        paths: Vec::new(),
+        decode_failures: 0,
+        shadow_mismatches: 0,
+    };
+    replay(&tracker, trace, CHAOS_WINDOW, &mut ids, &mut sampler);
     let invariant_error = tracker.check_invariants().err();
     ChaosReplay {
-        paths,
-        decode_failures,
+        paths: sampler.paths,
+        decode_failures: sampler.decode_failures,
+        shadow_mismatches: sampler.shadow_mismatches,
         stats: tracker.stats(),
         obs: tracker.observability().clone(),
         invariant_error,
@@ -293,13 +207,12 @@ pub fn run_chaos_plan(
     preset: &str,
     plan: FaultPlan,
 ) -> ChaosOutcome {
-    let mut clean_cfg = base.clone();
-    clean_cfg.fault = FaultPlan::default();
-    let clean = replay_sampled(trace, clean_cfg);
-
-    let mut fault_cfg = base.clone();
-    fault_cfg.fault = plan;
-    let faulted = replay_sampled(trace, fault_cfg);
+    let with = |fault| DacceConfig {
+        fault,
+        ..base.clone()
+    };
+    let clean = replay_sampled(trace, with(FaultPlan::default()));
+    let faulted = replay_sampled(trace, with(plan));
 
     assert_eq!(
         clean.paths.len(),
@@ -348,6 +261,7 @@ mod tests {
         let replay = replay_sampled(&trace, DacceConfig::default());
         assert!(replay.paths.len() > 4, "cadence produces samples");
         assert_eq!(replay.decode_failures, 0);
+        assert_eq!(replay.shadow_mismatches, 0, "live contexts match the trace");
         assert_eq!(replay.invariant_error, None);
         assert!(!replay.stats.degraded.any(), "no faults, no degradation");
     }
@@ -371,11 +285,7 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        assert!(
-            out.mismatches == 0 && out.replay.decode_failures == 0,
-            "degraded decode diverged: {out:?}"
-        );
-        assert_eq!(out.replay.invariant_error, None);
+        assert!(out.sound(), "degraded decode diverged: {out:?}");
         let d = &out.replay.stats.degraded;
         assert!(d.active, "a zero maxID cap must force degraded mode");
         assert!(d.degraded_traps > 0);

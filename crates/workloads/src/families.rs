@@ -17,11 +17,12 @@
 //!   approximate-call-graph shape): a few megamorphic sites keep
 //!   discovering new callees until the end of the run.
 //!
-//! Families generate [`WorkloadTrace`]s directly (no interpreter pass),
-//! so they run under every chaos preset via
-//! [`crate::chaos::replay_sampled`] / [`crate::chaos::run_chaos_plan`]
-//! and record into decode journals via [`crate::journal::record_journal`]
-//! exactly like suite traces. Everything is a pure function of
+//! Families generate [`WorkloadTrace`]s directly (no interpreter pass)
+//! and replay through the same loop as suite traces, so they run under
+//! every chaos preset via [`crate::chaos::replay_sampled`] /
+//! [`crate::chaos::run_chaos_plan`] and record into decode journals via
+//! [`crate::journal::record_journal`], with every sampled context checked
+//! against the replay's shadow stack. Everything is a pure function of
 //! `(name, seed, scale)`.
 
 use std::collections::HashMap;

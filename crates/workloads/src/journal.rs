@@ -1,35 +1,31 @@
 //! Decode-journal recording: drive the tracker over a recorded workload
-//! trace one op at a time, derive the per-op state effect each event
-//! applied (verified against the live state, see
-//! [`dacce::fragment::ThreadRecorder`]), and place seam seeds at
-//! balanced-frame boundaries so the journal splits into independently
-//! decodable fragments.
+//! trace one op at a time (the replay loop of [`crate::batch`] with a
+//! window of 0), record the per-op state effect each event applied
+//! (verified against the live state, see [`dacce::ThreadRecorder`]), and
+//! place seam seeds at balanced-frame boundaries so the journal splits
+//! into independently decodable fragments.
 //!
-//! Seam placement reuses the balanced-window classification of
-//! [`crate::batch`]: a call whose matching return lands within
-//! [`JOURNAL_WINDOW`] ops is a *short* frame; a seam may only be cut
-//! where no short frame is open, i.e. at the boundaries the batched
-//! replay would also flush at — every open frame at a seam is a deep
-//! spine frame. Combined with the seam-every cadence this yields
+//! Seam placement uses the chaos replay's window classification: a call
+//! whose matching return lands within 16 ops is a *short* frame; a seam
+//! may only be cut where no short frame is open, i.e. at the boundaries
+//! the chaos replay would also flush at — every open frame at a seam is a
+//! deep spine frame. Combined with the seam-every cadence this yields
 //! fragments of roughly uniform op count, which is what the parallel
 //! decoder's work-stealing queue wants.
 
-use std::collections::HashMap;
-
 use dacce::tracker::{ThreadHandle, Tracker};
 use dacce::{export_tracker_state, DacceConfig, DacceStats, DecodeJournal, ThreadRecorder};
-use dacce_callgraph::{CallSiteId, FunctionId};
-use dacce_program::ThreadId;
+use dacce_program::{PathStep, ThreadId};
 
-use crate::batch::{ThreadStart, TraceOp, WorkloadTrace};
+use crate::batch::{
+    matching_returns, replay_guarded, ReplayStep, ReplayVisitor, TraceOp, WorkloadTrace,
+};
+use crate::chaos::CHAOS_WINDOW;
 
-/// A decode point is journaled every this many replayed ops per thread
-/// (prime, mirroring the chaos harness cadence).
+/// A decode point is journaled every this many replayed ops per thread;
+/// the chaos harness samples at the same cadence. Prime, so the cadence
+/// drifts across window boundaries.
 pub const JOURNAL_SAMPLE_EVERY: u64 = 127;
-
-/// Horizon distinguishing short (window-local) frames from deep spine
-/// frames for seam eligibility — the chaos replay's batching window.
-pub const JOURNAL_WINDOW: usize = 16;
 
 /// Default seam cadence: one fragment seed roughly every this many ops.
 pub const DEFAULT_SEAM_EVERY: usize = 512;
@@ -52,46 +48,90 @@ pub struct RecordedRun {
 
 /// For each op index, whether a seam may be cut *after* it: true when no
 /// short frame (one closing within `window` ops of its call) is open.
+///
+/// # Panics
+///
+/// Panics on a return with no open call (recorded streams are balanced).
 #[must_use]
 pub fn balanced_boundaries(ops: &[TraceOp], window: usize) -> Vec<bool> {
-    let mut match_ret = vec![usize::MAX; ops.len()];
-    let mut open = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            TraceOp::Call { .. } => open.push(i),
-            TraceOp::Ret => {
-                if let Some(c) = open.pop() {
-                    match_ret[c] = i;
-                }
+    let match_ret = matching_returns(ops);
+    // Where each open short frame returns, innermost last.
+    let mut short_ends = Vec::new();
+    (0..ops.len())
+        .map(|i| {
+            if match_ret[i] - i < window {
+                short_ends.push(match_ret[i]);
+            } else if short_ends.last() == Some(&i) {
+                short_ends.pop();
             }
+            short_ends.is_empty()
+        })
+        .collect()
+}
+
+/// Records each guard op of a replay into the thread's
+/// [`ThreadRecorder`], with a decode point every [`JOURNAL_SAMPLE_EVERY`]
+/// ops and at thread exit, and a seam at the first balanced boundary
+/// once `seam_every` ops have passed since the last one.
+#[derive(Default)]
+struct JournalWriter {
+    seam_every: usize,
+    journal: DecodeJournal,
+    resyncs: u64,
+    rec: Option<ThreadRecorder>,
+    eligible: Vec<bool>,
+    next_sample: u64,
+    since_seam: usize,
+}
+
+impl ReplayVisitor for JournalWriter {
+    fn start(&mut self, tid: ThreadId, th: &ThreadHandle, ops: &[TraceOp]) {
+        self.eligible = balanced_boundaries(ops, CHAOS_WINDOW);
+        self.rec = Some(ThreadRecorder::new(tid.raw().into(), th.context()));
+        self.next_sample = JOURNAL_SAMPLE_EVERY;
+        self.since_seam = 0;
+    }
+
+    fn step(&mut self, th: &ThreadHandle, step: ReplayStep, done: usize, _: &[PathStep]) {
+        let rec = self.rec.as_mut().expect("thread started");
+        match step {
+            ReplayStep::Call { site, target } => {
+                rec.on_call(site, target, &th.state_sig(), || th.context());
+            }
+            ReplayStep::Ret => rec.on_ret(&th.state_sig(), || th.context()),
+            ReplayStep::Batch => unreachable!("journal replays guard every op"),
+        }
+        if done as u64 >= self.next_sample {
+            self.next_sample += JOURNAL_SAMPLE_EVERY;
+            rec.on_sample();
+        }
+        self.since_seam += 1;
+        if self.since_seam >= self.seam_every && self.eligible[done - 1] {
+            self.since_seam = 0;
+            rec.seam(|| th.context());
         }
     }
-    let mut eligible = vec![false; ops.len()];
-    let mut short_open = 0usize;
-    let mut flags: Vec<bool> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            TraceOp::Call { .. } => {
-                let short = match_ret[i] != usize::MAX && match_ret[i] - i < window;
-                flags.push(short);
-                short_open += usize::from(short);
-            }
-            TraceOp::Ret => {
-                if flags.pop().unwrap_or(false) {
-                    short_open -= 1;
-                }
-            }
+
+    fn end(&mut self, _: &ThreadHandle, done: usize, _: &[PathStep]) {
+        let mut rec = self.rec.take().expect("thread started");
+        // A decode point at thread exit: short-lived threads (fewer ops
+        // than the sample cadence) still contribute to the decoded
+        // stream — thread-churn workloads are all exit samples.
+        if done > 0 {
+            rec.on_sample();
         }
-        eligible[i] = short_open == 0;
+        self.resyncs += rec.resyncs();
+        self.journal.threads.push(rec.finish());
+        // Drop the flags with the thread they describe.
+        self.eligible = Vec::new();
     }
-    eligible
 }
 
 /// Replays `trace` through a fresh tracker under `config`, recording the
 /// verified effect journal with a seam seed roughly every `seam_every`
 /// ops (at the next balanced boundary), a decode point every
-/// [`JOURNAL_SAMPLE_EVERY`] ops, and the offline export captured after
-/// the run.
+/// [`JOURNAL_SAMPLE_EVERY`] ops and at each thread's exit, and the
+/// offline export captured after the run.
 ///
 /// # Panics
 ///
@@ -104,88 +144,17 @@ pub fn record_journal(
     seam_every: usize,
 ) -> RecordedRun {
     let tracker = Tracker::with_config(config);
-    let mut fn_map: HashMap<FunctionId, FunctionId> = HashMap::new();
-    let mut site_map: HashMap<CallSiteId, CallSiteId> = HashMap::new();
-    let mut handles: HashMap<ThreadId, ThreadHandle> = HashMap::new();
-    let mut journal = DecodeJournal::default();
-    let mut resyncs = 0u64;
-
-    for &ThreadStart { tid, root, parent } in &trace.threads {
-        let root = *fn_map
-            .entry(root)
-            .or_insert_with(|| tracker.define_function(&format!("fn{}", root.index())));
-        let th = match parent {
-            None => tracker.register_thread(root),
-            Some((ptid, psite)) => {
-                let psite = *site_map
-                    .entry(psite)
-                    .or_insert_with(|| tracker.define_call_site());
-                let parent = handles.get(&ptid).expect("parent registered before child");
-                tracker.register_spawned_thread(root, parent, psite)
-            }
-        };
-        handles.insert(tid, th);
-        let th = &handles[&tid];
-        let ops = &trace.traces[&tid];
-        let eligible = balanced_boundaries(ops, JOURNAL_WINDOW);
-
-        let mut rec = ThreadRecorder::new(tid.raw().into(), th.context());
-        let mut guards = Vec::new();
-        let mut next_sample = JOURNAL_SAMPLE_EVERY;
-        let mut since_seam = 0usize;
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                TraceOp::Call {
-                    site,
-                    target,
-                    indirect,
-                } => {
-                    let site = *site_map
-                        .entry(site)
-                        .or_insert_with(|| tracker.define_call_site());
-                    let target = *fn_map.entry(target).or_insert_with(|| {
-                        tracker.define_function(&format!("fn{}", target.index()))
-                    });
-                    guards.push(if indirect {
-                        th.call_indirect(site, target)
-                    } else {
-                        th.call(site, target)
-                    });
-                    rec.on_call(site, target, &th.state_sig(), || th.context());
-                }
-                TraceOp::Ret => {
-                    drop(guards.pop().expect("return matches an open call"));
-                    rec.on_ret(&th.state_sig(), || th.context());
-                }
-            }
-            let done = i as u64 + 1;
-            if done >= next_sample {
-                next_sample += JOURNAL_SAMPLE_EVERY;
-                rec.on_sample();
-            }
-            since_seam += 1;
-            if since_seam >= seam_every && eligible[i] {
-                since_seam = 0;
-                rec.seam(|| th.context());
-            }
-        }
-        // A decode point at thread exit: short-lived threads (fewer ops
-        // than the sample cadence) still contribute to the decoded
-        // stream — thread-churn workloads are all exit samples.
-        if !ops.is_empty() {
-            rec.on_sample();
-        }
-        resyncs += rec.resyncs();
-        journal.threads.push(rec.finish());
-        while guards.pop().is_some() {}
-    }
-
+    let mut writer = JournalWriter {
+        seam_every,
+        ..JournalWriter::default()
+    };
+    replay_guarded(&tracker, trace, &mut writer);
     let stats = tracker.stats();
     let export = export_tracker_state(&tracker);
     RecordedRun {
-        journal,
+        journal: writer.journal,
         export,
-        resyncs,
+        resyncs: writer.resyncs,
         stats,
     }
 }
@@ -212,7 +181,7 @@ mod tests {
     fn boundaries_only_open_on_the_spine() {
         let trace = tiny_trace();
         for ops in trace.traces.values() {
-            let eligible = balanced_boundaries(ops, JOURNAL_WINDOW);
+            let eligible = balanced_boundaries(ops, CHAOS_WINDOW);
             assert_eq!(eligible.len(), ops.len());
             // The end of a balanced stream is always eligible.
             if let Some(last) = eligible.last() {

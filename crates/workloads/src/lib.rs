@@ -30,10 +30,7 @@ pub mod spec;
 pub mod suite;
 pub mod superops;
 
-pub use batch::{
-    replay_superops, replay_with_window, run_tracker_batched, run_tracker_superops,
-    SuperopReplayOutcome, TrackerBatchOutcome, WorkloadTrace,
-};
+pub use batch::{replay_guarded, ReplayStep, ReplayVisitor, WorkloadTrace};
 pub use chaos::{
     chaos_trace, replay_sampled, replay_sampled_superops, run_all_presets, run_chaos_plan,
     ChaosOutcome, ChaosReplay,

@@ -1,11 +1,14 @@
 //! Superop candidate mining: find hot *balanced* call/return windows in
 //! recorded instrumentation streams and rank them for compilation.
 //!
-//! The batched replay ([`crate::batch`]) already splits traces into
+//! The trace replay ([`crate::batch`]) already splits traces into
 //! balanced windows; this module goes one step further and finds the
 //! windows worth memoizing — short balanced subsequences that repeat many
-//! times. Each candidate handed to [`dacce::tracker::Tracker::install_superops`]
-//! is compiled into a single net effect, so ranking matters: the table is
+//! times. The chaos harness's superop replay is the one two-pass drive:
+//! it warms a tracker on a trace prefix, mines and installs the ranked
+//! windows, then replays the whole trace with superops live. Each
+//! candidate handed to [`dacce::tracker::Tracker::install_superops`] is
+//! compiled into a single net effect, so ranking matters: the table is
 //! capped and every entry occupies probe-chain space on its head site.
 //!
 //! Ranking blends two signals:
@@ -19,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use dacce::tracker::BatchOp;
+use dacce::tracker::{BatchOp, Tracker};
 use dacce::{HotContextProfile, WindowOp};
 use dacce_callgraph::FunctionId;
 
@@ -112,6 +115,24 @@ where
     // the table itself sorts by.
     ranked.sort_by_key(|r| std::cmp::Reverse(r.0.len()));
     ranked.into_iter().map(|(w, _)| w).collect()
+}
+
+/// Mines `streams` — the tracker-id streams of a replay that already ran
+/// on `tracker` — for windows of up to `max_window` ops, ranks them with
+/// the tracker's sampled hotness, and installs the top `max_table`.
+/// Returns `(mined, installed)`.
+pub(crate) fn install_mined(
+    tracker: &Tracker,
+    streams: &[Vec<BatchOp>],
+    max_window: usize,
+    max_table: usize,
+) -> (usize, usize) {
+    let hot = leaf_weights(&tracker.profiler_profile());
+    let refs: Vec<&[BatchOp]> = streams.iter().map(Vec::as_slice).collect();
+    let candidates = mine_windows(&refs, max_window, max_table, |f| {
+        hot.get(&f).copied().unwrap_or(0)
+    });
+    (candidates.len(), tracker.install_superops(&candidates))
 }
 
 #[cfg(test)]

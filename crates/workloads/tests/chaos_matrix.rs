@@ -1,6 +1,6 @@
 //! CI fault-matrix entry point: replay a recorded workload under every
-//! [`FaultPlan`] preset (or one named by `DACCE_CHAOS_PRESET`) and
-//! differentially check decoded contexts against the fault-free run.
+//! [`FaultPlan`] preset (or one named by `DACCE_CHAOS_PRESET`) and check
+//! decoded contexts against the fault-free run and the shadow stack.
 //!
 //! The CI `fault-matrix` job runs this test once per preset with
 //! `DACCE_CHAOS_PRESET=<name>`; locally (no env var) every preset runs in
@@ -8,7 +8,7 @@
 
 use dacce::{DacceConfig, FaultPlan};
 use dacce_workloads::chaos::{chaos_trace, run_chaos_plan};
-use dacce_workloads::{BenchSpec, DriverConfig};
+use dacce_workloads::{family_trace, BenchSpec, DriverConfig};
 
 fn scale() -> f64 {
     std::env::var("DACCE_CHAOS_SCALE")
@@ -23,12 +23,16 @@ fn fault_matrix_presets_are_sound() {
         scale: scale(),
         ..DriverConfig::default()
     };
-    // Two workload shapes: a recursion-heavy tiny spec and a threaded one
-    // (spawned threads exercise spawn-context decode under faults).
-    let specs = [
-        BenchSpec::tiny("chaos-ci-a", 17),
-        BenchSpec::tiny("chaos-ci-b", 23),
-    ];
+    // Two recursion-heavy tiny specs, plus the server family, whose
+    // requests all run on spawned workers: its samples exercise
+    // spawn-context decode under faults.
+    let mut workloads: Vec<(&str, _)> = ["chaos-ci-a", "chaos-ci-b"]
+        .into_iter()
+        .zip([17, 23])
+        .map(|(name, seed)| (name, chaos_trace(&BenchSpec::tiny(name, seed), &cfg)))
+        .collect();
+    let server = family_trace("server-rr", 41, (scale() * 0.4).max(0.01)).expect("family");
+    workloads.push(("server-rr", server));
     // Eager re-encoding so generation-targeted faults (aborts, exhaustion)
     // actually see re-encodings on a CI-sized trace.
     let base = DacceConfig {
@@ -54,29 +58,30 @@ fn fault_matrix_presets_are_sound() {
         None => FaultPlan::presets(),
     };
 
-    for spec in &specs {
-        let trace = chaos_trace(spec, &cfg);
+    for (wname, trace) in &workloads {
         for (name, plan) in &presets {
-            let out = run_chaos_plan(&trace, &base, name, plan.clone());
+            let out = run_chaos_plan(trace, &base, name, plan.clone());
             assert!(
                 out.samples > 0,
-                "{}/{name}: no sample points — workload too small",
-                spec.name
+                "{wname}/{name}: no sample points — workload too small"
             );
             assert_eq!(
                 out.mismatches, 0,
-                "{}/{name}: {} of {} decoded contexts diverged from the fault-free run",
-                spec.name, out.mismatches, out.samples
+                "{wname}/{name}: {} of {} decoded contexts diverged from the fault-free run",
+                out.mismatches, out.samples
             );
             assert_eq!(
                 out.replay.decode_failures, 0,
-                "{}/{name}: contexts failed to decode under injected faults",
-                spec.name
+                "{wname}/{name}: contexts failed to decode under injected faults"
+            );
+            assert_eq!(
+                out.replay.shadow_mismatches, 0,
+                "{wname}/{name}: {} of {} decoded contexts differ from the trace's shadow stack",
+                out.replay.shadow_mismatches, out.samples
             );
             assert_eq!(
                 out.replay.invariant_error, None,
-                "{}/{name}: post-run invariants violated",
-                spec.name
+                "{wname}/{name}: post-run invariants violated"
             );
             // The stats view reads its counts from the metrics registry:
             // after the drain, the two must agree on every one of them.
@@ -101,8 +106,7 @@ fn fault_matrix_presets_are_sound() {
             for (what, stat, metric) in counts {
                 assert_eq!(
                     stat, metric,
-                    "{}/{name}: stats and metrics disagree on {what}",
-                    spec.name
+                    "{wname}/{name}: stats and metrics disagree on {what}"
                 );
             }
         }

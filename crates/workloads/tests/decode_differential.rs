@@ -1,7 +1,8 @@
 //! CI `decode-differential` matrix entry point: record every suite
 //! workload (plus the three production-shaped families) into a decode
-//! journal under a fault preset, then check that fragment-parallel
-//! offline decode is byte-identical to the serial decoder at every
+//! journal under a fault preset, then check that the serial decoder
+//! reproduces the replay's shadow stack at every decode point and that
+//! fragment-parallel offline decode is byte-identical to it at every
 //! worker count — failing on the first divergent sample line.
 //!
 //! The CI matrix job runs this once per (preset, worker-count) cell with
@@ -11,10 +12,16 @@
 //! workload set. `DACCE_DECODE_SUITE=full` swaps in all 41 suite
 //! benchmarks; `DACCE_DECODE_SCALE` scales trace sizes (default 0.05).
 
+use dacce::tracker::{ThreadHandle, Tracker};
 use dacce::{decode_parallel, decode_serial, import, DacceConfig, FaultPlan};
+use dacce_program::{ContextPath, PathStep, ThreadId};
+use dacce_workloads::batch::TraceOp;
 use dacce_workloads::chaos::chaos_trace;
-use dacce_workloads::journal::record_journal;
-use dacce_workloads::{all_benchmarks, family_traces, BenchSpec, DriverConfig, WorkloadTrace};
+use dacce_workloads::journal::{record_journal, JOURNAL_SAMPLE_EVERY};
+use dacce_workloads::{
+    all_benchmarks, family_traces, replay_guarded, BenchSpec, DriverConfig, ReplayStep,
+    ReplayVisitor, WorkloadTrace,
+};
 
 /// The matrix presets: fault-free plus the two that stress the decode
 /// path hardest (degraded sub-path-band records; generation churn).
@@ -88,17 +95,64 @@ fn workloads() -> Vec<(String, WorkloadTrace)> {
     out
 }
 
-fn first_divergence(serial: &[String], parallel: &[String]) -> String {
-    for (i, (s, p)) in serial.iter().zip(parallel.iter()).enumerate() {
-        if s != p {
-            return format!("first divergence at sample {i}:\n  serial:   {s}\n  parallel: {p}");
+fn first_divergence(want: (&str, &[String]), got: (&str, &[String])) -> String {
+    let ((wn, want), (gn, got)) = (want, got);
+    for (i, (w, g)) in want.iter().zip(got.iter()).enumerate() {
+        if w != g {
+            return format!("first divergence at sample {i}:\n  {wn}: {w}\n  {gn}: {g}");
         }
     }
     format!(
-        "length mismatch: serial {} lines, parallel {} lines",
-        serial.len(),
-        parallel.len()
+        "length mismatch: {wn} {} lines, {gn} {} lines",
+        want.len(),
+        got.len()
     )
+}
+
+/// Renders the lines `decode_serial` must produce for a journal of the
+/// replayed trace: `"{tid}#{k}: {path}"` from the shadow stack at each of
+/// the journal's decode points (every [`JOURNAL_SAMPLE_EVERY`] ops and at
+/// thread exit).
+#[derive(Default)]
+struct ExpectedLines {
+    lines: Vec<String>,
+    tid: u64,
+    k: usize,
+}
+
+impl ExpectedLines {
+    fn push(&mut self, expected: &[PathStep]) {
+        let path = ContextPath(expected.to_vec()).display(|f| f.to_string());
+        self.lines.push(format!("{}#{}: {path}", self.tid, self.k));
+        self.k += 1;
+    }
+}
+
+impl ReplayVisitor for ExpectedLines {
+    fn start(&mut self, tid: ThreadId, _: &ThreadHandle, _: &[TraceOp]) {
+        self.tid = tid.raw().into();
+        self.k = 0;
+    }
+
+    fn step(&mut self, _: &ThreadHandle, _: ReplayStep, done: usize, expected: &[PathStep]) {
+        if (done as u64).is_multiple_of(JOURNAL_SAMPLE_EVERY) {
+            self.push(expected);
+        }
+    }
+
+    fn end(&mut self, _: &ThreadHandle, done: usize, expected: &[PathStep]) {
+        if done > 0 {
+            self.push(expected);
+        }
+    }
+}
+
+/// The expected decoded lines of `trace`: they depend only on the trace
+/// (ids are defined in first-appearance order), not on the config.
+fn expected_lines(trace: &WorkloadTrace) -> Vec<String> {
+    let mut visitor = ExpectedLines::default();
+    replay_guarded(&Tracker::new(), trace, &mut visitor);
+    visitor.lines
 }
 
 #[test]
@@ -113,6 +167,7 @@ fn parallel_decode_matches_serial_across_the_matrix() {
     let workers = worker_counts();
 
     for (wname, trace) in workloads() {
+        let expected = expected_lines(&trace);
         for (pname, plan) in presets() {
             let config = DacceConfig {
                 fault: plan,
@@ -127,6 +182,11 @@ fn parallel_decode_matches_serial_across_the_matrix() {
                 .unwrap_or_else(|e| panic!("{wname}/{pname}: export failed to parse: {e}"));
             let serial = decode_serial(&run.journal, &dec)
                 .unwrap_or_else(|e| panic!("{wname}/{pname}: serial decode failed: {e}"));
+            assert!(
+                serial.lines == expected,
+                "{wname}/{pname}: serial decode diverged from the shadow stack\n{}",
+                first_divergence(("shadow", &expected), ("serial", &serial.lines))
+            );
             for &w in &workers {
                 let (parallel, report) =
                     decode_parallel(&run.journal, &dec, w).unwrap_or_else(|e| {
@@ -139,7 +199,7 @@ fn parallel_decode_matches_serial_across_the_matrix() {
                     report.fragments,
                     report.seams_verified,
                     report.fallback_fragments,
-                    first_divergence(&serial.lines, &parallel.lines)
+                    first_divergence(("serial", &serial.lines), ("parallel", &parallel.lines))
                 );
             }
         }

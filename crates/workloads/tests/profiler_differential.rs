@@ -19,17 +19,19 @@
 
 use std::collections::HashMap;
 
-use dacce::tracker::Tracker;
+use dacce::tracker::{ThreadHandle, Tracker};
 use dacce::{DacceConfig, DacceRuntime};
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_obs::Sampler;
 use dacce_program::{
-    CallEvent, ContextPath, ContextRuntime, OracleStack, Program, ReturnEvent, SampleResult,
-    ThreadId,
+    CallEvent, ContextPath, ContextRuntime, OracleStack, PathStep, Program, ReturnEvent,
+    SampleResult, ThreadId,
 };
-use dacce_workloads::batch::{ThreadStart, TraceOp, WorkloadTrace};
+use dacce_workloads::batch::TraceOp;
 use dacce_workloads::chaos::{chaos_trace, replay_sampled};
-use dacce_workloads::{all_benchmarks, run_with, BenchSpec, DriverConfig};
+use dacce_workloads::{
+    all_benchmarks, replay_guarded, run_with, BenchSpec, DriverConfig, ReplayStep, ReplayVisitor,
+};
 
 fn scale() -> f64 {
     std::env::var("DACCE_PROFILER_SCALE")
@@ -38,77 +40,39 @@ fn scale() -> f64 {
         .unwrap_or(0.02)
 }
 
-/// Replays `trace` with guards only (one `enter` per call op, so the
-/// thread's sampler ticks exactly once per call) while a shadow sampler
-/// with the same parameters predicts every fire and records the decoded
-/// context at that point. Returns the shadow profile and the tracker.
-fn replay_with_shadow(
-    trace: &WorkloadTrace,
-    config: &DacceConfig,
-) -> (HashMap<ContextPath, u64>, u64, Tracker) {
-    let tracker = Tracker::with_config(config.clone());
-    let mut fn_map: HashMap<FunctionId, FunctionId> = HashMap::new();
-    let mut site_map: HashMap<CallSiteId, CallSiteId> = HashMap::new();
-    let mut handles: HashMap<ThreadId, dacce::tracker::ThreadHandle> = HashMap::new();
-    let mut shadow: HashMap<ContextPath, u64> = HashMap::new();
-    let mut shadow_total = 0u64;
+/// A shadow sampler per thread with the tracker's own parameters: on a
+/// guard-only replay each call op enters the runtime once, so the shadow
+/// ticks in step with the thread's sampler, predicts every fire and
+/// records the decoded context there.
+struct ShadowSampler<'t> {
+    tracker: &'t Tracker,
+    config: &'t DacceConfig,
+    sampler: Option<Sampler>,
+    shadow: HashMap<ContextPath, u64>,
+    total: u64,
+}
 
-    for &ThreadStart { tid, root, parent } in &trace.threads {
-        let root = *fn_map
-            .entry(root)
-            .or_insert_with(|| tracker.define_function(&format!("fn{}", root.index())));
-        let th = match parent {
-            None => tracker.register_thread(root),
-            Some((ptid, psite)) => {
-                let psite = *site_map
-                    .entry(psite)
-                    .or_insert_with(|| tracker.define_call_site());
-                let parent = handles.get(&ptid).expect("parent registered before child");
-                tracker.register_spawned_thread(root, parent, psite)
-            }
-        };
-        handles.insert(tid, th);
-        let th = &handles[&tid];
-        let mut sampler = Sampler::new(
-            config.profiler_stride,
-            config.profiler_seed ^ u64::from(th.id().raw()),
-            config.profiler_budget,
-        );
+impl ReplayVisitor for ShadowSampler<'_> {
+    fn start(&mut self, _: ThreadId, th: &ThreadHandle, _: &[TraceOp]) {
+        let c = self.config;
+        let seed = c.profiler_seed ^ u64::from(th.id().raw());
+        self.sampler = Some(Sampler::new(c.profiler_stride, seed, c.profiler_budget));
+    }
 
-        let mut guards = Vec::new();
-        for op in &trace.traces[&tid] {
-            match *op {
-                TraceOp::Call {
-                    site,
-                    target,
-                    indirect,
-                } => {
-                    let site = *site_map
-                        .entry(site)
-                        .or_insert_with(|| tracker.define_call_site());
-                    let target = *fn_map.entry(target).or_insert_with(|| {
-                        tracker.define_function(&format!("fn{}", target.index()))
-                    });
-                    guards.push(if indirect {
-                        th.call_indirect(site, target)
-                    } else {
-                        th.call(site, target)
-                    });
-                    if let Some(weight) = sampler.tick() {
-                        let ctx = th.sample();
-                        let path = tracker.decode(&ctx).expect("engine contexts decode");
-                        *shadow.entry(path).or_insert(0) += weight;
-                        shadow_total += weight;
-                    }
-                }
-                TraceOp::Ret => drop(guards.pop().expect("balanced trace")),
-            }
+    fn step(&mut self, th: &ThreadHandle, step: ReplayStep, _: usize, expected: &[PathStep]) {
+        if !matches!(step, ReplayStep::Call { .. }) {
+            return;
         }
-        while let Some(g) = guards.pop() {
-            drop(g);
+        if let Some(weight) = self.sampler.as_mut().expect("thread started").tick() {
+            let path = self
+                .tracker
+                .decode(&th.sample())
+                .expect("engine contexts decode");
+            assert_eq!(path.0, expected, "sampled context matches the trace");
+            *self.shadow.entry(path).or_insert(0) += weight;
+            self.total += weight;
         }
     }
-    (shadow, shadow_total, tracker)
 }
 
 #[test]
@@ -127,7 +91,16 @@ fn sampled_profile_is_weighted_submultiset_on_every_suite_workload() {
     };
     for spec in all_benchmarks() {
         let trace = chaos_trace(&spec, &cfg);
-        let (shadow, shadow_total, tracker) = replay_with_shadow(&trace, &dacce_cfg);
+        let tracker = Tracker::with_config(dacce_cfg.clone());
+        let mut visitor = ShadowSampler {
+            tracker: &tracker,
+            config: &dacce_cfg,
+            sampler: None,
+            shadow: HashMap::new(),
+            total: 0,
+        };
+        replay_guarded(&tracker, &trace, &mut visitor);
+        let (shadow, shadow_total) = (visitor.shadow, visitor.total);
         assert!(
             shadow_total <= trace.calls(),
             "{}: shadow weights {} overcount {} call events",
@@ -323,6 +296,7 @@ fn profiler_feedback_never_changes_decoded_contexts() {
             "{}: profiler feedback changed a decoded context",
             spec.name
         );
+        assert_eq!(on.shadow_mismatches, 0, "{}: feedback run", spec.name);
         assert!(on.invariant_error.is_none(), "{}: invariants", spec.name);
     }
 }

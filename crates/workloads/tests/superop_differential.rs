@@ -5,10 +5,10 @@
 //! per-event loop produces must be unchanged. These tests run every
 //! suite workload and chaos-style tiny workloads twice — superops off
 //! vs on — and demand byte-identical decoded sample paths, zero decode
-//! failures and clean invariants on both variants. A re-encode storm
-//! config drives repeated republishes mid-run, so the on-variant also
-//! proves that epoch invalidation of compiled superops never corrupts
-//! a context.
+//! failures, contexts equal to the replay's shadow stack and clean
+//! invariants on both variants. A re-encode storm config drives repeated
+//! republishes mid-run, so the on-variant also proves that epoch
+//! invalidation of compiled superops never corrupts a context.
 
 use dacce::DacceConfig;
 use dacce_workloads::{
@@ -47,6 +47,14 @@ fn check_differential(
             "{name}: superops changed decoded context at sample {i}"
         );
     }
+    assert_eq!(
+        off.shadow_mismatches, 0,
+        "{name}: off-variant matches the trace"
+    );
+    assert_eq!(
+        on.shadow_mismatches, 0,
+        "{name}: on-variant matches the trace"
+    );
     assert_eq!(off.invariant_error, None, "{name}: off-variant invariants");
     assert_eq!(on.invariant_error, None, "{name}: on-variant invariants");
     assert_eq!(
