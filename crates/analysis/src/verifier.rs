@@ -1727,10 +1727,7 @@ mod tests {
     /// A hand-built two-fragment journal: the seam falls at op 3, where
     /// the replayed state is back to the entry state.
     fn fragment_journal(seam_id: u64) -> dacce::DecodeJournal {
-        use dacce::{
-            CallEffect, DecodeJournal, EncodedContext, JournalOp, JournalThread, RetEffect,
-            SeamSeed,
-        };
+        use dacce::{DecodeJournal, EncodedContext, JournalOp, JournalThread, SeamSeed};
         let entry = EncodedContext {
             ts: TimeStamp::ZERO,
             id: 0,
@@ -1748,25 +1745,25 @@ mod tests {
                 tid: 0,
                 entry,
                 ops: vec![
-                    JournalOp::Call {
+                    JournalOp::CallArith {
                         site: s(0),
                         target: f(1),
-                        effect: CallEffect::Arith { delta: 5 },
+                        delta: 5,
                     },
                     JournalOp::Sample,
-                    JournalOp::Ret {
+                    JournalOp::RetArith {
                         caller: f(0),
-                        effect: RetEffect::Arith { delta: 5 },
+                        delta: 5,
                     },
-                    JournalOp::Call {
+                    JournalOp::CallArith {
                         site: s(0),
                         target: f(1),
-                        effect: CallEffect::Arith { delta: 5 },
+                        delta: 5,
                     },
                     JournalOp::Sample,
-                    JournalOp::Ret {
+                    JournalOp::RetArith {
                         caller: f(0),
-                        effect: RetEffect::Arith { delta: 5 },
+                        delta: 5,
                     },
                 ],
                 seams: vec![SeamSeed {

@@ -13,6 +13,10 @@ macro_rules! id_newtype {
         pub struct $name(u32);
 
         impl $name {
+            /// The prefix of the identifier's `Display` and `Debug` forms,
+            /// which follow it with the raw index.
+            pub const TAG: &'static str = $tag;
+
             /// Creates an identifier from its dense index.
             #[inline]
             pub const fn new(raw: u32) -> Self {

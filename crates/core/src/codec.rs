@@ -4,25 +4,33 @@
 //!
 //! Both formats are line records: an exact header line, then one
 //! `<keyword> <field>...` record per line, fields separated by ASCII
-//! whitespace, blank lines skipped. [`records`] walks the lines and hands
-//! each record's [`Fields`] to the format's reader, which types every field
-//! at its width (`u32` ids, `u64` ids and counts, `u128` `numCC`), reads
-//! flags as a strict `0`/`1` and tags through a [`Tags`] table, and ends
-//! with [`Fields::end`], which rejects leftover tokens. A malformed field
-//! is an [`ImportError::BadLine`] carrying the 1-based line number (0 when
-//! the input ends inside an open section). Reading allocates nothing per
-//! line or token beyond the records it builds.
+//! whitespace, blank lines skipped. [`records`] checks the header and
+//! hands the format's reader a cursor over the records; each record's
+//! [`Fields`] types every field at its width (`u32` ids, `u64` ids and
+//! counts, `u128` `numCC`), reads flags as a strict `0`/`1` and tags
+//! through a [`Tags`] table, and ends with [`Fields::end`], which rejects
+//! leftover tokens. A malformed field is an [`ImportError::BadLine`]
+//! carrying the 1-based line number (0 when the input ends inside an open
+//! section).
+//!
+//! The text is read by [`Bytes`], a cursor that walks the bytes once:
+//! tokens are found and numbers typed as the cursor passes, with no
+//! per-line or per-token allocation beyond the records it builds. The
+//! [`Lexer`] trait it implements is the seam the tests use to run the same
+//! readers on the `str` tokenizer it replaced (`lines`,
+//! `split_ascii_whitespace`, `FromStr`) and check that both accept the
+//! same language.
 
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::mem::discriminant;
-use std::str::{FromStr, Split, SplitAsciiWhitespace};
+use std::str::FromStr;
 
 use dacce_callgraph::{CallSiteId, Dispatch, FunctionId, TimeStamp};
 
 use crate::ccstack::CcEntry;
 use crate::context::{EncodedContext, SpawnLink};
 use crate::export::{DispatchKind, ImportError};
-use crate::fragment::{CallEffect, RetEffect};
 use crate::patch::EdgeAction;
 
 /// The most spawn links one encoded context may carry when read back. A
@@ -52,11 +60,11 @@ impl<T: Copy> Tags<T> {
         }
     }
 
-    fn read(&self, tok: &str) -> Option<T> {
+    fn read<'a, L: Lexer<'a>>(&self, tok: &str) -> Option<T> {
         self.rows.iter().find_map(|&(tag, mut v)| {
             let rest = tok.strip_prefix(tag)?;
             match (self.num)(&mut v) {
-                Some(n) => *n = rest.parse().ok()?,
+                Some(n) => *n = L::read(rest)?,
                 None if !rest.is_empty() => return None,
                 None => {}
             }
@@ -99,86 +107,238 @@ pub(crate) const DISPATCH_KINDS: Tags<DispatchKind> = Tags {
     num: |_| None,
 };
 
-/// Journaled call effects (`op c` records).
-pub(crate) const CALL_EFFECTS: Tags<CallEffect> = Tags {
-    rows: &[
-        ("a", CallEffect::Arith { delta: 0 }),
-        ("p", CallEffect::Push { id: 0 }),
-        ("k", CallEffect::Compress { id: 0 }),
-    ],
-    num: |e| match e {
-        CallEffect::Arith { delta: n }
-        | CallEffect::Push { id: n }
-        | CallEffect::Compress { id: n } => Some(n),
-    },
-};
+/// Splits an artifact into records and fields and types its numbers: the
+/// part of the codec that sees the text. The readers run on [`Bytes`];
+/// the tests run the same readers on the `str` tokenizer it replaced and
+/// compare.
+pub(crate) trait Lexer<'a> {
+    /// Moves to the next line that holds a token and returns that token,
+    /// the record's keyword.
+    fn record(&mut self) -> Option<&'a str>;
 
-/// Journaled return effects (`op r` records).
-pub(crate) const RET_EFFECTS: Tags<RetEffect> = Tags {
-    rows: &[
-        ("a", RetEffect::Arith { delta: 0 }),
-        ("o", RetEffect::Pop),
-        ("u", RetEffect::Uncompress),
-    ],
-    num: |e| match e {
-        RetEffect::Arith { delta } => Some(delta),
-        _ => None,
-    },
-};
+    /// The number of the current record's line, from 1 (the header).
+    fn line(&self) -> usize;
 
-/// Walks an artifact's records after checking its header line: yields the
-/// keyword and field reader of every non-blank line, numbered from 1 (the
-/// header). `None` when the first line is not exactly `header`.
-pub(crate) fn records<'a>(
-    text: &'a str,
-    header: &str,
-) -> Option<impl Iterator<Item = (&'a str, Fields<'a>)>> {
-    let mut lines = text.lines();
-    (lines.next()? == header).then(|| {
-        lines.enumerate().filter_map(|(i, line)| {
-            let mut fields = Fields {
-                tokens: line.split_ascii_whitespace(),
-                line: i + 2,
-            };
-            Some((fields.tokens.next()?, fields))
-        })
+    /// The current record's next token.
+    fn token(&mut self) -> Option<&'a str>;
+
+    /// The current record's next token as a number of type `T`, or the
+    /// token itself when it is not one.
+    fn num<T: Num>(&mut self) -> Option<Result<T, &'a str>>;
+
+    /// Types a token as a number of type `T`.
+    fn read<T: Num>(tok: &str) -> Option<T> {
+        T::read(tok)
+    }
+
+    /// The next record: its keyword and a reader over the rest of its
+    /// line. Blank lines are skipped, and so is whatever the reader of the
+    /// previous record left unread.
+    #[inline(always)]
+    #[allow(clippy::inline_always)] // see `Bytes`
+    fn next_record(&mut self) -> Option<(&'a str, Fields<'_, Self>)>
+    where
+        Self: Sized,
+    {
+        let kw = self.record()?;
+        Some((kw, Fields(self)))
+    }
+}
+
+/// Checks an artifact's header line and returns a cursor over its
+/// records; `None` when the first line is not exactly `header`.
+pub(crate) fn records<'a>(text: &'a str, header: &str) -> Option<Bytes<'a>> {
+    let (first, end) = match text.find('\n') {
+        // A `\r\n` ending counts as a line end; a `\r` elsewhere is a byte
+        // of the line.
+        Some(nl) => (text[..nl].strip_suffix('\r').unwrap_or(&text[..nl]), nl),
+        None if text.is_empty() => return None,
+        None => (text, text.len()),
+    };
+    (first == header).then_some(Bytes {
+        text,
+        pos: end,
+        line: 1,
     })
 }
 
-/// The fields of one record, read left to right.
-pub(crate) struct Fields<'a> {
-    tokens: SplitAsciiWhitespace<'a>,
+/// The byte cursor the readers run on. A record is a line; its fields are
+/// runs of bytes other than ASCII whitespace, separated by runs of space,
+/// tab, carriage return or form feed, so a CRLF line reads like an LF one.
+/// A number is one or more ASCII digits after an optional `+`. The
+/// per-token methods here and in [`Fields`] are forced inline: a journal
+/// makes millions of calls to them, and left out of line they cost about
+/// a tenth of the parse.
+pub(crate) struct Bytes<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread byte.
+    pos: usize,
+    /// Number of the line `pos` is in.
     line: usize,
 }
 
-impl<'a> Fields<'a> {
+/// ASCII whitespace other than the line feed: the separator of fields
+/// within a record.
+fn is_blank(b: u8) -> bool {
+    b != b'\n' && b.is_ascii_whitespace()
+}
+
+#[allow(clippy::inline_always)] // see `Bytes`
+impl Bytes<'_> {
+    /// Skips the blanks before the next token; returns where it starts.
+    #[inline(always)]
+    fn skip_blanks(&mut self) -> usize {
+        let bytes = self.text.as_bytes();
+        while bytes.get(self.pos).is_some_and(|&b| is_blank(b)) {
+            self.pos += 1;
+        }
+        self.pos
+    }
+}
+
+#[allow(clippy::inline_always)] // see `Bytes`
+impl<'a> Lexer<'a> for Bytes<'a> {
+    #[inline(always)]
+    fn record(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        loop {
+            let nl = bytes[self.pos..].iter().position(|&b| b == b'\n')?;
+            self.pos += nl + 1;
+            self.line += 1;
+            if let Some(kw) = self.token() {
+                return Some(kw);
+            }
+        }
+    }
+
+    fn line(&self) -> usize {
+        self.line
+    }
+
+    #[inline(always)]
+    fn token(&mut self) -> Option<&'a str> {
+        let start = self.skip_blanks();
+        let bytes = self.text.as_bytes();
+        while bytes
+            .get(self.pos)
+            .is_some_and(|b| !b.is_ascii_whitespace())
+        {
+            self.pos += 1;
+        }
+        // A token starts and ends next to ASCII whitespace or the text's
+        // ends, so it is on character boundaries.
+        (start < self.pos).then(|| &self.text[start..self.pos])
+    }
+
+    /// Plain digits are typed as they are scanned; any other token goes
+    /// through [`Num::read`].
+    #[inline(always)]
+    fn num<T: Num>(&mut self) -> Option<Result<T, &'a str>> {
+        let start = self.skip_blanks();
+        let bytes = self.text.as_bytes();
+        let (mut at, mut n) = (start, T::ZERO);
+        while let Some(v) = bytes.get(at).and_then(|&b| n.push(b)) {
+            n = v;
+            at += 1;
+        }
+        if at > start && bytes.get(at).is_none_or(u8::is_ascii_whitespace) {
+            self.pos = at;
+            return Some(Ok(n));
+        }
+        let tok = self.token()?;
+        Some(T::read(tok).ok_or(tok))
+    }
+}
+
+/// A number type a field is read at: decimal digits after an optional
+/// `+`, with overflow past the type's range an error (the language of
+/// `FromStr` for unsigned integers).
+pub(crate) trait Num: Copy + FromStr {
+    /// Zero, the value before the first digit.
+    const ZERO: Self;
+
+    /// `self * 10` plus the digit `b`, or `None` when `b` is not an ASCII
+    /// digit or the result is past the type's range.
+    fn push(self, b: u8) -> Option<Self>;
+
+    /// Reads `tok`, or `None` when it is not a number of this width.
+    fn read(tok: &str) -> Option<Self> {
+        let b = tok.as_bytes();
+        let digits = b.strip_prefix(b"+").unwrap_or(b);
+        if digits.is_empty() {
+            return None;
+        }
+        digits.iter().try_fold(Self::ZERO, |n, &b| n.push(b))
+    }
+}
+
+macro_rules! num {
+    ($($t:ty),*) => {$(
+        impl Num for $t {
+            const ZERO: $t = 0;
+
+            #[inline]
+            fn push(self, b: u8) -> Option<$t> {
+                let d = b.wrapping_sub(b'0');
+                if d < 10 {
+                    self.checked_mul(10)?.checked_add(<$t>::from(d))
+                } else {
+                    None
+                }
+            }
+        }
+    )*};
+}
+
+num!(u32, u64, u128, usize);
+
+/// The fields of one record, read left to right.
+pub(crate) struct Fields<'r, L>(&'r mut L);
+
+#[allow(clippy::inline_always)] // see `Bytes`
+impl<'a, L: Lexer<'a>> Fields<'_, L> {
     /// An error on this record's line.
     pub(crate) fn error(&self, what: impl Into<String>) -> ImportError {
-        ImportError::BadLine(self.line, what.into())
+        ImportError::BadLine(self.0.line(), what.into())
+    }
+
+    /// The error for a field `what` that is not there.
+    #[cold]
+    fn missing(&self, what: &str) -> ImportError {
+        self.error(format!("missing {what}"))
+    }
+
+    /// The error for a field `what` that is not what it should be.
+    #[cold]
+    pub(crate) fn bad(&self, what: &str, tok: &str) -> ImportError {
+        self.error(format!("bad {what} {tok}"))
     }
 
     /// The next raw token, if any.
+    #[inline(always)]
     pub(crate) fn next_token(&mut self) -> Option<&'a str> {
-        self.tokens.next()
+        self.0.token()
     }
 
     /// The next raw token; `what` names it in the error when missing.
+    #[inline(always)]
     pub(crate) fn token(&mut self, what: &str) -> Result<&'a str, ImportError> {
-        self.tokens
-            .next()
-            .ok_or_else(|| self.error(format!("missing {what}")))
+        self.next_token().ok_or_else(|| self.missing(what))
     }
 
     /// Types a token already taken from this record.
-    pub(crate) fn parse<T: FromStr>(&self, tok: &str, what: &str) -> Result<T, ImportError> {
-        tok.parse()
-            .map_err(|_| self.error(format!("bad {what} {tok}")))
+    pub(crate) fn parse<T: Num>(&self, tok: &str, what: &str) -> Result<T, ImportError> {
+        L::read(tok).ok_or_else(|| self.bad(what, tok))
     }
 
     /// The next field as a number of type `T`.
-    pub(crate) fn num<T: FromStr>(&mut self, what: &str) -> Result<T, ImportError> {
-        let tok = self.token(what)?;
-        self.parse(tok, what)
+    #[inline(always)]
+    pub(crate) fn num<T: Num>(&mut self, what: &str) -> Result<T, ImportError> {
+        match self.0.num() {
+            Some(Ok(n)) => Ok(n),
+            Some(Err(tok)) => Err(self.bad(what, tok)),
+            None => Err(self.missing(what)),
+        }
     }
 
     /// The next field as a strict `0`/`1` flag.
@@ -197,8 +357,7 @@ impl<'a> Fields<'a> {
         tags: &Tags<T>,
         what: &str,
     ) -> Result<T, ImportError> {
-        tags.read(tok)
-            .ok_or_else(|| self.error(format!("bad {what} {tok}")))
+        tags.read::<L>(tok).ok_or_else(|| self.bad(what, tok))
     }
 
     /// The next field, read through a tag table.
@@ -213,12 +372,12 @@ impl<'a> Fields<'a> {
         &self,
         tok: &'a str,
         what: &str,
-        read: impl FnOnce(&mut Parts<'a>) -> Option<T>,
+        read: impl FnOnce(&mut Parts<'a, L>) -> Option<T>,
     ) -> Result<T, ImportError> {
-        let mut parts = Parts(tok.split(':'));
+        let mut parts = Parts(Some(tok), PhantomData);
         read(&mut parts)
-            .filter(|_| parts.0.next().is_none())
-            .ok_or_else(|| self.error(format!("bad {what} {tok}")))
+            .filter(|_| parts.0.is_none())
+            .ok_or_else(|| self.bad(what, tok))
     }
 
     /// Reads the rest of the record as an encoded context:
@@ -239,7 +398,7 @@ impl<'a> Fields<'a> {
                 spawn: None,
             };
             let mut linked = false;
-            while let Some(tok) = self.tokens.next() {
+            while let Some(tok) = self.next_token() {
                 if tok == "|" {
                     linked = true;
                     break;
@@ -272,27 +431,55 @@ impl<'a> Fields<'a> {
     }
 
     /// Finishes the record: any token left over is an error.
+    #[inline(always)]
     pub(crate) fn end(mut self) -> Result<(), ImportError> {
-        match self.tokens.next() {
+        match self.next_token() {
             None => Ok(()),
             Some(tok) => Err(self.error(format!("trailing token {tok}"))),
         }
     }
 }
 
-/// The `:`-separated parts of one token.
-pub(crate) struct Parts<'a>(Split<'a, char>);
+/// The `:`-separated parts of one token; `None` once the last part is
+/// taken.
+pub(crate) struct Parts<'a, L>(Option<&'a str>, PhantomData<L>);
 
-impl Parts<'_> {
+impl<'a, L: Lexer<'a>> Parts<'a, L> {
+    fn next_part(&mut self) -> Option<&'a str> {
+        let rest = self.0.take()?;
+        match rest.bytes().position(|b| b == b':') {
+            Some(i) => {
+                self.0 = Some(&rest[i + 1..]);
+                Some(&rest[..i])
+            }
+            None => Some(rest),
+        }
+    }
+
     /// The next part as a number of type `T`.
-    pub(crate) fn num<T: FromStr>(&mut self) -> Option<T> {
-        self.0.next()?.parse().ok()
+    pub(crate) fn num<T: Num>(&mut self) -> Option<T> {
+        L::read(self.next_part()?)
     }
 
     /// The next part, which must be exactly `lit`.
     pub(crate) fn lit(&mut self, lit: &str) -> Option<()> {
-        (self.0.next()? == lit).then_some(())
+        (self.next_part()? == lit).then_some(())
     }
+}
+
+/// Appends `n` in decimal, as `Display` writes it.
+pub(crate) fn push_decimal(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Writes an encoded context in the grammar [`Fields::ctx`] reads.
@@ -326,11 +513,20 @@ pub(crate) mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    use std::iter::Enumerate;
+    use std::str::{Lines, SplitAsciiWhitespace};
+
     use super::*;
     use crate::config::DacceConfig;
-    use crate::export::{export_samples, export_tracker_state, import, OfflineDecoder};
+    use crate::export::{
+        export_samples, export_tracker_state, import, read_export, OfflineDecoder,
+        HEADER as EXPORT_HEADER,
+    };
     use crate::fault::FaultPlan;
-    use crate::fragment::{decode_parallel, decode_serial, DecodeJournal, ThreadRecorder};
+    use crate::fragment::{
+        decode_parallel, decode_serial, DecodeJournal, JournalOp, ThreadRecorder,
+        HEADER as JOURNAL_HEADER,
+    };
     use crate::superop::WindowOp;
     use crate::tracker::{ThreadHandle, Tracker};
 
@@ -495,6 +691,170 @@ pub(crate) mod tests {
         let _ = decode_serial(journal, dec);
     }
 
+    /// The `str` tokenizer the byte cursor replaced, kept as the reference
+    /// of the differential tests: `lines`, `split_ascii_whitespace` and
+    /// `FromStr`.
+    struct StrLexer<'a> {
+        lines: Enumerate<Lines<'a>>,
+        tokens: SplitAsciiWhitespace<'a>,
+        line: usize,
+    }
+
+    fn str_records<'a>(text: &'a str, header: &str) -> Option<StrLexer<'a>> {
+        let mut lines = text.lines();
+        (lines.next()? == header).then(|| StrLexer {
+            lines: lines.enumerate(),
+            tokens: "".split_ascii_whitespace(),
+            line: 1,
+        })
+    }
+
+    impl<'a> Lexer<'a> for StrLexer<'a> {
+        fn record(&mut self) -> Option<&'a str> {
+            loop {
+                let (i, line) = self.lines.next()?;
+                self.line = i + 2;
+                self.tokens = line.split_ascii_whitespace();
+                if let Some(kw) = self.tokens.next() {
+                    return Some(kw);
+                }
+            }
+        }
+
+        fn line(&self) -> usize {
+            self.line
+        }
+
+        fn token(&mut self) -> Option<&'a str> {
+            self.tokens.next()
+        }
+
+        fn num<T: Num>(&mut self) -> Option<Result<T, &'a str>> {
+            let tok = self.tokens.next()?;
+            Some(Self::read(tok).ok_or(tok))
+        }
+
+        fn read<T: Num>(tok: &str) -> Option<T> {
+            tok.parse().ok()
+        }
+    }
+
+    /// Reads `text` as a journal and as an export, through the byte cursor
+    /// and through the reference: both must give the same value or the
+    /// same error. Returns the byte cursor's results.
+    fn read_both_ways(
+        text: &str,
+    ) -> (
+        Result<DecodeJournal, ImportError>,
+        Result<OfflineDecoder, ImportError>,
+    ) {
+        let journal = DecodeJournal::parse(text);
+        let reference = DecodeJournal::read(str_records(text, JOURNAL_HEADER));
+        assert_eq!(journal, reference, "journal readers disagree on {text:?}");
+        let export = import(text);
+        match (&export, read_export(str_records(text, EXPORT_HEADER))) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.samples(), b.samples());
+                assert_eq!(a.owners(), b.owners());
+                assert_eq!(a.dispatch(), b.dispatch());
+                assert_eq!(a.superops(), b.superops());
+                assert_eq!(a.degraded(), b.degraded());
+                assert_eq!(a.dicts().len(), b.dicts().len());
+                for ts in 0..a.dicts().len() {
+                    let ts = TimeStamp::new(ts as u32);
+                    let (x, y) = (a.dicts().get(ts).unwrap(), b.dicts().get(ts).unwrap());
+                    assert_eq!(
+                        (x.timestamp(), x.max_id(), x.edges(), x.node_count()),
+                        (y.timestamp(), y.max_id(), y.edges(), y.node_count())
+                    );
+                    let funcs = x.edges().iter().flat_map(|e| [e.caller, e.callee]);
+                    for f in funcs.chain((0..256).map(FunctionId::new)) {
+                        assert_eq!(x.num_cc(f), y.num_cc(f));
+                    }
+                }
+            }
+            (a, b) => assert_eq!(a.as_ref().err(), b.err().as_ref(), "{text:?}"),
+        }
+        (journal, export)
+    }
+
+    #[test]
+    fn byte_reader_agrees_with_the_reference_on_edge_cases() {
+        let journal = |body: &str| format!("{JOURNAL_HEADER}\nthread 0 0 0 0 0\n{body}\nend\n");
+        fn line<T: std::fmt::Debug>(r: Result<T, ImportError>) -> usize {
+            match r {
+                Err(ImportError::BadLine(n, _)) => n,
+                other => panic!("expected a line error, got {other:?}"),
+            }
+        }
+        // `+`-signed numbers are numbers, in fields, effects and parts.
+        let (ok, _) = read_both_ways(&journal(
+            "op c +1 +2 a+3\nop r +4 a+5\nop g +0 +1 +2 +3 +4:+5:+6:+7",
+        ));
+        let ops = &ok.expect("signed numbers read").threads[0].ops;
+        assert_eq!(
+            ops[0],
+            JournalOp::CallArith {
+                site: CallSiteId::new(1),
+                target: FunctionId::new(2),
+                delta: 3
+            }
+        );
+        assert_eq!(line(read_both_ways(&journal("op c + 2 a3")).0), 3);
+        assert_eq!(line(read_both_ways(&journal("op c -1 2 a3")).0), 3);
+        // Tabs, CRLF, form feeds and blank lines separate like spaces.
+        let spaced = format!(
+            "{JOURNAL_HEADER}\r\n\r\n\tthread\t0 0\x0c0 0 0\r\n\n  op s  \r\nop\tc 1 2 a3\r\nend"
+        );
+        let (ok, _) = read_both_ways(&spaced);
+        assert_eq!(ok.expect("whitespace variants read").ops(), 2);
+        // A vertical tab is not ASCII whitespace: it is part of a token.
+        assert_eq!(line(read_both_ways(&journal("op\x0bs")).0), 3);
+        // A bare CR ends no line, and a header needs its exact line.
+        assert!(read_both_ways(&format!("{JOURNAL_HEADER}\r")).0.is_err());
+        assert!(read_both_ways(&format!("{JOURNAL_HEADER} \n")).0.is_err());
+        assert!(read_both_ways("").0.is_err());
+        // Widths: u32::MAX + 1 and u64::MAX + 1 overflow, the maxima read.
+        assert!(
+            read_both_ways(&journal("op c 4294967295 1 a18446744073709551615"))
+                .0
+                .is_ok()
+        );
+        assert_eq!(line(read_both_ways(&journal("op c 4294967296 1 a1")).0), 3);
+        assert_eq!(
+            line(read_both_ways(&journal("op r 1 a18446744073709551616")).0),
+            3
+        );
+        assert_eq!(
+            line(read_both_ways(&journal("op g 0 18446744073709551616 0 0")).0),
+            3
+        );
+        // A u128 `numCC` at its bound and one past it.
+        for cc in [u128::MAX.to_string(), format!("{}0", u128::MAX)] {
+            let text = format!("{EXPORT_HEADER}\ndict 0 0\nnode 0 {cc}\nenddict\n");
+            match read_both_ways(&text).1 {
+                Ok(_) => {}
+                Err(ImportError::BadLine(n, _)) => assert!(n == 3 || n == 4, "{n}"),
+                Err(e) => panic!("{e:?}"),
+            }
+        }
+        let past = format!(
+            "{EXPORT_HEADER}\ndict 0 0\nnode 0 {}0\nenddict\n",
+            u128::MAX
+        );
+        assert!(matches!(
+            read_both_ways(&past).1,
+            Err(ImportError::BadLine(3, _))
+        ));
+        // A truncated `id:site:target` cc entry and an extra part.
+        assert_eq!(line(read_both_ways(&journal("op g 0 0 0 0 1:2:3")).0), 3);
+        assert_eq!(line(read_both_ways(&journal("op g 0 0 0 0 1:2:3:4:")).0), 3);
+        assert_eq!(
+            line(read_both_ways(&format!("{EXPORT_HEADER}\nsample 0 0 0 0 1:2:")).1),
+            2
+        );
+    }
+
     #[test]
     fn every_single_byte_mutation_is_a_typed_error_or_decodes() {
         let rec = record(7);
@@ -563,6 +923,30 @@ pub(crate) mod tests {
                 let superops: Vec<_> = sh.superops.iter().cloned().collect();
                 assert_eq!(dec.superops(), &superops[..]);
             });
+        }
+
+        /// The byte cursor and the reference read recorded and randomly
+        /// mutated journals and exports alike: the same value, or the same
+        /// error on the same line. Besides the shared mutations, one byte
+        /// is sometimes replaced by a sign or a whitespace variant.
+        #[test]
+        fn byte_reader_agrees_with_the_reference(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let rec = record(seed);
+            for text in [rec.journal.to_text(), rec.export] {
+                let _ = read_both_ways(&text);
+                for _ in 0..16 {
+                    let mut mutated = random_mutation(&text, &mut rng);
+                    if rng.gen_bool(0.5) {
+                        let i = rng.gen_range(0..mutated.len().max(1));
+                        if mutated.is_char_boundary(i) && mutated.is_char_boundary(i + 1) {
+                            let c: char = ['+', '\t', '\r', '\x0b', '\x0c'][rng.gen_range(0..5usize)];
+                            mutated.replace_range(i..=i, c.encode_utf8(&mut [0; 4]));
+                        }
+                    }
+                    let _ = read_both_ways(&mutated);
+                }
+            }
         }
 
         /// Randomly mutated journals parse to a typed error or replay, in

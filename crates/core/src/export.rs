@@ -48,7 +48,7 @@ use dacce_callgraph::{
 };
 use dacce_program::ContextPath;
 
-use crate::codec::{self, write_ctx, ACTIONS, DISPATCH, DISPATCH_KINDS};
+use crate::codec::{self, write_ctx, Lexer, ACTIONS, DISPATCH, DISPATCH_KINDS};
 use crate::context::EncodedContext;
 use crate::decode::{decode_full, DecodeError};
 use crate::dispatch::CompiledDispatch;
@@ -341,10 +341,17 @@ impl OpenDict {
 /// does not parse at its width, a dictionary out of timestamp order or
 /// left open, a repeated edge, or a record with leftover tokens.
 pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
-    let records = codec::records(text, HEADER).ok_or(ImportError::BadHeader)?;
+    read_export(codec::records(text, HEADER))
+}
+
+/// Reads an export's records, `None` when its header line is wrong.
+pub(crate) fn read_export<'a>(
+    records: Option<impl Lexer<'a>>,
+) -> Result<OfflineDecoder, ImportError> {
+    let mut records = records.ok_or(ImportError::BadHeader)?;
     let mut out = OfflineDecoder::default();
     let mut open: Option<OpenDict> = None;
-    for (kw, mut f) in records {
+    while let Some((kw, mut f)) = records.next_record() {
         match kw {
             "dict" => {
                 if open.is_some() {

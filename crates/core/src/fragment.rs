@@ -32,79 +32,83 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dacce_callgraph::{CallSiteId, FunctionId, TimeStamp};
 
 use crate::ccstack::CcEntry;
-use crate::codec::{self, write_ctx, CALL_EFFECTS, RET_EFFECTS};
+use crate::codec::{self, push_decimal, write_ctx, Lexer};
 use crate::context::EncodedContext;
 use crate::export::{ImportError, OfflineDecoder};
 
 /// Header line of the journal format.
-const HEADER: &str = "dacce-journal v1";
+pub(crate) const HEADER: &str = "dacce-journal v1";
 
-/// The effect one before-call instrumentation execution had on the
-/// thread's encoding state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CallEffect {
-    /// An encoded edge: `id` moved by `delta` (wrapping).
-    Arith {
+/// One journaled event of a thread: a call or return together with the
+/// verified effect it had on the thread's encoding state, a decode point,
+/// or a full-state resync. The effect kind is part of the variant, so an
+/// op takes 24 bytes (a journal holds millions of them).
+#[derive(Clone, Debug, PartialEq)]
+pub enum JournalOp {
+    /// A call through `site` to `target` on an encoded edge: `id` moved by
+    /// `delta` (wrapping).
+    CallArith {
+        /// The call site.
+        site: CallSiteId,
+        /// The callee.
+        target: FunctionId,
         /// Wrapping increment applied to `id`.
         delta: u64,
     },
-    /// An unencoded edge: the pre-call `id` was pushed with the site and
-    /// target, and `id` became `id` (the sub-path band start, `maxID+1`
-    /// of the generation that executed the call).
-    Push {
+    /// A call on an unencoded edge: the pre-call `id` was pushed with the
+    /// site and target, and `id` became `id` (the sub-path band start,
+    /// `maxID+1` of the generation that executed the call).
+    CallPush {
+        /// The call site.
+        site: CallSiteId,
+        /// The callee.
+        target: FunctionId,
         /// The `id` value after the push.
         id: u64,
     },
     /// A compressed-recursion hit: the top entry's repetition count was
     /// bumped instead of pushing a duplicate.
-    Compress {
-        /// The `id` value after the compressed push.
-        id: u64,
-    },
-}
-
-/// The effect one after-return instrumentation execution had.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetEffect {
-    /// An encoded edge: `id` moved back by `delta` (wrapping).
-    Arith {
-        /// Wrapping decrement applied to `id`.
-        delta: u64,
-    },
-    /// An unencoded edge: the top ccStack entry was popped and its saved
-    /// `id` restored.
-    Pop,
-    /// A compressed-recursion unwind: the top entry's repetition count
-    /// was decremented (staying on the same entry).
-    Uncompress,
-}
-
-/// One journaled event of a thread.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JournalOp {
-    /// A call event and its verified state effect.
-    Call {
+    CallCompress {
         /// The call site.
         site: CallSiteId,
         /// The callee.
         target: FunctionId,
-        /// The state effect the instrumentation applied.
-        effect: CallEffect,
+        /// The `id` value after the compressed push.
+        id: u64,
     },
-    /// A return event and its verified state effect.
-    Ret {
+    /// A return to `caller` over an encoded edge: `id` moved back by
+    /// `delta` (wrapping).
+    RetArith {
         /// The function control returned to.
         caller: FunctionId,
-        /// The state effect the instrumentation applied.
-        effect: RetEffect,
+        /// Wrapping decrement applied to `id`.
+        delta: u64,
+    },
+    /// A return over an unencoded edge: the top ccStack entry was popped
+    /// and its saved `id` restored.
+    RetPop {
+        /// The function control returned to.
+        caller: FunctionId,
+    },
+    /// A compressed-recursion unwind: the top entry's repetition count was
+    /// decremented (staying on the same entry).
+    RetUncompress {
+        /// The function control returned to.
+        caller: FunctionId,
     },
     /// A decode point: the replayed state is decoded and emitted here.
     Sample,
     /// A full-state resynchronisation: the live state stopped being
     /// expressible as a delta (lazy migration after a re-encode, TcStack
     /// absolute restore, ...). Replay adopts the recorded state verbatim.
-    Resync(EncodedContext),
+    /// Boxed: resyncs are rare, and the state inline would more than
+    /// double every op.
+    Resync(Box<EncodedContext>),
 }
+
+// A journal holds millions of ops: a variant that carries more than 16
+// bytes inline must be boxed, like `Resync`.
+const _: () = assert!(std::mem::size_of::<JournalOp>() <= 24);
 
 /// A fragment boundary seed: the complete encoding state before op `at`.
 #[derive(Clone, Debug, PartialEq)]
@@ -200,73 +204,69 @@ impl std::error::Error for FragmentError {}
 /// # Errors
 ///
 /// Fails when the effect is inconsistent with the state (corrupt or
-/// mis-recorded journal) — e.g. a `Pop` on an empty ccStack or a
-/// `Compress` whose top entry does not match the recorded edge.
+/// mis-recorded journal) — e.g. a `RetPop` on an empty ccStack or a
+/// `CallCompress` whose top entry does not match the recorded edge.
 pub fn apply_op(st: &mut EncodedContext, op: &JournalOp) -> Result<(), String> {
-    match op {
-        JournalOp::Call {
-            site,
-            target,
-            effect,
-        } => {
-            match *effect {
-                CallEffect::Arith { delta } => st.id = st.id.wrapping_add(delta),
-                CallEffect::Push { id } => {
-                    st.cc.push(CcEntry {
-                        id: st.id,
-                        site: *site,
-                        target: *target,
-                        count: 0,
-                    });
-                    st.id = id;
-                }
-                CallEffect::Compress { id } => {
-                    let prev_id = st.id;
-                    let top = st
-                        .cc
-                        .last_mut()
-                        .ok_or_else(|| "compress on empty ccStack".to_string())?;
-                    if top.site != *site || top.target != *target || top.id != prev_id {
-                        return Err(format!(
-                            "compress does not match top entry {}:{}:{}",
-                            top.id, top.site, top.target
-                        ));
-                    }
-                    top.count = top
-                        .count
-                        .checked_add(1)
-                        .ok_or_else(|| "compress count overflows".to_string())?;
-                    st.id = id;
-                }
-            }
-            st.leaf = *target;
+    match *op {
+        JournalOp::CallArith { target, delta, .. } => {
+            st.id = st.id.wrapping_add(delta);
+            st.leaf = target;
         }
-        JournalOp::Ret { caller, effect } => {
-            match effect {
-                RetEffect::Arith { delta } => st.id = st.id.wrapping_sub(*delta),
-                RetEffect::Pop => {
-                    let e = st
-                        .cc
-                        .pop()
-                        .ok_or_else(|| "pop on empty ccStack".to_string())?;
-                    st.id = e.id;
-                }
-                RetEffect::Uncompress => {
-                    let top = st
-                        .cc
-                        .last_mut()
-                        .ok_or_else(|| "uncompress on empty ccStack".to_string())?;
-                    if top.count == 0 {
-                        return Err("uncompress on uncompressed entry".to_string());
-                    }
-                    top.count -= 1;
-                    st.id = top.id;
-                }
+        JournalOp::CallPush { site, target, id } => {
+            st.cc.push(CcEntry {
+                id: st.id,
+                site,
+                target,
+                count: 0,
+            });
+            st.id = id;
+            st.leaf = target;
+        }
+        JournalOp::CallCompress { site, target, id } => {
+            let prev_id = st.id;
+            let top = st
+                .cc
+                .last_mut()
+                .ok_or_else(|| "compress on empty ccStack".to_string())?;
+            if top.site != site || top.target != target || top.id != prev_id {
+                return Err(format!(
+                    "compress does not match top entry {}:{}:{}",
+                    top.id, top.site, top.target
+                ));
             }
-            st.leaf = *caller;
+            top.count = top
+                .count
+                .checked_add(1)
+                .ok_or_else(|| "compress count overflows".to_string())?;
+            st.id = id;
+            st.leaf = target;
+        }
+        JournalOp::RetArith { caller, delta } => {
+            st.id = st.id.wrapping_sub(delta);
+            st.leaf = caller;
+        }
+        JournalOp::RetPop { caller } => {
+            let e = st
+                .cc
+                .pop()
+                .ok_or_else(|| "pop on empty ccStack".to_string())?;
+            st.id = e.id;
+            st.leaf = caller;
+        }
+        JournalOp::RetUncompress { caller } => {
+            let top = st
+                .cc
+                .last_mut()
+                .ok_or_else(|| "uncompress on empty ccStack".to_string())?;
+            if top.count == 0 {
+                return Err("uncompress on uncompressed entry".to_string());
+            }
+            top.count -= 1;
+            st.id = top.id;
+            st.leaf = caller;
         }
         JournalOp::Sample => {}
-        JournalOp::Resync(ctx) => *st = ctx.clone(),
+        JournalOp::Resync(ref ctx) => st.clone_from(ctx),
     }
     Ok(())
 }
@@ -320,7 +320,7 @@ impl ThreadRecorder {
     fn resync(&mut self, full: impl FnOnce() -> EncodedContext) {
         let ctx = full();
         self.sim = ctx.clone();
-        self.ops.push(JournalOp::Resync(ctx));
+        self.ops.push(JournalOp::Resync(Box::new(ctx)));
         self.resyncs += 1;
     }
 
@@ -334,21 +334,24 @@ impl ThreadRecorder {
         after: &StateSig,
         full: impl FnOnce() -> EncodedContext,
     ) {
-        let effect = if after.depth == self.sim.cc.len() {
-            if after.top.as_ref() == self.sim.cc.last() {
-                CallEffect::Arith {
-                    delta: after.id.wrapping_sub(self.sim.id),
-                }
-            } else {
-                CallEffect::Compress { id: after.id }
+        let op = if after.depth != self.sim.cc.len() {
+            JournalOp::CallPush {
+                site,
+                target,
+                id: after.id,
+            }
+        } else if after.top.as_ref() != self.sim.cc.last() {
+            JournalOp::CallCompress {
+                site,
+                target,
+                id: after.id,
             }
         } else {
-            CallEffect::Push { id: after.id }
-        };
-        let op = JournalOp::Call {
-            site,
-            target,
-            effect,
+            JournalOp::CallArith {
+                site,
+                target,
+                delta: after.id.wrapping_sub(self.sim.id),
+            }
         };
         if apply_op(&mut self.sim, &op).is_ok() && sig_matches(&self.sim, after) {
             self.ops.push(op);
@@ -360,20 +363,16 @@ impl ThreadRecorder {
     /// Records a return event. The caller function is taken from the
     /// post-op signature's leaf.
     pub fn on_ret(&mut self, after: &StateSig, full: impl FnOnce() -> EncodedContext) {
-        let effect = if after.depth == self.sim.cc.len() {
-            if after.top.as_ref() == self.sim.cc.last() {
-                RetEffect::Arith {
-                    delta: self.sim.id.wrapping_sub(after.id),
-                }
-            } else {
-                RetEffect::Uncompress
-            }
+        let caller = after.leaf;
+        let op = if after.depth != self.sim.cc.len() {
+            JournalOp::RetPop { caller }
+        } else if after.top.as_ref() != self.sim.cc.last() {
+            JournalOp::RetUncompress { caller }
         } else {
-            RetEffect::Pop
-        };
-        let op = JournalOp::Ret {
-            caller: after.leaf,
-            effect,
+            JournalOp::RetArith {
+                caller,
+                delta: self.sim.id.wrapping_sub(after.id),
+            }
         };
         if apply_op(&mut self.sim, &op).is_ok() && sig_matches(&self.sim, after) {
             self.ops.push(op);
@@ -397,7 +396,7 @@ impl ThreadRecorder {
         let ctx = full();
         if ctx != self.sim {
             self.sim = ctx.clone();
-            self.ops.push(JournalOp::Resync(ctx.clone()));
+            self.ops.push(JournalOp::Resync(Box::new(ctx.clone())));
             self.resyncs += 1;
         }
         if self.ops.is_empty() {
@@ -459,25 +458,30 @@ impl DecodeJournal {
                 out.push('\n');
             }
             for op in &t.ops {
-                match op {
-                    JournalOp::Call {
+                let _ = match op {
+                    JournalOp::CallArith {
                         site,
                         target,
-                        effect,
-                    } => {
-                        let _ = write!(out, "op c {} {} ", site.raw(), target.raw());
-                        CALL_EFFECTS.write(&mut out, *effect);
+                        delta,
+                    } => write!(out, "op c {} {} a{delta}", site.raw(), target.raw()),
+                    JournalOp::CallPush { site, target, id } => {
+                        write!(out, "op c {} {} p{id}", site.raw(), target.raw())
                     }
-                    JournalOp::Ret { caller, effect } => {
-                        let _ = write!(out, "op r {} ", caller.raw());
-                        RET_EFFECTS.write(&mut out, *effect);
+                    JournalOp::CallCompress { site, target, id } => {
+                        write!(out, "op c {} {} k{id}", site.raw(), target.raw())
                     }
-                    JournalOp::Sample => out.push_str("op s"),
+                    JournalOp::RetArith { caller, delta } => {
+                        write!(out, "op r {} a{delta}", caller.raw())
+                    }
+                    JournalOp::RetPop { caller } => write!(out, "op r {} o", caller.raw()),
+                    JournalOp::RetUncompress { caller } => write!(out, "op r {} u", caller.raw()),
+                    JournalOp::Sample => write!(out, "op s"),
                     JournalOp::Resync(ctx) => {
                         out.push_str("op g ");
                         write_ctx(&mut out, ctx);
+                        Ok(())
                     }
-                }
+                };
                 out.push('\n');
             }
             out.push_str("end\n");
@@ -492,26 +496,49 @@ impl DecodeJournal {
     /// Returns [`ImportError`] on malformed input (line 0 when the input
     /// ends inside a thread section).
     pub fn parse(text: &str) -> Result<DecodeJournal, ImportError> {
-        let records = codec::records(text, HEADER)
-            .ok_or_else(|| ImportError::BadLine(1, format!("missing {HEADER} header")))?;
+        Self::read(codec::records(text, HEADER))
+    }
+
+    /// Reads a journal's records, `None` when its header line is wrong.
+    pub(crate) fn read<'a, L: Lexer<'a>>(records: Option<L>) -> Result<DecodeJournal, ImportError> {
+        let mut records =
+            records.ok_or_else(|| ImportError::BadLine(1, format!("missing {HEADER} header")))?;
         let mut journal = DecodeJournal::default();
         let mut cur: Option<JournalThread> = None;
-        for (kw, mut f) in records {
+        while let Some((kw, mut f)) = records.next_record() {
             match kw {
                 "op" => {
                     let t = cur.as_mut().ok_or_else(|| f.error("op outside thread"))?;
                     let op = match f.token("op kind")? {
-                        "c" => JournalOp::Call {
-                            site: CallSiteId::new(f.num("call site")?),
-                            target: FunctionId::new(f.num("call target")?),
-                            effect: f.tag(&CALL_EFFECTS, "call effect")?,
-                        },
-                        "r" => JournalOp::Ret {
-                            caller: FunctionId::new(f.num("ret caller")?),
-                            effect: f.tag(&RET_EFFECTS, "ret effect")?,
-                        },
+                        "c" => {
+                            let site = CallSiteId::new(f.num("call site")?);
+                            let target = FunctionId::new(f.num("call target")?);
+                            let tok = f.token("call effect")?;
+                            let effect = tok.split_at_checked(1);
+                            match effect.and_then(|(tag, n)| Some((tag, L::read(n)?))) {
+                                Some(("a", delta)) => JournalOp::CallArith {
+                                    site,
+                                    target,
+                                    delta,
+                                },
+                                Some(("p", id)) => JournalOp::CallPush { site, target, id },
+                                Some(("k", id)) => JournalOp::CallCompress { site, target, id },
+                                _ => return Err(f.bad("call effect", tok)),
+                            }
+                        }
+                        "r" => {
+                            let caller = FunctionId::new(f.num("ret caller")?);
+                            match f.token("ret effect")? {
+                                "o" => JournalOp::RetPop { caller },
+                                "u" => JournalOp::RetUncompress { caller },
+                                tok => match tok.strip_prefix('a').and_then(L::read) {
+                                    Some(delta) => JournalOp::RetArith { caller, delta },
+                                    None => return Err(f.bad("ret effect", tok)),
+                                },
+                            }
+                        }
                         "s" => JournalOp::Sample,
-                        "g" => JournalOp::Resync(f.ctx()?),
+                        "g" => JournalOp::Resync(Box::new(f.ctx()?)),
                         kind => return Err(f.error(format!("unknown op kind {kind}"))),
                     };
                     t.ops.push(op);
@@ -567,11 +594,35 @@ pub struct DecodedStream {
     pub lines: Vec<String>,
 }
 
+/// Renders a decode point as `<tid>#<k>: <path>`, the path as
+/// `ContextPath::display` with `Display` names writes it, into one string
+/// sized up front.
 fn render_sample(tid: u64, k: usize, st: &EncodedContext, dec: &OfflineDecoder) -> String {
-    match dec.decode(st) {
-        Ok(path) => format!("{tid}#{k}: {}", path.display(|f| f.to_string())),
-        Err(e) => format!("{tid}#{k}: decode-error {e}"),
+    let path = match dec.decode(st) {
+        Ok(path) => path,
+        Err(e) => return format!("{tid}#{k}: decode-error {e}"),
+    };
+    let mut out = String::with_capacity(24 + 18 * path.0.len());
+    push_decimal(&mut out, tid);
+    out.push('#');
+    push_decimal(&mut out, k as u64);
+    out.push_str(": ");
+    for (i, step) in path.0.iter().enumerate() {
+        if i > 0 {
+            match step.site {
+                Some(site) => {
+                    out.push_str(" -(");
+                    out.push_str(CallSiteId::TAG);
+                    push_decimal(&mut out, site.raw().into());
+                    out.push_str(")-> ");
+                }
+                None => out.push_str(" -> "),
+            }
+        }
+        out.push_str(FunctionId::TAG);
+        push_decimal(&mut out, step.func.raw().into());
     }
+    out
 }
 
 /// Replays and decodes the whole journal on the calling thread.
@@ -915,34 +966,32 @@ mod tests {
                 tid: 4,
                 entry,
                 ops: vec![
-                    JournalOp::Call {
+                    JournalOp::CallArith {
                         site: CallSiteId::new(1),
                         target: FunctionId::new(3),
-                        effect: CallEffect::Arith { delta: 2 },
+                        delta: 2,
                     },
                     JournalOp::Sample,
-                    JournalOp::Call {
+                    JournalOp::CallPush {
                         site: CallSiteId::new(2),
                         target: FunctionId::new(4),
-                        effect: CallEffect::Push { id: 11 },
+                        id: 11,
                     },
-                    JournalOp::Call {
+                    JournalOp::CallCompress {
                         site: CallSiteId::new(2),
                         target: FunctionId::new(4),
-                        effect: CallEffect::Compress { id: 11 },
+                        id: 11,
                     },
-                    JournalOp::Ret {
+                    JournalOp::RetUncompress {
                         caller: FunctionId::new(4),
-                        effect: RetEffect::Uncompress,
                     },
-                    JournalOp::Ret {
+                    JournalOp::RetPop {
                         caller: FunctionId::new(3),
-                        effect: RetEffect::Pop,
                     },
-                    JournalOp::Resync(ctx(2, 1, 3, &[(5, 6, 7, 0)])),
-                    JournalOp::Ret {
+                    JournalOp::Resync(Box::new(ctx(2, 1, 3, &[(5, 6, 7, 0)]))),
+                    JournalOp::RetArith {
                         caller: FunctionId::new(0),
-                        effect: RetEffect::Arith { delta: 1 },
+                        delta: 1,
                     },
                 ],
                 seams: vec![SeamSeed {
@@ -997,40 +1046,38 @@ mod tests {
     #[test]
     fn effects_apply_and_reject_inconsistency() {
         let mut st = ctx(0, 5, 1, &[]);
-        let push = JournalOp::Call {
+        let push = JournalOp::CallPush {
             site: CallSiteId::new(1),
             target: FunctionId::new(2),
-            effect: CallEffect::Push { id: 9 },
+            id: 9,
         };
         apply_op(&mut st, &push).unwrap();
         assert_eq!(st.id, 9);
         assert_eq!(st.cc.len(), 1);
         assert_eq!(st.cc[0].id, 5);
         // compress must match the top edge and the saved id
-        let bad = JournalOp::Call {
+        let bad = JournalOp::CallCompress {
             site: CallSiteId::new(3),
             target: FunctionId::new(2),
-            effect: CallEffect::Compress { id: 9 },
+            id: 9,
         };
         assert!(apply_op(&mut st, &bad).is_err());
-        let pop = JournalOp::Ret {
+        let pop = JournalOp::RetPop {
             caller: FunctionId::new(1),
-            effect: RetEffect::Pop,
         };
         apply_op(&mut st, &pop).unwrap();
         assert_eq!(st.id, 5);
         assert!(apply_op(&mut st, &pop).is_err());
-        let un = JournalOp::Ret {
+        let un = JournalOp::RetUncompress {
             caller: FunctionId::new(1),
-            effect: RetEffect::Uncompress,
         };
         assert!(apply_op(&mut st, &un).is_err());
         // a compressed count at u64::MAX cannot take another repetition
         let mut st = ctx(0, 5, 2, &[(5, 1, 2, u64::MAX)]);
-        let compress = JournalOp::Call {
+        let compress = JournalOp::CallCompress {
             site: CallSiteId::new(1),
             target: FunctionId::new(2),
-            effect: CallEffect::Compress { id: 9 },
+            id: 9,
         };
         assert!(apply_op(&mut st, &compress).is_err());
     }
@@ -1049,7 +1096,7 @@ mod tests {
         );
         assert_eq!(rec.resyncs(), 1);
         let t = rec.finish();
-        assert_eq!(t.ops, vec![JournalOp::Resync(after)]);
+        assert_eq!(t.ops, vec![JournalOp::Resync(Box::new(after))]);
     }
 
     #[test]

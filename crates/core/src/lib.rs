@@ -79,9 +79,8 @@ pub use export::{
 };
 pub use fault::FaultPlan;
 pub use fragment::{
-    decode_parallel, decode_serial, verify_seams, CallEffect, DecodeJournal, DecodedStream,
-    FragmentError, JournalOp, JournalThread, ParallelDecodeReport, RetEffect, SeamSeed, StateSig,
-    ThreadRecorder,
+    decode_parallel, decode_serial, verify_seams, DecodeJournal, DecodedStream, FragmentError,
+    JournalOp, JournalThread, ParallelDecodeReport, SeamSeed, StateSig, ThreadRecorder,
 };
 pub use lineage::EncodingLineage;
 pub use observe::Observability;

@@ -50,7 +50,7 @@ use crate::tracker::BatchOp;
 /// matches only when it resolved to the same target the window was
 /// compiled for, so an indirect-target miss falls back to the per-event
 /// loop by construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WindowOp {
     /// A call through `site` to `target` (direct or indirect).
     Call {

@@ -16,7 +16,7 @@
 //! The replay is the loop of [`crate::batch`] with a 16-op window: balanced windows go through [`ThreadHandle::run_batch`], the
 //! deep spine through RAII guards, so the fault paths are exercised under
 //! both front-ends. This module only adds the sampler that decodes a
-//! context every [`JOURNAL_SAMPLE_EVERY`] ops.
+//! context every [`JOURNAL_SAMPLE_EVERY`] ops and at each thread's exit.
 
 use dacce::tracker::{ThreadHandle, Tracker};
 use dacce::{DacceConfig, DacceStats, FaultPlan, Observability};
@@ -45,6 +45,9 @@ pub struct ChaosReplay {
     /// Decoded samples that differ from the replay's shadow stack (always
     /// 0 for a sound runtime).
     pub shadow_mismatches: usize,
+    /// Samples taken at the exit of a spawned thread (their decoded paths
+    /// carry the spawn context).
+    pub spawned_exit_samples: usize,
     /// Final tracker statistics (including the degraded-state record).
     pub stats: DacceStats,
     /// The tracker's observability handle: its metrics, which `stats`
@@ -97,7 +100,7 @@ pub fn chaos_trace(spec: &BenchSpec, cfg: &DriverConfig) -> WorkloadTrace {
 /// Replays `trace` under `config` (which carries the fault plan), driving
 /// balanced windows through [`ThreadHandle::run_batch`] and the spine
 /// through guards, sampling and decoding every [`JOURNAL_SAMPLE_EVERY`]
-/// ops.
+/// ops and at each thread's exit.
 pub fn replay_sampled(trace: &WorkloadTrace, config: DacceConfig) -> ChaosReplay {
     replay_sampled_impl(trace, config, false)
 }
@@ -133,8 +136,9 @@ fn warmup_prefix(trace: &WorkloadTrace) -> WorkloadTrace {
 }
 
 /// Samples and decodes a context every [`JOURNAL_SAMPLE_EVERY`] ops of
-/// each thread, at op counts that depend only on the trace, so the
-/// faulted and fault-free replays sample identical program points.
+/// each thread and at its exit, at op counts that depend only on the
+/// trace, so the faulted and fault-free replays sample identical program
+/// points.
 struct ChaosSampler<'t> {
     tracker: &'t Tracker,
     tid: ThreadId,
@@ -142,6 +146,28 @@ struct ChaosSampler<'t> {
     paths: Vec<String>,
     decode_failures: usize,
     shadow_mismatches: usize,
+    spawned_exit_samples: usize,
+}
+
+impl ChaosSampler<'_> {
+    /// Decodes the thread's current context and checks it against
+    /// `expected`. Returns whether the context carries a spawn link.
+    fn sample(&mut self, th: &ThreadHandle, expected: &[PathStep]) -> bool {
+        let tid = self.tid;
+        let sample = th.sample();
+        match self.tracker.decode(&sample) {
+            Ok(path) => {
+                self.shadow_mismatches += usize::from(path.0 != expected);
+                let path = self.tracker.format_path(&path);
+                self.paths.push(format!("{tid}: {path}"));
+            }
+            Err(e) => {
+                self.decode_failures += 1;
+                self.paths.push(format!("{tid}: decode-error {e}"));
+            }
+        }
+        sample.spawn.is_some()
+    }
 }
 
 impl ReplayVisitor for ChaosSampler<'_> {
@@ -153,18 +179,15 @@ impl ReplayVisitor for ChaosSampler<'_> {
     fn step(&mut self, th: &ThreadHandle, _: ReplayStep, done: usize, expected: &[PathStep]) {
         while done as u64 >= self.next_sample {
             self.next_sample += JOURNAL_SAMPLE_EVERY;
-            let tid = self.tid;
-            match self.tracker.decode(&th.sample()) {
-                Ok(path) => {
-                    self.shadow_mismatches += usize::from(path.0 != expected);
-                    let path = self.tracker.format_path(&path);
-                    self.paths.push(format!("{tid}: {path}"));
-                }
-                Err(e) => {
-                    self.decode_failures += 1;
-                    self.paths.push(format!("{tid}: decode-error {e}"));
-                }
-            }
+            self.sample(th, expected);
+        }
+    }
+
+    fn end(&mut self, th: &ThreadHandle, done: usize, expected: &[PathStep]) {
+        // As in the journal: threads shorter than the cadence are still
+        // decoded once, in whatever context they end.
+        if done > 0 && self.sample(th, expected) {
+            self.spawned_exit_samples += 1;
         }
     }
 }
@@ -186,6 +209,7 @@ fn replay_sampled_impl(trace: &WorkloadTrace, config: DacceConfig, superops: boo
         paths: Vec::new(),
         decode_failures: 0,
         shadow_mismatches: 0,
+        spawned_exit_samples: 0,
     };
     replay(&tracker, trace, CHAOS_WINDOW, &mut ids, &mut sampler);
     let invariant_error = tracker.check_invariants().err();
@@ -193,6 +217,7 @@ fn replay_sampled_impl(trace: &WorkloadTrace, config: DacceConfig, superops: boo
         paths: sampler.paths,
         decode_failures: sampler.decode_failures,
         shadow_mismatches: sampler.shadow_mismatches,
+        spawned_exit_samples: sampler.spawned_exit_samples,
         stats: tracker.stats(),
         obs: tracker.observability().clone(),
         invariant_error,

@@ -55,7 +55,8 @@ pub fn leaf_weights(profile: &HotContextProfile) -> HashMap<FunctionId, u64> {
 /// Every balanced subsequence of at most `max_window` ops that starts at a
 /// call is a candidate; candidates are counted across all streams, scored
 /// `occurrences x length x (1 + hotness(head callee))` and the top
-/// `max_count` (ranked by score) are returned, longest first. Windows seen
+/// `max_count` (ranked by score, then length, then op sequence, so the
+/// result never depends on hash order) are returned, longest first. Windows seen
 /// only once are dropped — a superop that never repeats cannot pay for its
 /// probe. `hotness` supplies the sampled-hotness weight of a function (0
 /// when unsampled); pass `|_| 0` for a purely structural ranking.
@@ -109,7 +110,11 @@ where
             (w, score)
         })
         .collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| b.0.len().cmp(&a.0.len())));
+    ranked.sort_by(|a, b| {
+        b.1.cmp(&a.1)
+            .then_with(|| b.0.len().cmp(&a.0.len()))
+            .then_with(|| a.0.cmp(&b.0))
+    });
     ranked.truncate(max_count);
     // Longest first so nested windows keep the longest-match preference
     // the table itself sorts by.
@@ -216,6 +221,31 @@ mod tests {
                 WindowOp::Ret,
             ]]
         );
+    }
+
+    #[test]
+    fn mining_is_deterministic() {
+        // Many distinct windows with equal scores: a cap that cuts through
+        // the tie must pick the same ones every time. Each `HashMap` draws
+        // fresh hash keys, so repeated mining in one process would expose
+        // an order that leaked from the map.
+        let mut ops = Vec::new();
+        for round in 0..3 {
+            for site in 0..40 {
+                ops.push(call(site, site % 7));
+                if round > 0 && site % 5 == 0 {
+                    ops.push(call(100 + site, 1));
+                    ops.push(BatchOp::Ret);
+                }
+                ops.push(BatchOp::Ret);
+            }
+        }
+        let streams = [&ops[..], &ops[10..]];
+        let first = mine_windows(&streams, 8, 12, |_| 0);
+        assert_eq!(first.len(), 12);
+        for _ in 0..20 {
+            assert_eq!(mine_windows(&streams, 8, 12, |_| 0), first);
+        }
     }
 
     #[test]

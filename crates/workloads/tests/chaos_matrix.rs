@@ -23,16 +23,19 @@ fn fault_matrix_presets_are_sound() {
         scale: scale(),
         ..DriverConfig::default()
     };
-    // Two recursion-heavy tiny specs, plus the server family, whose
-    // requests all run on spawned workers: its samples exercise
-    // spawn-context decode under faults.
+    // Two recursion-heavy tiny specs, plus the server and thread-churn
+    // families, whose work all runs on spawned threads: their samples
+    // exercise spawn-context decode under faults.
     let mut workloads: Vec<(&str, _)> = ["chaos-ci-a", "chaos-ci-b"]
         .into_iter()
         .zip([17, 23])
         .map(|(name, seed)| (name, chaos_trace(&BenchSpec::tiny(name, seed), &cfg)))
         .collect();
-    let server = family_trace("server-rr", 41, (scale() * 0.4).max(0.01)).expect("family");
-    workloads.push(("server-rr", server));
+    let spawning = ["server-rr", "thread-churn"];
+    for name in spawning {
+        let trace = family_trace(name, 41, (scale() * 0.4).max(0.01)).expect("family");
+        workloads.push((name, trace));
+    }
     // Eager re-encoding so generation-targeted faults (aborts, exhaustion)
     // actually see re-encodings on a CI-sized trace.
     let base = DacceConfig {
@@ -78,6 +81,13 @@ fn fault_matrix_presets_are_sound() {
                 out.replay.shadow_mismatches, 0,
                 "{wname}/{name}: {} of {} decoded contexts differ from the trace's shadow stack",
                 out.replay.shadow_mismatches, out.samples
+            );
+            // Threads shorter than the sample cadence are decoded at exit:
+            // the spawning families decode every spawned thread's context
+            // there, and the shadow check above covers those samples too.
+            assert!(
+                !spawning.contains(wname) || out.replay.spawned_exit_samples > 0,
+                "{wname}/{name}: no spawned thread was decoded at its exit"
             );
             assert_eq!(
                 out.replay.invariant_error, None,
